@@ -1,0 +1,5 @@
+"""Benchmark for framecert: seeded workloads, an end-to-end runner and a traced run.
+
+Run ``python3 perfbench/run.py --workload <name> --seed <n> --seconds <s> --trace <0|1>``
+from the repository root; see ``perfbench/README.md``.
+"""
