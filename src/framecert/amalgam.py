@@ -28,6 +28,7 @@ from framecert.groups import (
     product_set,
     require_symmetric_ball,
     separation_constant,
+    window_reduce,
 )
 
 # Tail masses integrate the squared local maximum function.
@@ -68,21 +69,10 @@ def local_max(f: GroupFunction, U: CompactSet) -> GroupFunction:
     """
     require_symmetric_ball(U)
     group = f.group
-    absvals = np.abs(f.values)
-    table = group._compose_table_or_none()
-    u_positions = U.positions()
-    if table is not None:
-        windows = table[:, u_positions]
-        if int(windows.min()) < 0:
-            raise OutOfCarrier(f"a neighborhood window escapes the carrier of {group!r}")
-        return GroupFunction(group, absvals[windows].max(axis=1))
-    out = np.empty(group.order)
-    for i, x in enumerate(group.carrier):
-        best = 0.0
-        for u in U.members:
-            best = max(best, absvals[group.index(group.compose(x, u))])
-        out[i] = best
-    return GroupFunction(group, out)
+    sharp, whole = window_reduce(np.abs(f.values), U, np.maximum, 0.0)
+    if not whole.all():
+        raise OutOfCarrier(f"a neighborhood window escapes the carrier of {group!r}")
+    return GroupFunction(group, sharp)
 
 
 def amalgam_norm(f: GroupFunction, U: CompactSet) -> float:
@@ -94,10 +84,13 @@ def amalgam_norm(f: GroupFunction, U: CompactSet) -> float:
 def tail_mass(f: GroupFunction, U: CompactSet, L: CompactSet) -> float:
     """Squared mass of f# on the inflated complement (L^c)U."""
     require_symmetric_ball(U)
-    sharp = local_max(f, U)
-    domain = product_set(complement(L), U)
-    idx = domain.positions()
-    return float(np.sum(sharp.values[idx] ** 2 * f.group.haar[idx]))
+    return sharp_tail_mass(local_max(f, U), U, L)
+
+
+def sharp_tail_mass(sharp: GroupFunction, U: CompactSet, L: CompactSet) -> float:
+    """Squared mass on (L^c)U of an already computed local maximum function."""
+    idx = product_set(complement(L), U).positions()
+    return float(np.sum(sharp.values[idx] ** 2 * sharp.group.haar[idx]))
 
 
 @dataclass(frozen=True)
@@ -119,7 +112,8 @@ def sampling_bound_check(
     """
     c0 = separation_constant(X, U)
     c = c0 / measure(U)
-    outside = [j for j, p in enumerate(X.points) if p not in K]
-    lhs = float(sum(abs(f.value_at(X.points[j])) ** 2 for j in outside))
+    outside = X.positions()[~K.indicator[X.positions()]]
+    # Left to right in point order; a pairwise np.sum would round differently.
+    lhs = float(sum(np.abs(f.values[outside]) ** 2))
     rhs = c * tail_mass(f, U, K)
     return SamplingBoundCheck(lhs=lhs, rhs=rhs, C=c, C0=c0, holds=lhs <= rhs * (1 + 1e-9))

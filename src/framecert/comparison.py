@@ -38,6 +38,7 @@ from framecert.groups import (
     measure,
     product_set,
     translate_set,
+    window_reduce,
 )
 from framecert.hap import HapCertificate, HapScenario, NoAdmissibleL, find_L
 
@@ -87,7 +88,7 @@ def qpq_operator(P: SpanProjector, Q: SpanProjector) -> np.ndarray:
 
 def cardinality_count(X: PointSet, S: CompactSet) -> int:
     """Number of indices j with x_j in S, counted with multiplicity."""
-    return sum(1 for p in X.points if p in S)
+    return int(np.count_nonzero(S.indicator[X.positions()]))
 
 
 @dataclass
@@ -260,8 +261,9 @@ def comparison_certificate(
         return _boundary_certificate(scenario, y, k_label, l_label)
 
     duals = scenario.given_analysis.canonical_dual
-    sel_x = [j for j, p in enumerate(scenario.given.points.points) if p in ykl]
-    sel_y = [k for k, p in enumerate(scenario.reference.points.points) if p in yk]
+    # Selections in frame-index order: the column order fixes the SVD's rounding.
+    sel_x = np.flatnonzero(ykl.indicator[scenario.given.points.positions()])
+    sel_y = np.flatnonzero(yk.indicator[scenario.reference.points.positions()])
     P = span_projector(duals[:, sel_x], dim=dim)
     ref_atoms = scenario.reference.synthesis[:, sel_y]
     Q = span_projector(ref_atoms, dim=dim)
@@ -360,21 +362,24 @@ def density_report(
     """
     group = X.group
     if y_sample is None:
-        y_sample = list(group.carrier)
+        y_sample = group.carrier
+        y_positions, y_inside = group.all_positions, np.ones(group.order, dtype=bool)
+    else:
+        y_positions, y_inside = _sample_positions(group, y_sample)
     if k_labels is None:
         k_labels = list(range(len(K_family)))
+    point_counts = X.counts()
     rows = []
     summary = []
     for ik, K in enumerate(K_family):
         vol = measure(K)
+        counts, whole = window_reduce(point_counts, K, np.add, 0, at=y_positions)
+        whole &= y_inside
         ratios = []
-        for y in y_sample:
-            try:
-                yk = translate_set(y, K)
-            except OutOfCarrier:
+        for y, count, inside in zip(y_sample, counts.tolist(), whole.tolist()):
+            if not inside:
                 rows.append(DensityRow(y, k_labels[ik], None, vol, None, True))
                 continue
-            count = cardinality_count(X, yk)
             ratio = count / vol
             ratios.append(ratio)
             rows.append(DensityRow(y, k_labels[ik], count, vol, ratio, False))
@@ -386,3 +391,16 @@ def density_report(
             )
         )
     return DensityReport(rows=rows, summary=summary)
+
+
+def _sample_positions(group, y_sample) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the sampled base points and the mask of those in the carrier."""
+    positions, inside = [], []
+    for y in y_sample:
+        try:
+            positions.append(group.index(y))
+            inside.append(True)
+        except OutOfCarrier:
+            positions.append(0)
+            inside.append(False)
+    return np.array(positions, dtype=np.int64), np.array(inside, dtype=bool)

@@ -8,27 +8,33 @@ Two kinds of group are supported:
   that leave the carrier raise :class:`OutOfCarrier` instead of wrapping
   (silent wrapping would corrupt any boundary analysis built on top).
 
-Elements are plain ints for rank-1 groups and tuples of ints otherwise.  The
-Haar weight is counting measure (1.0 per element) but is stored per element,
-so every "integral" below is an explicit weighted sum and weighted carriers
-remain possible.  Balls use the max metric with per-coordinate cyclic
-distance ``min(d, N - d)`` on cyclic groups and ``|d|`` on boxes; both choices
-make every ball symmetric and put the identity inside.
+The carrier is enumerated in row-major order of its coordinates, so an
+element's position is a mixed-radix number and ``GroupModel.coords`` holds
+all coordinates as one ``(|G|, rank)`` int array.  The group law (``canon``,
+``compose``, ``inverse``, ``metric``, ``index``) takes either one element or
+a coordinate array of shape ``(..., rank)``; the cyclic wrap and the box
+escape rule live only in ``GroupModel._reduce``.  Hot paths (balls,
+translates, product sets, window scans) work on position arrays and shift
+the whole carrier by one set member at a time, so no |G| x |G| table is ever
+built and temporaries stay O(|G|).  Elements as Python values -- plain ints
+for rank-1 groups, tuples of ints otherwise -- appear only at the I/O
+boundary: parsing scenarios and writing report rows.
+
+The Haar weight is counting measure (1.0 per element) but is stored per
+element, so every "integral" below is an explicit weighted sum and weighted
+carriers remain possible.  Balls use the max metric with per-coordinate
+cyclic distance ``min(d, N - d)`` on cyclic groups and ``|d|`` on boxes; both
+choices make every ball symmetric and put the identity inside.
 """
 
 from __future__ import annotations
 
-import itertools
-from collections import Counter
-from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
 Element = int | tuple[int, ...]
-
-# Composition index tables are only materialized for small carriers.
-_TABLE_LIMIT = 2048
 
 
 class OutOfCarrier(Exception):
@@ -49,28 +55,33 @@ class GroupModel:
         if kind == "cyclic":
             if any(n < 1 for n in sizes):
                 raise ValueError(f"cyclic moduli must be positive, got {sizes}")
-            ranges = [range(n) for n in sizes]
+            low, extents = (0,) * len(sizes), sizes
             self.moduli: tuple[int, ...] | None = sizes
             self.halfwidths: tuple[int, ...] | None = None
         elif kind == "box":
             if any(m < 0 for m in sizes):
                 raise ValueError(f"box halfwidths must be nonnegative, got {sizes}")
-            ranges = [range(-m, m + 1) for m in sizes]
+            low, extents = tuple(-m for m in sizes), tuple(2 * m + 1 for m in sizes)
             self.moduli = None
             self.halfwidths = sizes
         else:
             raise ValueError(f"unknown group kind {kind!r}")
         self.kind = kind
         self.rank = len(sizes)
-        if self.rank == 1:
-            self.carrier: tuple[Element, ...] = tuple(ranges[0])
-        else:
-            self.carrier = tuple(itertools.product(*ranges))
-        self._pos = {x: i for i, x in enumerate(self.carrier)}
+        self._sizes = np.array(sizes, dtype=np.int64)
+        self._low = np.array(low, dtype=np.int64)
+        self._strides = np.array(
+            [int(np.prod(extents[i + 1:])) for i in range(self.rank)], dtype=np.int64
+        )
+        coords = np.indices(extents).reshape(self.rank, -1).T + self._low
+        coords.flags.writeable = False
+        self.coords: np.ndarray = coords
+        self.carrier: tuple[Element, ...] = tuple(map(self._from_coords, coords.tolist()))
+        self.all_positions = np.arange(len(self.carrier), dtype=np.int64)
+        self.all_positions.flags.writeable = False
         self.haar = np.ones(len(self.carrier))
         self.identity: Element = 0 if self.rank == 1 else (0,) * self.rank
         self._balls: dict[int, CompactSet] = {}
-        self._compose_table: np.ndarray | None = None
 
     @classmethod
     def cyclic(cls, moduli: Sequence[int]) -> "GroupModel":
@@ -91,74 +102,115 @@ class GroupModel:
     def order(self) -> int:
         return len(self.carrier)
 
-    def _coords(self, x: Element) -> tuple[int, ...]:
-        return (x,) if self.rank == 1 else x  # type: ignore[return-value]
+    # -- the group law -------------------------------------------------------
+
+    def _reduce(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """Coordinates (..., rank) in carrier form, and the mask of rows in the carrier.
+
+        The one place where the kinds differ: cyclic coordinates wrap modulo
+        N, so every row is in and the mask is None; box coordinates never
+        wrap, and a row outside [-m, m] is masked out.
+        """
+        if self.moduli is not None:
+            return coords % self._sizes, None
+        return coords, np.all(np.abs(coords) <= self._sizes, axis=-1)
 
     def _from_coords(self, coords: Sequence[int]) -> Element:
         return coords[0] if self.rank == 1 else tuple(coords)
 
-    def canon(self, x) -> Element:
-        """Canonical carrier form of ``x``; wraps cyclic coordinates modulo N.
+    def _out(self, coords: np.ndarray, element: bool):
+        return self._from_coords(coords.tolist()) if element else coords
+
+    def _checked(self, coords: np.ndarray, message) -> np.ndarray:
+        """Carrier form of ``coords``; raises OutOfCarrier(message()) on an escape."""
+        coords, inside = self._reduce(coords)
+        if inside is not None and not inside.all():
+            raise OutOfCarrier(message())
+        return coords
+
+    def _carrier(self, x) -> tuple[np.ndarray, bool]:
+        """Carrier-form coordinates of an element or a coordinate array
+        (..., rank), and whether ``x`` was a single element."""
+        if isinstance(x, np.ndarray) and x.ndim:
+            if x.shape[-1] != self.rank:
+                raise ValueError(f"coordinate arrays need a last axis of {self.rank}")
+            coords, element = x, False
+        else:
+            if self.rank == 1 and isinstance(x, (int, np.integer)):
+                x_coords = (x,)
+            else:
+                x_coords = tuple(x)
+            if len(x_coords) != self.rank:
+                raise ValueError(f"element {x!r} has rank {len(x_coords)}, expected {self.rank}")
+            coords, element = np.array([int(c) for c in x_coords], dtype=np.int64), True
+        return self._checked(coords, lambda: f"element {x!r} lies outside the carrier"), element
+
+    def canon(self, x):
+        """Carrier form of an element or coordinate array; wraps cyclic coordinates.
 
         Box coordinates outside the carrier raise :class:`OutOfCarrier`.
         """
-        if self.rank == 1:
-            coords = (x,) if isinstance(x, (int, np.integer)) else tuple(x)
-        else:
-            coords = tuple(x)
-        if len(coords) != self.rank:
-            raise ValueError(f"element {x!r} has rank {len(coords)}, expected {self.rank}")
-        coords = tuple(int(c) for c in coords)
-        if self.kind == "cyclic":
-            assert self.moduli is not None
-            return self._from_coords([c % n for c, n in zip(coords, self.moduli)])
-        assert self.halfwidths is not None
-        for c, m in zip(coords, self.halfwidths):
-            if not -m <= c <= m:
-                raise OutOfCarrier(f"element {x!r} lies outside the carrier")
-        return self._from_coords(coords)
+        return self._out(*self._carrier(x))
+
+    def compose(self, a, b):
+        """Group product a.b of elements, or row-wise of coordinate arrays (broadcast).
+
+        Raises OutOfCarrier when a box product escapes.
+        """
+        ca, ea = self._carrier(a)
+        cb, eb = self._carrier(b)
+        product = self._checked(ca + cb, lambda: f"product of {a!r} and {b!r} escapes the carrier")
+        return self._out(product, ea and eb)
+
+    def inverse(self, a):
+        coords, element = self._carrier(a)
+        inverse = self._checked(-coords, lambda: f"inverse of {a!r} escapes the carrier")
+        return self._out(inverse, element)
+
+    def metric(self, x):
+        """Max-metric distance to the identity, per element or per coordinate row."""
+        coords, element = self._carrier(x)
+        if self.moduli is not None:
+            coords = np.minimum(coords, self._sizes - coords)
+        distance = np.abs(coords).max(axis=-1)
+        return int(distance) if element else distance
+
+    def _position(self, coords: np.ndarray) -> np.ndarray:
+        """Mixed-radix positions of carrier coordinates (..., rank)."""
+        return (coords - self._low) @ self._strides
+
+    def index(self, x):
+        """Carrier position of an element, or positions of a coordinate array."""
+        coords, element = self._carrier(x)
+        positions = self._position(coords)
+        return int(positions) if element else positions
 
     def contains(self, x) -> bool:
         try:
-            return self.canon(x) in self._pos
+            self.canon(x)
         except (OutOfCarrier, ValueError, TypeError):
             return False
+        return True
 
-    def index(self, x) -> int:
-        """Position of ``x`` in carrier order."""
-        return self._pos[self.canon(x)]
+    def multiply(self, p, q) -> np.ndarray:
+        """Positions of x_p . x_q for position arrays (broadcast); raises on a box escape."""
+        return self._position(self.compose(self.coords[p], self.coords[q]))
 
-    def compose(self, a, b) -> Element:
-        """Group product a.b; raises OutOfCarrier when a box product escapes."""
-        ca, cb = self._coords(self.canon(a)), self._coords(self.canon(b))
-        if self.kind == "cyclic":
-            assert self.moduli is not None
-            return self._from_coords([(x + y) % n for x, y, n in zip(ca, cb, self.moduli)])
-        assert self.halfwidths is not None
-        coords = [x + y for x, y in zip(ca, cb)]
-        for c, m in zip(coords, self.halfwidths):
-            if not -m <= c <= m:
-                raise OutOfCarrier(f"product of {a!r} and {b!r} escapes the carrier")
-        return self._from_coords(coords)
+    def multiply_masked(self, p, q) -> tuple[np.ndarray, np.ndarray]:
+        """Positions of x_p . x_q and the mask of products inside the carrier.
 
-    def inverse(self, a) -> Element:
-        ca = self._coords(self.canon(a))
-        if self.kind == "cyclic":
-            assert self.moduli is not None
-            return self._from_coords([(-x) % n for x, n in zip(ca, self.moduli)])
-        return self._from_coords([-x for x in ca])
+        Escaped products (box kind only) get position 0; callers use the mask.
+        """
+        coords, inside = self._reduce(self.coords[p] + self.coords[q])
+        if inside is None:
+            return self._position(coords), np.ones(coords.shape[:-1], dtype=bool)
+        return np.where(inside, self._position(coords), 0), inside
 
-    def metric(self, x) -> int:
-        """Max-metric distance from ``x`` to the identity."""
-        coords = self._coords(self.canon(x))
-        if self.kind == "cyclic":
-            assert self.moduli is not None
-            return max(min(c, n - c) for c, n in zip(coords, self.moduli))
-        return max(abs(c) for c in coords)
+    # -- derived structure ---------------------------------------------------
 
     @property
     def diameter(self) -> int:
-        return max(self.metric(x) for x in self.carrier)
+        return int(self.metric(self.coords).max())
 
     def ball(self, radius: int) -> "CompactSet":
         """Symmetric metric ball {x : metric(x, e) <= radius} around the identity."""
@@ -166,124 +218,205 @@ class GroupModel:
         if radius < 0:
             raise ValueError(f"ball radius must be nonnegative, got {radius}")
         if radius not in self._balls:
-            members = frozenset(x for x in self.carrier if self.metric(x) <= radius)
-            self._balls[radius] = CompactSet(self, members)
+            positions = np.flatnonzero(self.metric(self.coords) <= radius)
+            self._balls[radius] = CompactSet(self, positions)
         return self._balls[radius]
 
     def haar_weight(self, x) -> float:
         return float(self.haar[self.index(x)])
 
-    def _compose_table_or_none(self) -> np.ndarray | None:
-        """|G| x |G| table of product positions; -1 marks escapes (box kind)."""
-        if self._compose_table is None and self.order <= _TABLE_LIMIT:
-            n = self.order
-            table = np.empty((n, n), dtype=np.int32)
-            for i, a in enumerate(self.carrier):
-                for j, b in enumerate(self.carrier):
-                    try:
-                        table[i, j] = self._pos[self.compose(a, b)]
-                    except OutOfCarrier:
-                        table[i, j] = -1
-            self._compose_table = table
-        return self._compose_table
-
-    def _translate_positions(self, y, positions: np.ndarray) -> np.ndarray:
-        """Carrier positions of y.S given the positions of S; raises on escape."""
-        table = self._compose_table_or_none()
-        if table is not None:
-            out = table[self.index(y), positions]
-            if out.size and int(out.min()) < 0:
-                raise OutOfCarrier(f"translate by {y!r} escapes the carrier")
-            return out
-        out = np.empty(len(positions), dtype=np.int64)
-        for k, p in enumerate(positions):
-            out[k] = self._pos[self.compose(y, self.carrier[int(p)])]
-        return out
+    def mask(self, positions) -> np.ndarray:
+        """Boolean carrier mask that is True at ``positions``."""
+        mask = np.zeros(self.order, dtype=bool)
+        mask[positions] = True
+        return mask
 
 
-@dataclass(frozen=True)
+def _frozen(positions) -> np.ndarray:
+    """A read-only int64 copy, so callers' arrays are neither aliased nor frozen."""
+    positions = np.array(positions, dtype=np.int64)
+    positions.flags.writeable = False
+    return positions
+
+
 class CompactSet:
-    """Finite subset of a group carrier, deduplicated by construction."""
+    """Finite subset of a group carrier, held as its sorted distinct positions.
 
-    group: GroupModel
-    members: frozenset
+    ``members`` (a frozenset of elements) is derived on demand for callers
+    that want elements.
+    """
+
+    def __init__(self, group: GroupModel, positions):
+        self.group = group
+        self._positions = _frozen(positions)
+
+    @classmethod
+    def of_mask(cls, group: GroupModel, mask: np.ndarray) -> "CompactSet":
+        return cls(group, np.flatnonzero(mask))
+
+    def __repr__(self) -> str:
+        return f"CompactSet({self.group!r}, {len(self)} members)"
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CompactSet):
+            return NotImplemented
+        return self.group is other.group and np.array_equal(self._positions, other._positions)
+
+    def __hash__(self) -> int:
+        return hash((id(self.group), self._positions.tobytes()))
 
     def __contains__(self, x) -> bool:
         try:
-            return self.group.canon(x) in self.members
+            return bool(self.indicator[self.group.index(x)])
         except (OutOfCarrier, ValueError, TypeError):
             return False
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self._positions)
+
+    @cached_property
+    def indicator(self) -> np.ndarray:
+        """Boolean carrier mask of the set."""
+        mask = self.group.mask(self._positions)
+        mask.flags.writeable = False
+        return mask
+
+    @cached_property
+    def members(self) -> frozenset:
+        return frozenset(self.sorted_members())
 
     def sorted_members(self) -> list[Element]:
-        return sorted(self.members, key=self.group.index)
+        carrier = self.group.carrier
+        return [carrier[p] for p in self._positions.tolist()]
 
     def positions(self) -> np.ndarray:
-        return np.array(sorted(self.group.index(x) for x in self.members), dtype=np.int64)
+        return self._positions
+
+    def issubset(self, other: "CompactSet") -> bool:
+        return self.group is other.group and bool(other.indicator[self._positions].all())
 
 
-@dataclass(frozen=True)
 class PointSet:
-    """Indexed list of group elements; duplicates allowed, indices distinct."""
+    """Indexed list of group elements, held as carrier positions.
 
-    group: GroupModel
-    points: tuple
+    Duplicates are allowed and indices are distinct.  ``points`` (the
+    elements as a tuple) is derived on demand.
+    """
+
+    def __init__(self, group: GroupModel, points: Iterable = (), *, positions=None):
+        self.group = group
+        if positions is None:
+            positions = [group.index(p) for p in points]
+        self._positions = _frozen(positions)
+
+    def __repr__(self) -> str:
+        return f"PointSet({self.group!r}, {len(self)} points)"
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self._positions)
+
+    @cached_property
+    def points(self) -> tuple:
+        carrier = self.group.carrier
+        return tuple(carrier[p] for p in self._positions.tolist())
 
     def positions(self) -> np.ndarray:
-        return np.array([self.group.index(p) for p in self.points], dtype=np.int64)
+        return self._positions
+
+    def counts(self) -> np.ndarray:
+        """Multiplicity of every carrier position in the point list."""
+        return np.bincount(self._positions, minlength=self.group.order)
+
+    def indices_at(self, positions: np.ndarray) -> np.ndarray:
+        """Indices j with x_j at ``positions``, grouped by position in the given
+        order and ascending within each position."""
+        order, starts, counts = self._by_position
+        per = counts[positions]
+        firsts = np.cumsum(per) - per  # where each position's run starts in the output
+        offsets = np.repeat(starts[positions] - firsts, per) + np.arange(int(per.sum()))
+        return order[offsets]
+
+    @cached_property
+    def _by_position(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        counts = self.counts()
+        return np.argsort(self._positions, kind="stable"), np.cumsum(counts) - counts, counts
 
 
 def compact_set(group: GroupModel, members: Iterable) -> CompactSet:
-    return CompactSet(group, frozenset(group.canon(x) for x in members))
+    return CompactSet.of_mask(group, group.mask([group.index(x) for x in members]))
 
 
 def point_set(group: GroupModel, points: Iterable) -> PointSet:
-    return PointSet(group, tuple(group.canon(x) for x in points))
+    return PointSet(group, points)
 
 
 def full_point_set(group: GroupModel) -> PointSet:
-    return PointSet(group, tuple(group.carrier))
+    return PointSet(group, positions=group.all_positions)
 
 
 def measure(K: CompactSet) -> float:
     """Haar measure of K (a weighted cardinality)."""
-    return float(sum(K.group.haar_weight(x) for x in K.members))
+    return float(K.group.haar[K.positions()].sum())
 
 
 def product_set(K: CompactSet, L: CompactSet) -> CompactSet:
-    """Pointwise product set KL = {k.l}; OutOfCarrier propagates on boxes."""
+    """Pointwise product set KL = {k.l}; OutOfCarrier propagates on boxes.
+
+    The larger set is shifted by one member of the smaller at a time (the
+    groups are abelian), so temporaries stay O(|G|).
+    """
     if K.group is not L.group:
         raise ValueError("product of sets from different groups")
     group = K.group
-    out = {group.compose(k, l) for k in K.members for l in L.members}
-    return CompactSet(group, frozenset(out))
+    small, large = (K, L) if len(K) <= len(L) else (L, K)
+    mask = np.zeros(group.order, dtype=bool)
+    for p in small.positions().tolist():
+        mask[group.multiply(large.positions(), p)] = True
+    return CompactSet.of_mask(group, mask)
 
 
 def translate_set(y, K: CompactSet) -> CompactSet:
     """Left translate yK; preserves Haar measure on cyclic groups."""
     group = K.group
-    return CompactSet(group, frozenset(group.compose(y, k) for k in K.members))
+    return CompactSet(group, np.sort(group.multiply(group.index(y), K.positions())))
 
 
 def complement(K: CompactSet) -> CompactSet:
-    return CompactSet(K.group, frozenset(K.group.carrier) - K.members)
+    return CompactSet.of_mask(K.group, ~K.indicator)
 
 
 def is_symmetric(U: CompactSet) -> bool:
-    return all(U.group.inverse(x) in U.members for x in U.members)
+    group = U.group
+    inverses = group.index(group.inverse(group.coords[U.positions()]))
+    return bool(U.indicator[inverses].all())
 
 
 def require_symmetric_ball(U: CompactSet) -> None:
     """Check U = U^{-1} and e in U, else raise NonSymmetricNeighborhood."""
-    if U.group.identity not in U.members or not is_symmetric(U):
+    if U.group.identity not in U or not is_symmetric(U):
         raise NonSymmetricNeighborhood(
             "a symmetric neighborhood U = U^{-1} containing the identity is required"
         )
+
+
+def window_reduce(values: np.ndarray, S: CompactSet, ufunc, initial, at=None):
+    """``ufunc``-reduce ``values`` over every window xS, for x at positions ``at``.
+
+    ``at`` defaults to the whole carrier.  The carrier is shifted by one
+    member of S at a time, so temporaries stay O(|G|).  Returns the
+    reductions (starting from ``initial``) and the mask of the x whose window
+    stays in the carrier; members that escape a truncated carrier are left
+    out of the reduction.
+    """
+    group = S.group
+    at = group.all_positions if at is None else at
+    acc = np.full(len(at), initial, dtype=values.dtype)
+    whole = np.ones(len(at), dtype=bool)
+    for s in S.positions().tolist():
+        shifted, inside = group.multiply_masked(at, s)
+        ufunc(acc, values[shifted], out=acc, where=inside)
+        whole &= inside
+    return acc, whole
 
 
 def separation_constant(X: PointSet, U: CompactSet) -> int:
@@ -292,17 +425,6 @@ def separation_constant(X: PointSet, U: CompactSet) -> int:
     For symmetric U this equals the sup norm of sum_j chi_{x_j U}; symmetry is
     enforced so both readings agree.
     """
-    group = X.group
     require_symmetric_ball(U)
-    counts = Counter(X.points)
-    best = 0
-    for x in group.carrier:
-        total = 0
-        for u in U.members:
-            try:
-                total += counts.get(group.compose(x, u), 0)
-            except OutOfCarrier:
-                continue
-        if total > best:
-            best = total
-    return best
+    totals, _ = window_reduce(X.counts(), U, np.add, 0)
+    return int(totals.max())

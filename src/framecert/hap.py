@@ -25,13 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from framecert.amalgam import local_max, tail_mass
+from framecert.amalgam import GroupFunction, local_max, sharp_tail_mass
 from framecert.frames import FrameSystem, SpanProjector, span_projector
 from framecert.groups import (
     CompactSet,
     OutOfCarrier,
     PointSet,
-    complement,
     measure,
     product_set,
     separation_constant,
@@ -51,8 +50,7 @@ class NoAdmissibleL(Exception):
 def local_subspace(duals, X: PointSet, y, S: CompactSet) -> SpanProjector:
     """Projector onto span{h_j : x_j in yS}; empty selection gives the zero map."""
     duals = np.asarray(duals, dtype=complex)
-    translated = translate_set(y, S)
-    selected = [j for j, p in enumerate(X.points) if p in translated]
+    selected = np.flatnonzero(translate_set(y, S).indicator[X.positions()])
     return span_projector(duals[:, selected], dim=duals.shape[0])
 
 
@@ -78,9 +76,16 @@ def theoretical_tail_bound(
     Valid as a uniform upper bound for hap_error at every (y, K) when the
     dual family obeys the Bessel inequality with constant 1/A.
     """
-    transform = voice_transform(frame.rep, frame.window, f)
+    sharp = local_max(voice_transform(frame.rep, frame.window, f), U)
+    return _tail_bound(sharp, U, L, C0, lower_bound)
+
+
+def _tail_bound(sharp: GroupFunction, U: CompactSet, L: CompactSet, C0: int,
+                lower_bound: float) -> float:
+    """The tail bound from the local maximum function of V_g f; raises
+    OutOfCarrier when the tail domain (L^c)U escapes a truncated carrier."""
     c = C0 / measure(U)
-    return float(np.sqrt(c * tail_mass(transform, U, L) / lower_bound))
+    return float(np.sqrt(c * sharp_tail_mass(sharp, U, L) / lower_bound))
 
 
 @dataclass
@@ -107,7 +112,7 @@ class HapScenario:
         if not self.L_family:
             raise ValueError("L_family must be nonempty")
         for smaller, larger in zip(self.L_family, self.L_family[1:]):
-            if not smaller.members <= larger.members:
+            if not smaller.issubset(larger):
                 raise ValueError("L_family must be nested increasing")
         if self.k_labels is None:
             self.k_labels = list(range(len(self.K_family)))
@@ -164,31 +169,21 @@ def find_L(scenario: HapScenario) -> HapCertificate:
     dim = frame.rep.dim
 
     transported = np.column_stack([apply_rep(frame.rep, x, scenario.f) for x in group.carrier])
-    point_positions = frame.points.positions()
-    by_position: list[list[int]] = [[] for _ in range(group.order)]
-    for j, p in enumerate(point_positions):
-        by_position[int(p)].append(j)
 
     c0 = separation_constant(frame.points, scenario.U)
-    bounds: list[float | None] = []
     try:
         transform = voice_transform(frame.rep, frame.window, scenario.f)
         sharp = local_max(transform, scenario.U)
     except OutOfCarrier:
         # The window maxima already escape a truncated carrier.
         sharp = None
-    if sharp is None:
-        bounds = [None] * len(scenario.L_family)
-    else:
-        c = c0 / measure(scenario.U)
-        for L in scenario.L_family:
+    bounds: list[float | None] = [None] * len(scenario.L_family)
+    if sharp is not None:
+        for il, L in enumerate(scenario.L_family):
             try:
-                idx = product_set(complement(L), scenario.U).positions()
+                bounds[il] = _tail_bound(sharp, scenario.U, L, c0, scenario.lower_bound)
             except OutOfCarrier:
-                bounds.append(None)  # this tail domain escapes; no closed form
-                continue
-            tail = float(np.sum(sharp.values[idx] ** 2 * group.haar[idx]))
-            bounds.append(float(np.sqrt(c * tail / scenario.lower_bound)))
+                pass  # this tail domain escapes; no closed form
 
     table: list[HapCell] = []
     worst: dict[int, float] = {}
@@ -204,14 +199,16 @@ def find_L(scenario: HapScenario) -> HapCertificate:
                     HapCell(y, k_label, l_label, None, True) for y in group.carrier
                 )
                 continue
-            for y in group.carrier:
+            for yp, y in enumerate(group.carrier):
                 try:
-                    yk = group._translate_positions(y, k_positions)
-                    ykl = group._translate_positions(y, kl_positions)
+                    yk = group.multiply(yp, k_positions)
+                    ykl = group.multiply(yp, kl_positions)
                 except OutOfCarrier:
                     table.append(HapCell(y, k_label, l_label, None, True))
                     continue
-                selected = [j for p in ykl for j in by_position[int(p)]]
+                # Columns follow K.L's sorted positions translated one by one;
+                # the column order fixes the SVD's rounding, hence the hashes.
+                selected = frame.points.indices_at(ykl)
                 projector = span_projector(scenario.duals[:, selected], dim=dim)
                 targets = transported[:, yk]
                 residual = targets - projector.matrix @ targets

@@ -96,7 +96,7 @@ class TensorRep(Representation):
         self.dim = left.dim * right.dim
 
     def _split(self, x) -> tuple[Element, Element]:
-        coords = self.group._coords(self.group.canon(x))
+        coords = self.group.canon(x)
         r = self.left.group.rank
         return self.left.group._from_coords(coords[:r]), self.right.group._from_coords(coords[r:])
 

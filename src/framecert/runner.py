@@ -22,7 +22,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from framecert import __version__
-from framecert.amalgam import GroupFunction, sampling_bound_check
+from framecert.amalgam import TAIL_INTEGRAND_CONVENTION, GroupFunction, sampling_bound_check
 from framecert.comparison import ComparisonScenario, comparison_run, density_report
 from framecert.frames import analyze_frame, bessel_bound_check, verify_dual
 from framecert.groups import PointSet, separation_constant
@@ -36,7 +36,6 @@ from framecert.scenarios import (
     build_vector,
 )
 
-_TAIL_CONVENTION = "squared"
 _VOLATILE_KEYS = ("timestamp", "determinism_sha256")
 
 
@@ -85,8 +84,7 @@ def _run_sampling_bound(spec: dict, seed: int) -> dict:
         values = rng.standard_normal(group.order) + 1j * rng.standard_normal(group.order)
         f = GroupFunction(group, values)
         size = int(rng.integers(1, group.order + 1))
-        points = tuple(group.carrier[i] for i in rng.integers(0, group.order, size))
-        X = PointSet(group, points)
+        X = PointSet(group, positions=rng.integers(0, group.order, size))
         u_radius = int(rng.integers(0, max_radius + 1))
         k_radius = int(rng.integers(0, max_radius + 1))
         check = sampling_bound_check(f, X, group.ball(k_radius), group.ball(u_radius))
@@ -195,7 +193,7 @@ def _run_hap(spec: dict, seed: int) -> dict:
         "theoretical_bound": cert.theoretical_bound,
         "C0": cert.separation,
         "dual": cert.dual_label,
-        "eq42_convention": _TAIL_CONVENTION,
+        "eq42_convention": TAIL_INTEGRAND_CONVENTION,
         "candidates": [
             {
                 "L_radius": cand.l_label,

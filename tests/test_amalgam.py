@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -169,3 +171,25 @@ def test_amalgam_on_box_group_raises_at_the_edge():
 def test_group_function_length_validation(z8):
     with pytest.raises(ValueError):
         group_function(z8, np.zeros(5))
+
+
+@pytest.mark.parametrize("n", [45, 46])
+def test_first_window_scan_builds_no_carrier_sized_table(n):
+    """|G| = 2025 and 2116 sit either side of where a |G| x |G| compose table
+    (16 MB at 2025) once switched to per-element loops; neither side may
+    allocate anything near that on the first scan."""
+    group = GroupModel.cyclic([n, n])
+    rng = np.random.default_rng(n)
+    f = GroupFunction(group, rng.standard_normal(group.order))
+    X = point_set(group, [group.carrier[i] for i in rng.integers(0, group.order, 64)])
+    U = group.ball(1)
+    tracemalloc.start()
+    try:
+        sharp = local_max(f, U)
+        c0 = separation_constant(X, U)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert np.array_equal(sharp.values, _brute_local_max(f, U))
+    assert 1 <= c0 <= len(X)

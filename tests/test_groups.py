@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framecert.groups import (
     GroupModel,
@@ -178,3 +182,165 @@ def test_diameter(z8, z4x4):
     assert z8.diameter == 4
     assert z4x4.diameter == 2
     assert GroupModel.box([3]).diameter == 3
+
+
+# -- the vectorised group law against a per-element reference ----------------
+
+
+class _ReferenceLaw:
+    """Per-element group law on coordinate tuples; None marks a box escape."""
+
+    def __init__(self, kind, sizes):
+        self.kind, self.sizes = kind, tuple(sizes)
+        if kind == "cyclic":
+            axes = [range(n) for n in sizes]
+        else:
+            axes = [range(-m, m + 1) for m in sizes]
+        self.carrier = list(itertools.product(*axes))
+
+    def _reduce(self, coords):
+        if self.kind == "cyclic":
+            return tuple(c % n for c, n in zip(coords, self.sizes))
+        if all(-m <= c <= m for c, m in zip(coords, self.sizes)):
+            return tuple(coords)
+        return None
+
+    def compose(self, a, b):
+        return self._reduce([x + y for x, y in zip(a, b)])
+
+    def inverse(self, a):
+        return self._reduce([-x for x in a])
+
+    def metric(self, a):
+        if self.kind == "cyclic":
+            return max(min(c, n - c) for c, n in zip(a, self.sizes))
+        return max(abs(c) for c in a)
+
+
+_PROPERTY_SETTINGS = settings(derandomize=True, max_examples=60, deadline=None, database=None)
+
+
+@st.composite
+def _groups(draw):
+    kind = draw(st.sampled_from(["cyclic", "box"]))
+    rank = draw(st.integers(1, 3))
+    bounds = (1, 6) if kind == "cyclic" else (0, 3)
+    sizes = draw(st.lists(st.integers(*bounds), min_size=rank, max_size=rank))
+    return GroupModel(kind, sizes), _ReferenceLaw(kind, sizes)
+
+
+@st.composite
+def _groups_with_positions(draw, arrays=3):
+    group, ref = draw(_groups())
+    size = draw(st.integers(1, 12))
+    positions = st.lists(st.integers(0, group.order - 1), min_size=size, max_size=size)
+    return group, ref, [np.array(draw(positions), dtype=np.int64) for _ in range(arrays)]
+
+
+def _rows(group, coords):
+    return [tuple(row) for row in np.asarray(coords).reshape(-1, group.rank).tolist()]
+
+
+@_PROPERTY_SETTINGS
+@given(_groups())
+def test_carrier_order_and_positions_match_reference(case):
+    group, ref = case
+    assert _rows(group, group.coords) == ref.carrier
+    assert np.array_equal(group.index(group.coords), np.arange(group.order))
+    for p, x in enumerate(group.carrier):
+        assert group.index(x) == p
+
+
+@_PROPERTY_SETTINGS
+@given(_groups_with_positions())
+def test_vectorised_compose_matches_reference_rowwise(case):
+    group, ref, (p, q, _) = case
+    a, b = group.coords[p], group.coords[q]
+    expected = [ref.compose(x, y) for x, y in zip(_rows(group, a), _rows(group, b))]
+    positions, inside = group.multiply_masked(p, q)
+    assert inside.tolist() == [e is not None for e in expected]
+    for pos, ok, e in zip(positions.tolist(), inside.tolist(), expected):
+        if ok:
+            assert ref.carrier[pos] == e
+    if all(e is not None for e in expected):
+        assert _rows(group, group.compose(a, b)) == expected
+        assert np.array_equal(group.multiply(p, q), positions)
+    else:
+        with pytest.raises(OutOfCarrier):
+            group.compose(a, b)
+        with pytest.raises(OutOfCarrier):
+            group.multiply(p, q)
+
+
+@_PROPERTY_SETTINGS
+@given(_groups_with_positions())
+def test_single_element_compose_escapes_exactly_where_reference_does(case):
+    group, ref, (p, q, _) = case
+    for i, j in zip(p.tolist(), q.tolist()):
+        x, y = group.carrier[i], group.carrier[j]
+        expected = ref.compose(ref.carrier[i], ref.carrier[j])
+        if expected is None:
+            with pytest.raises(OutOfCarrier):
+                group.compose(x, y)
+        else:
+            assert group.compose(x, y) == group._from_coords(expected)
+
+
+@_PROPERTY_SETTINGS
+@given(_groups_with_positions())
+def test_associativity_where_defined(case):
+    group, ref, (p, q, r) = case
+    ab, in_ab = group.multiply_masked(p, q)
+    bc, in_bc = group.multiply_masked(q, r)
+    ab_c, in_ab_c = group.multiply_masked(ab, r)
+    a_bc, in_a_bc = group.multiply_masked(p, bc)
+    defined = in_ab & in_bc & in_ab_c & in_a_bc
+    assert np.array_equal(ab_c[defined], a_bc[defined])
+    x, y, z = ([ref.carrier[i] for i in idx.tolist()] for idx in (p, q, r))
+    for k, (xk, yk, zk) in enumerate(zip(x, y, z)):
+        left, right = ref.compose(xk, yk), ref.compose(yk, zk)
+        ref_defined = (left is not None and right is not None
+                       and ref.compose(left, zk) is not None
+                       and ref.compose(xk, right) is not None)
+        assert bool(defined[k]) == ref_defined
+    if group.kind == "cyclic":
+        assert defined.all()
+
+
+@_PROPERTY_SETTINGS
+@given(_groups())
+def test_identity_and_inverses(case):
+    group, ref = case
+    coords = group.coords
+    identity = np.zeros(group.rank, dtype=np.int64)
+    assert np.array_equal(group.compose(coords, identity), coords)
+    assert np.array_equal(group.compose(identity, coords), coords)
+    inverses = group.inverse(coords)
+    assert _rows(group, inverses) == [ref.inverse(x) for x in ref.carrier]
+    assert not np.any(group.compose(coords, inverses))
+    assert np.array_equal(group.inverse(inverses), coords)
+    assert group.metric(coords).tolist() == [ref.metric(x) for x in ref.carrier]
+
+
+@_PROPERTY_SETTINGS
+@given(_groups(), st.integers(0, 4))
+def test_balls_are_symmetric_and_match_reference(case, radius):
+    group, ref = case
+    U = group.ball(radius)
+    expected = [x for x in ref.carrier if ref.metric(x) <= radius]
+    assert _rows(group, group.coords[U.positions()]) == expected
+    assert group.identity in U
+    assert is_symmetric(U)
+
+
+@_PROPERTY_SETTINGS
+@given(_groups(), st.integers(0, 3), st.integers(0, 3))
+def test_ball_products_add_radii(case, a, b):
+    group, ref = case
+    products = {ref.compose(x, y) for x in ref.carrier if ref.metric(x) <= a
+                for y in ref.carrier if ref.metric(y) <= b}
+    if None in products:
+        with pytest.raises(OutOfCarrier):
+            product_set(group.ball(a), group.ball(b))
+    else:
+        assert product_set(group.ball(a), group.ball(b)) == group.ball(a + b)
