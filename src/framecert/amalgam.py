@@ -69,7 +69,7 @@ def local_max(f: GroupFunction, U: CompactSet) -> GroupFunction:
     """
     require_symmetric_ball(U)
     group = f.group
-    sharp, whole = window_reduce(np.abs(f.values), U, np.maximum, 0.0)
+    sharp, whole = window_reduce(np.abs(f.values), U, np.maximum)
     if not whole.all():
         raise OutOfCarrier(f"a neighborhood window escapes the carrier of {group!r}")
     return GroupFunction(group, sharp)

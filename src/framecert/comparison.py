@@ -373,7 +373,7 @@ def density_report(
     summary = []
     for ik, K in enumerate(K_family):
         vol = measure(K)
-        counts, whole = window_reduce(point_counts, K, np.add, 0, at=y_positions)
+        counts, whole = window_reduce(point_counts, K, np.add, at=y_positions)
         whole &= y_inside
         ratios = []
         for y, count, inside in zip(y_sample, counts.tolist(), whole.tolist()):

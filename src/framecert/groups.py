@@ -122,16 +122,30 @@ class GroupModel:
         return self._from_coords(coords.tolist()) if element else coords
 
     def _checked(self, coords: np.ndarray, message) -> np.ndarray:
-        """Carrier form of ``coords``; raises OutOfCarrier(message()) on an escape."""
+        """Carrier form of ``coords``; on an escape raises OutOfCarrier(message(row)),
+        where ``row`` indexes the first coordinate row outside the carrier."""
         coords, inside = self._reduce(coords)
         if inside is not None and not inside.all():
-            raise OutOfCarrier(message())
+            raise OutOfCarrier(message(np.unravel_index(np.argmin(inside), inside.shape)))
         return coords
+
+    def _name(self, x, coords: np.ndarray, element: bool, row) -> Element:
+        """``x`` if it is one element, else the element at index ``row`` of its
+        coordinate array broadcast against the other operand."""
+        if element and not isinstance(x, np.ndarray):
+            return x
+        row = row[len(row) - coords.ndim + 1:]
+        row = tuple(min(r, n - 1) for r, n in zip(row, coords.shape))
+        return self._from_coords(coords[row].tolist())
 
     def _carrier(self, x) -> tuple[np.ndarray, bool]:
         """Carrier-form coordinates of an element or a coordinate array
-        (..., rank), and whether ``x`` was a single element."""
-        if isinstance(x, np.ndarray) and x.ndim:
+        (..., rank), and whether ``x`` was a single element.
+
+        A coordinate array has at least two axes; a 1-D array is one element,
+        like a tuple.
+        """
+        if isinstance(x, np.ndarray) and x.ndim >= 2:
             if x.shape[-1] != self.rank:
                 raise ValueError(f"coordinate arrays need a last axis of {self.rank}")
             coords, element = x, False
@@ -143,7 +157,10 @@ class GroupModel:
             if len(x_coords) != self.rank:
                 raise ValueError(f"element {x!r} has rank {len(x_coords)}, expected {self.rank}")
             coords, element = np.array([int(c) for c in x_coords], dtype=np.int64), True
-        return self._checked(coords, lambda: f"element {x!r} lies outside the carrier"), element
+        return self._checked(
+            coords,
+            lambda row: f"element {self._name(x, coords, element, row)!r} lies outside the carrier",
+        ), element
 
     def canon(self, x):
         """Carrier form of an element or coordinate array; wraps cyclic coordinates.
@@ -159,12 +176,19 @@ class GroupModel:
         """
         ca, ea = self._carrier(a)
         cb, eb = self._carrier(b)
-        product = self._checked(ca + cb, lambda: f"product of {a!r} and {b!r} escapes the carrier")
+        product = self._checked(
+            ca + cb,
+            lambda row: f"product of {self._name(a, ca, ea, row)!r} and "
+            f"{self._name(b, cb, eb, row)!r} escapes the carrier",
+        )
         return self._out(product, ea and eb)
 
     def inverse(self, a):
         coords, element = self._carrier(a)
-        inverse = self._checked(-coords, lambda: f"inverse of {a!r} escapes the carrier")
+        inverse = self._checked(
+            -coords,
+            lambda row: f"inverse of {self._name(a, coords, element, row)!r} escapes the carrier",
+        )
         return self._out(inverse, element)
 
     def metric(self, x):
@@ -186,11 +210,11 @@ class GroupModel:
         return int(positions) if element else positions
 
     def contains(self, x) -> bool:
+        """Whether ``x`` is one element of the carrier; a coordinate array is not."""
         try:
-            self.canon(x)
+            return self._carrier(x)[1]
         except (OutOfCarrier, ValueError, TypeError):
             return False
-        return True
 
     def multiply(self, p, q) -> np.ndarray:
         """Positions of x_p . x_q for position arrays (broadcast); raises on a box escape."""
@@ -242,13 +266,20 @@ def _frozen(positions) -> np.ndarray:
 class CompactSet:
     """Finite subset of a group carrier, held as its sorted distinct positions.
 
-    ``members`` (a frozenset of elements) is derived on demand for callers
-    that want elements.
+    The constructor takes those positions and rejects any other array; build
+    a set from elements with :func:`compact_set` or from a carrier mask with
+    :meth:`of_mask`.  ``members`` (a frozenset of elements) is derived on
+    demand for callers that want elements.
     """
 
     def __init__(self, group: GroupModel, positions):
+        positions = _frozen(positions)
+        if positions.ndim != 1 or np.any(np.diff(positions) <= 0) or (
+            len(positions) and not 0 <= positions[0] <= positions[-1] < group.order
+        ):
+            raise ValueError("CompactSet needs sorted distinct carrier positions")
         self.group = group
-        self._positions = _frozen(positions)
+        self._positions = positions
 
     @classmethod
     def of_mask(cls, group: GroupModel, mask: np.ndarray) -> "CompactSet":
@@ -267,9 +298,10 @@ class CompactSet:
 
     def __contains__(self, x) -> bool:
         try:
-            return bool(self.indicator[self.group.index(x)])
+            position = self.group.index(x)
         except (OutOfCarrier, ValueError, TypeError):
             return False
+        return np.ndim(position) == 0 and bool(self.indicator[position])
 
     def __len__(self) -> int:
         return len(self._positions)
@@ -326,20 +358,6 @@ class PointSet:
     def counts(self) -> np.ndarray:
         """Multiplicity of every carrier position in the point list."""
         return np.bincount(self._positions, minlength=self.group.order)
-
-    def indices_at(self, positions: np.ndarray) -> np.ndarray:
-        """Indices j with x_j at ``positions``, grouped by position in the given
-        order and ascending within each position."""
-        order, starts, counts = self._by_position
-        per = counts[positions]
-        firsts = np.cumsum(per) - per  # where each position's run starts in the output
-        offsets = np.repeat(starts[positions] - firsts, per) + np.arange(int(per.sum()))
-        return order[offsets]
-
-    @cached_property
-    def _by_position(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        counts = self.counts()
-        return np.argsort(self._positions, kind="stable"), np.cumsum(counts) - counts, counts
 
 
 def compact_set(group: GroupModel, members: Iterable) -> CompactSet:
@@ -399,18 +417,18 @@ def require_symmetric_ball(U: CompactSet) -> None:
         )
 
 
-def window_reduce(values: np.ndarray, S: CompactSet, ufunc, initial, at=None):
+def window_reduce(values: np.ndarray, S: CompactSet, ufunc, at=None):
     """``ufunc``-reduce ``values`` over every window xS, for x at positions ``at``.
 
     ``at`` defaults to the whole carrier.  The carrier is shifted by one
     member of S at a time, so temporaries stay O(|G|).  Returns the
-    reductions (starting from ``initial``) and the mask of the x whose window
-    stays in the carrier; members that escape a truncated carrier are left
-    out of the reduction.
+    reductions (starting from zero) and the mask of the x whose window stays
+    in the carrier; members that escape a truncated carrier are left out of
+    the reduction.
     """
     group = S.group
     at = group.all_positions if at is None else at
-    acc = np.full(len(at), initial, dtype=values.dtype)
+    acc = np.zeros(len(at), dtype=values.dtype)
     whole = np.ones(len(at), dtype=bool)
     for s in S.positions().tolist():
         shifted, inside = group.multiply_masked(at, s)
@@ -426,5 +444,5 @@ def separation_constant(X: PointSet, U: CompactSet) -> int:
     enforced so both readings agree.
     """
     require_symmetric_ball(U)
-    totals, _ = window_reduce(X.counts(), U, np.add, 0)
+    totals, _ = window_reduce(X.counts(), U, np.add)
     return int(totals.max())

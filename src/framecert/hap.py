@@ -169,6 +169,9 @@ def find_L(scenario: HapScenario) -> HapCertificate:
     dim = frame.rep.dim
 
     transported = np.column_stack([apply_rep(frame.rep, x, scenario.f) for x in group.carrier])
+    by_position: list[list[int]] = [[] for _ in range(group.order)]
+    for j, p in enumerate(frame.points.positions().tolist()):
+        by_position[p].append(j)
 
     c0 = separation_constant(frame.points, scenario.U)
     try:
@@ -208,7 +211,7 @@ def find_L(scenario: HapScenario) -> HapCertificate:
                     continue
                 # Columns follow K.L's sorted positions translated one by one;
                 # the column order fixes the SVD's rounding, hence the hashes.
-                selected = frame.points.indices_at(ykl)
+                selected = [j for p in ykl.tolist() for j in by_position[p]]
                 projector = span_projector(scenario.duals[:, selected], dim=dim)
                 targets = transported[:, yk]
                 residual = targets - projector.matrix @ targets

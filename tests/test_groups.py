@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framecert.groups import (
+    CompactSet,
     GroupModel,
     NonSymmetricNeighborhood,
     OutOfCarrier,
@@ -344,3 +345,35 @@ def test_ball_products_add_radii(case, a, b):
             product_set(group.ball(a), group.ball(b))
     else:
         assert product_set(group.ball(a), group.ball(b)) == group.ball(a + b)
+
+
+def test_one_dimensional_array_is_one_element(z8, z4x4):
+    # A 1-D array of length rank is one element, like a tuple; coordinate
+    # arrays (batches) have at least two axes.
+    assert z4x4.canon(np.array([5, 6])) == (1, 2)
+    assert z4x4.index(np.array([1, 2])) == z4x4.index((1, 2))
+    assert z8.canon(np.array([11])) == 3
+    assert z8.index(np.array([3])) == 3
+    assert z4x4.contains(np.array([1, 2]))
+    assert np.array([1, 2]) in z4x4.ball(2)
+    batch = np.zeros((5, 2), dtype=np.int64)
+    assert z4x4.canon(batch).shape == (5, 2)
+    assert not z4x4.contains(batch)
+    assert batch not in z4x4.ball(1)
+
+
+def test_escape_messages_name_the_first_escaping_pair():
+    box = GroupModel.box([2, 2])
+    with pytest.raises(OutOfCarrier, match=r"product of \(2, 0\) and \(1, 0\) escapes"):
+        product_set(compact_set(box, [(0, 0), (1, 0)]), compact_set(box, [(2, 0), (0, 1)]))
+    with pytest.raises(OutOfCarrier, match=r"product of \(0, 2\) and \(0, 1\) escapes"):
+        translate_set((0, 2), compact_set(box, [(0, -1), (0, 0), (0, 1)]))
+    with pytest.raises(OutOfCarrier, match=r"element \(3, 0\) lies outside"):
+        box.canon(np.array([[0, 0], [3, 0], [4, 0]]))
+
+
+def test_compact_set_constructor_needs_sorted_distinct_positions(z8):
+    assert CompactSet(z8, [0, 2, 5]) == compact_set(z8, [5, 0, 2])
+    for bad in ([2, 0], [0, 2, 2], [-1, 3], [3, 8], [[0, 1]]):
+        with pytest.raises(ValueError):
+            CompactSet(z8, bad)
