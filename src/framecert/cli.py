@@ -11,7 +11,7 @@ import os
 import sys
 from pathlib import Path
 
-from framecert.runner import emit, run
+from framecert.runner import _summary, emit, run
 from framecert.scenarios import ParseError, ValidationError, load_scenarios
 
 _BOUNDS_CHECKS = {"frame_bounds", "frame_inequality", "separation_constant"}
@@ -42,12 +42,7 @@ def _filter_checks(report: dict, names: set[str]) -> dict:
     passed = sum(1 for c in checks if c["ok"])
     filtered = dict(report)
     filtered["checks"] = checks
-    filtered["summary"] = {
-        "cell_count": len(checks),
-        "pass_total": passed,
-        "fail_total": len(checks) - passed,
-        "boundary_total": 0,
-    }
+    filtered["summary"] = _summary(len(checks), passed, len(checks) - passed, 0)
     filtered["ok"] = report["error"] is None and filtered["summary"]["fail_total"] == 0
     return filtered
 

@@ -17,6 +17,13 @@ that dominates every cell error whenever the dual family's Bessel constant is
 at most 1/A (true for the canonical dual).  The candidate list for L is
 scanned smallest-first, so the first success is also the minimal admissible
 candidate by monotonicity of the error in L.
+
+The projector a cell needs depends only on the set yKL, not on which K and L
+produced it, so the scan runs y outermost and builds one projector per
+distinct K.L set at each y; every (K, L) pair with that product reuses it.
+Its generators are the duals of K.L's sorted positions translated by y, in
+that order: the column order fixes the SVD's rounding, and with it every
+table float and the determinism hashes.
 """
 
 from __future__ import annotations
@@ -156,6 +163,13 @@ class HapCertificate:
     dual_label: str
 
 
+def _translate(group, yp: int, positions: np.ndarray) -> np.ndarray | None:
+    """Positions of y.S for y at carrier position ``yp``, in the order of S's
+    positions; None when y.S escapes a truncated carrier."""
+    translated, inside = group.multiply_masked(yp, positions)
+    return translated if inside.all() else None
+
+
 def find_L(scenario: HapScenario) -> HapCertificate:
     """Scan the candidate family smallest-first and certify the first success.
 
@@ -163,6 +177,12 @@ def find_L(scenario: HapScenario) -> HapCertificate:
     reports and for monotonicity checks), so the scan does not stop early.
     Cells whose windows escape a truncated carrier are marked boundary and
     excluded from the pass/fail aggregate.
+
+    y is the outer loop: at each y one projector is built per distinct K.L
+    set whose translate yKL stays in the carrier, from the duals at K.L's
+    sorted positions translated one by one (the column order pins the
+    hashes), and only that y's projectors are held.  The table still lists
+    cells in (K, L, y) order.
     """
     frame = scenario.frame
     group = frame.rep.group
@@ -188,39 +208,62 @@ def find_L(scenario: HapScenario) -> HapCertificate:
             except OutOfCarrier:
                 pass  # this tail domain escapes; no closed form
 
+    # Every (K, L) pair in table order, with the index of its K.L set among
+    # the distinct ones, or None when K.L escapes a truncated carrier.
+    kl_index: dict[CompactSet, int] = {}
+    pairs: list[tuple[int, int, int | None]] = []
+    for ik, K in enumerate(scenario.K_family):
+        for il, L in enumerate(scenario.L_family):
+            try:
+                kl = product_set(K, L)
+            except OutOfCarrier:
+                pairs.append((ik, il, None))
+                continue
+            pairs.append((ik, il, kl_index.setdefault(kl, len(kl_index))))
+    kl_positions = [kl.positions() for kl in kl_index]
+
+    errors = np.zeros((len(pairs), group.order))
+    inside = np.zeros((len(pairs), group.order), dtype=bool)
+    for yp in range(group.order):
+        yk = [_translate(group, yp, K.positions()) for K in scenario.K_family]
+        # Scoped to this y: keeping every y's projectors would hold
+        # |G| x (distinct sets) dim x dim matrices at once.
+        projectors: dict[int, np.ndarray | None] = {}
+        for row, (ik, _, s) in enumerate(pairs):
+            if s is None or yk[ik] is None:
+                continue
+            if s not in projectors:
+                ykl = _translate(group, yp, kl_positions[s])
+                if ykl is None:
+                    projectors[s] = None
+                else:
+                    # Columns follow K.L's sorted positions translated one by
+                    # one; the column order fixes the SVD's rounding, hence
+                    # the hashes.
+                    selected = [j for p in ykl.tolist() for j in by_position[p]]
+                    projectors[s] = span_projector(scenario.duals[:, selected], dim=dim).matrix
+            matrix = projectors[s]
+            if matrix is None:
+                continue
+            targets = transported[:, yk[ik]]
+            residual = targets - matrix @ targets
+            errors[row, yp] = np.max(np.linalg.norm(residual, axis=0))
+            inside[row, yp] = True
+
     table: list[HapCell] = []
     worst: dict[int, float] = {}
     dominated: dict[int, bool] = {il: True for il in range(len(scenario.L_family))}
-    for ik, K in enumerate(scenario.K_family):
-        k_positions = K.positions()
-        for il, L in enumerate(scenario.L_family):
-            k_label, l_label = scenario.k_labels[ik], scenario.l_labels[il]
-            try:
-                kl_positions = product_set(K, L).positions()
-            except OutOfCarrier:
-                table.extend(
-                    HapCell(y, k_label, l_label, None, True) for y in group.carrier
-                )
+    for row, (ik, il, _) in enumerate(pairs):
+        k_label, l_label = scenario.k_labels[ik], scenario.l_labels[il]
+        for y, error, interior in zip(group.carrier, errors[row].tolist(), inside[row].tolist()):
+            if not interior:
+                table.append(HapCell(y, k_label, l_label, None, True))
                 continue
-            for yp, y in enumerate(group.carrier):
-                try:
-                    yk = group.multiply(yp, k_positions)
-                    ykl = group.multiply(yp, kl_positions)
-                except OutOfCarrier:
-                    table.append(HapCell(y, k_label, l_label, None, True))
-                    continue
-                # Columns follow K.L's sorted positions translated one by one;
-                # the column order fixes the SVD's rounding, hence the hashes.
-                selected = [j for p in ykl.tolist() for j in by_position[p]]
-                projector = span_projector(scenario.duals[:, selected], dim=dim)
-                targets = transported[:, yk]
-                residual = targets - projector.matrix @ targets
-                error = float(np.max(np.linalg.norm(residual, axis=0)))
-                table.append(HapCell(y, k_label, l_label, error, False))
-                if error > worst.get(il, -1.0):
-                    worst[il] = error
-                if bounds[il] is not None and error > bounds[il] + 1e-9:
-                    dominated[il] = False
+            table.append(HapCell(y, k_label, l_label, error, False))
+            if error > worst.get(il, -1.0):
+                worst[il] = error
+            if bounds[il] is not None and error > bounds[il] + 1e-9:
+                dominated[il] = False
 
     candidates = []
     chosen_index = None

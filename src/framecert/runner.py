@@ -7,7 +7,7 @@ its canonical JSON with the timestamp removed; two runs with the same
 scenario file and seeds must agree hash-for-hash regardless of parallelism.
 Individual scenario failures (a system that is not a frame, a malformed
 candidate family, an escaping carrier) are captured in the report's "error"
-field and never abort the batch.
+field and never abort the batch; any other exception is a bug and aborts it.
 """
 
 from __future__ import annotations
@@ -23,10 +23,23 @@ import numpy as np
 
 from framecert import __version__
 from framecert.amalgam import TAIL_INTEGRAND_CONVENTION, GroupFunction, sampling_bound_check
-from framecert.comparison import ComparisonScenario, comparison_run, density_report
-from framecert.frames import analyze_frame, bessel_bound_check, verify_dual
-from framecert.groups import PointSet, separation_constant
-from framecert.hap import HapScenario, find_L
+from framecert.comparison import (
+    ComparisonScenario,
+    HapPreconditionUnmet,
+    NotPositive,
+    comparison_run,
+    density_report,
+)
+from framecert.frames import (
+    LengthMismatch,
+    NotAFrame,
+    analyze_frame,
+    bessel_bound_check,
+    verify_dual,
+)
+from framecert.groups import NonSymmetricNeighborhood, OutOfCarrier, PointSet, separation_constant
+from framecert.hap import HapScenario, NoAdmissibleL, find_L
+from framecert.representations import DimensionMismatch, ZeroResult, ZeroWindow
 from framecert.scenarios import (
     Scenario,
     build_frame,
@@ -56,13 +69,22 @@ def _canon(obj):
     return obj
 
 
+def _dumps(canonical) -> str:
+    return json.dumps(canonical, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
 def canonical_json(obj) -> str:
-    return json.dumps(_canon(obj), sort_keys=True, separators=(",", ":"), allow_nan=False)
+    return _dumps(_canon(obj))
+
+
+def _sha256(canonical: dict) -> str:
+    """determinism_sha256 of a report already in canonical form."""
+    stripped = {k: v for k, v in canonical.items() if k not in _VOLATILE_KEYS}
+    return hashlib.sha256(_dumps(stripped).encode("utf-8")).hexdigest()
 
 
 def determinism_sha256(report: dict) -> str:
-    stripped = {k: v for k, v in report.items() if k not in _VOLATILE_KEYS}
-    return hashlib.sha256(canonical_json(stripped).encode("utf-8")).hexdigest()
+    return _sha256(_canon(report))
 
 
 def _summary(cells: int, passed: int, failed: int, boundary: int) -> dict:
@@ -309,6 +331,23 @@ def _run_density(spec: dict, seed: int) -> dict:
     }
 
 
+# What a well-formed scenario can still run into: a system that is not a
+# frame, no admissible L, an escaping carrier, a degenerate vector or a bad
+# value.  Any other exception is a bug and propagates out of run().
+_SCENARIO_ERRORS = (
+    NotAFrame,
+    LengthMismatch,
+    NoAdmissibleL,
+    HapPreconditionUnmet,
+    NotPositive,
+    OutOfCarrier,
+    NonSymmetricNeighborhood,
+    DimensionMismatch,
+    ZeroWindow,
+    ZeroResult,
+    ValueError,
+)
+
 _EVALUATORS = {
     "sampling_bound": _run_sampling_bound,
     "frame_analysis": _run_frame_analysis,
@@ -324,7 +363,7 @@ def _evaluate(scenario: Scenario, seed_override: int | None) -> dict:
     payload: dict = {}
     try:
         payload = _EVALUATORS[scenario.kind](scenario.spec, seed)
-    except Exception as exc:  # captured per-report, the batch continues
+    except _SCENARIO_ERRORS as exc:  # captured per-report, the batch continues
         error = {"type": type(exc).__name__, "message": str(exc)}
         payload = {"summary": _summary(0, 0, 0, 0)}
     report = {
@@ -338,7 +377,7 @@ def _evaluate(scenario: Scenario, seed_override: int | None) -> dict:
     }
     report["ok"] = error is None and report["summary"]["fail_total"] == 0
     report = _canon(report)
-    report["determinism_sha256"] = determinism_sha256(report)
+    report["determinism_sha256"] = _sha256(report)
     return report
 
 

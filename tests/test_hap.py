@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
 
-from framecert.frames import analyze_frame, coherent_frame
+import framecert.hap
+from framecert.frames import analyze_frame, coherent_frame, span_projector
 from framecert.groups import (
     GroupModel,
     OutOfCarrier,
     compact_set,
     full_point_set,
     measure,
+    product_set,
     separation_constant,
+    translate_set,
 )
 from framecert.hap import (
+    HapCell,
     HapScenario,
     NoAdmissibleL,
     find_L,
@@ -22,6 +26,7 @@ from framecert.representations import (
     GaborRep,
     Representation,
     TranslationRep,
+    apply_rep,
     dirac_vector,
     periodized_gaussian,
 )
@@ -235,3 +240,105 @@ def test_boundary_cells_on_truncated_group():
     # the raw per-cell operation propagates the escape instead of skipping
     with pytest.raises(OutOfCarrier):
         hap_error(frame, analysis.canonical_dual, window, 2, group.ball(1), group.ball(0))
+
+
+def _reference_table(scenario):
+    """find_L's cell table from one projector per (y, K, L) cell, in (K, L, y)
+    order, with the columns in the same order as find_L's."""
+    frame = scenario.frame
+    group = frame.rep.group
+    transported = np.column_stack([apply_rep(frame.rep, x, scenario.f) for x in group.carrier])
+    by_position = [[] for _ in range(group.order)]
+    for j, p in enumerate(frame.points.positions().tolist()):
+        by_position[p].append(j)
+    table = []
+    for ik, K in enumerate(scenario.K_family):
+        for il, L in enumerate(scenario.L_family):
+            k_label, l_label = scenario.k_labels[ik], scenario.l_labels[il]
+            try:
+                kl_positions = product_set(K, L).positions()
+            except OutOfCarrier:
+                table.extend(HapCell(y, k_label, l_label, None, True) for y in group.carrier)
+                continue
+            for yp, y in enumerate(group.carrier):
+                try:
+                    yk = group.multiply(yp, K.positions())
+                    ykl = group.multiply(yp, kl_positions)
+                except OutOfCarrier:
+                    table.append(HapCell(y, k_label, l_label, None, True))
+                    continue
+                selected = [j for p in ykl.tolist() for j in by_position[p]]
+                projector = span_projector(scenario.duals[:, selected], dim=frame.rep.dim)
+                targets = transported[:, yk]
+                residual = targets - projector.matrix @ targets
+                error = float(np.max(np.linalg.norm(residual, axis=0)))
+                table.append(HapCell(y, k_label, l_label, error, False))
+    return table
+
+
+def _random_vector(dim, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+
+
+def test_find_L_table_equals_per_cell_reference_exactly():
+    frame, analysis = gabor_gauss(8)
+    scenario = ball_scenario(frame, analysis, _random_vector(8, 3), epsilon=2.0)
+    cert = find_L(scenario)
+    assert cert.table == _reference_table(scenario)  # floats compared with ==
+    assert all(not cell.boundary for cell in cert.table)
+
+
+def test_find_L_boundary_cells_equal_per_cell_reference_exactly():
+    rep = _RollRep(3)
+    group = rep.group
+    window = _random_vector(rep.dim, 5)
+    frame = coherent_frame(rep, window, full_point_set(group))
+    analysis = analyze_frame(frame)
+    scenario = HapScenario(
+        frame=frame,
+        duals=analysis.canonical_dual,
+        lower_bound=analysis.A,
+        f=_random_vector(rep.dim, 6),
+        epsilon=10.0,
+        U=group.ball(1),
+        K_family=[group.ball(0), group.ball(1)],
+        L_family=[group.ball(r) for r in range(4)],
+        k_labels=[0, 1],
+        l_labels=[0, 1, 2, 3],
+    )
+    # Each source of boundary cells occurs: K.L escapes for every y ...
+    with pytest.raises(OutOfCarrier):
+        product_set(group.ball(1), group.ball(3))
+    # ... y.K escapes ...
+    with pytest.raises(OutOfCarrier):
+        translate_set(3, group.ball(1))
+    # ... and y.K stays inside while y.K.L escapes.
+    assert len(translate_set(3, group.ball(0))) == 1
+    with pytest.raises(OutOfCarrier):
+        translate_set(3, product_set(group.ball(0), group.ball(1)))
+    cert = find_L(scenario)
+    reference = _reference_table(scenario)
+    assert cert.table == reference
+    by_cell = {(c.y, c.k_label, c.l_label): c for c in cert.table}
+    assert all(by_cell[(y, 1, 3)].boundary for y in group.carrier)
+    assert by_cell[(3, 1, 0)].boundary
+    assert by_cell[(3, 0, 1)].boundary and not by_cell[(3, 0, 0)].boundary
+
+
+def test_find_L_builds_one_projector_per_y_and_distinct_kl_set(monkeypatch):
+    frame, analysis = gabor_gauss(8)
+    group = frame.rep.group
+    scenario = ball_scenario(frame, analysis, _random_vector(8, 3), epsilon=2.0)
+    builds = []
+
+    def counting(vectors, dim=None):
+        builds.append(vectors.shape[1])
+        return span_projector(vectors, dim=dim)
+
+    monkeypatch.setattr(framecert.hap, "span_projector", counting)
+    find_L(scenario)
+    distinct = {product_set(K, L) for K in scenario.K_family for L in scenario.L_family}
+    # 15 (K, L) pairs share 5 K.L sets: balls of radius 0..3 and the carrier.
+    assert len(distinct) == 5
+    assert len(builds) == group.order * len(distinct) == 320

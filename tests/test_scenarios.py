@@ -207,6 +207,17 @@ def test_runner_captures_errors_without_aborting(tmp_path):
     assert good["ok"]
 
 
+def test_runner_lets_programming_errors_propagate(tmp_path, monkeypatch):
+    import framecert.runner as runner
+
+    def buggy(spec, seed):
+        raise TypeError("a bug, not a scenario failure")
+
+    monkeypatch.setitem(runner._EVALUATORS, "frame_analysis", buggy)
+    with pytest.raises(TypeError, match="a bug"):
+        run(load_scenarios(write(tmp_path, MINIMAL)))
+
+
 def test_run_is_deterministic_across_parallelism(tmp_path):
     scenarios = load_scenarios(SUITE)
     fast = [s for s in scenarios if s.kind in ("sampling_bound", "frame_analysis", "density")]
