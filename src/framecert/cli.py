@@ -11,7 +11,7 @@ import os
 import sys
 from pathlib import Path
 
-from framecert.runner import _summary, emit, run
+from framecert.runner import _sha256, _summary, emit, run
 from framecert.scenarios import ParseError, ValidationError, load_scenarios
 
 _BOUNDS_CHECKS = {"frame_bounds", "frame_inequality", "separation_constant"}
@@ -44,6 +44,7 @@ def _filter_checks(report: dict, names: set[str]) -> dict:
     filtered["checks"] = checks
     filtered["summary"] = _summary(len(checks), passed, len(checks) - passed, 0)
     filtered["ok"] = report["error"] is None and filtered["summary"]["fail_total"] == 0
+    filtered["determinism_sha256"] = _sha256(filtered)
     return filtered
 
 

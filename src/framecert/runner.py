@@ -5,6 +5,9 @@ at assembly time, so emitting canonical JSON and parsing it back reproduces
 the in-memory report exactly.  Each report carries a determinism hash over
 its canonical JSON with the timestamp removed; two runs with the same
 scenario file and seeds must agree hash-for-hash regardless of parallelism.
+Scenarios are independent, so run() spreads them over forked worker
+processes when asked for more than one; each report is canonicalized once,
+in the process that evaluated it, and emit() writes it as it stands.
 Individual scenario failures (a system that is not a frame, a malformed
 candidate family, an escaping carrier) are captured in the report's "error"
 field and never abort the batch; any other exception is a bug and aborts it.
@@ -16,7 +19,7 @@ import csv
 import hashlib
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
+import os
 from datetime import datetime, timezone
 
 import numpy as np
@@ -52,8 +55,23 @@ from framecert.scenarios import (
 _VOLATILE_KEYS = ("timestamp", "determinism_sha256")
 
 
+# Exact types that are already canonical; dispatch on type(obj) skips the
+# isinstance chain for every value a report is built from.
+_AS_IS = frozenset((int, str, bool, type(None)))
+
+
 def _canon(obj):
     """Canonical JSON-ready form: sorted-key dicts, lists, %.12g floats."""
+    kind = type(obj)
+    if kind is float:
+        return float(f"{obj:.12g}")
+    if kind is dict:
+        return {str(k): v if type(v) in _AS_IS else _canon(v) for k, v in obj.items()}
+    if kind is list or kind is tuple:
+        return [x if type(x) in _AS_IS else _canon(x) for x in obj]
+    if kind in _AS_IS:
+        return obj
+    # numpy scalars and arrays, subclasses of the builtins
     if isinstance(obj, dict):
         return {str(k): _canon(obj[k]) for k in obj}
     if isinstance(obj, (list, tuple)):
@@ -385,12 +403,29 @@ def run(
     scenarios: list[Scenario], parallelism: int = 1, seed_override: int | None = None
 ) -> list[dict]:
     """Evaluate all scenarios; output is ordered by scenario id and is
-    byte-identical for fixed seeds regardless of the parallelism level."""
-    if parallelism > 1 and len(scenarios) > 1:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            reports = list(pool.map(lambda s: _evaluate(s, seed_override), scenarios))
-    else:
-        reports = [_evaluate(s, seed_override) for s in scenarios]
+    byte-identical for fixed seeds regardless of the parallelism level.
+
+    With ``parallelism`` > 1 the scenarios are spread over at most
+    ``min(parallelism, len(scenarios), os.cpu_count())`` worker processes
+    forked from this one, so they see its modules as they are.  Where the
+    fork start method is missing, or one worker would do, the scenarios run
+    serially in this process.  An exception that is a bug propagates out of
+    run() from a worker as it does from the serial loop."""
+    seeds = [seed_override] * len(scenarios)
+    workers = min(parallelism, len(scenarios), os.cpu_count() or 1)
+    reports = None
+    if workers > 1:
+        # imported here: the serial path and the CLI's start-up never pay for them
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+
+            context = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+                reports = list(pool.map(_evaluate, scenarios, seeds))
+    if reports is None:
+        reports = list(map(_evaluate, scenarios, seeds))
     return sorted(reports, key=lambda r: r["scenario_id"])
 
 
@@ -476,9 +511,14 @@ def _emit_text(reports: list[dict]) -> str:
 
 
 def emit(reports: list[dict], format: str = "json") -> bytes:
-    """Serialize reports: canonical JSON, flattened CSV, or a text summary."""
+    """Serialize reports: canonical JSON, flattened CSV, or a text summary.
+
+    The reports must already be canonical, as run() returns them (and as
+    cli's check filter leaves them): JSON output writes them as they are,
+    without a second canonicalizing pass.  Use canonical_json() for
+    arbitrary input."""
     if format == "json":
-        return canonical_json(reports).encode("utf-8")
+        return _dumps(reports).encode("utf-8")
     if format == "csv":
         return _emit_csv(reports).encode("utf-8")
     if format == "text":
