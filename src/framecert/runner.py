@@ -5,9 +5,9 @@ at assembly time, so emitting canonical JSON and parsing it back reproduces
 the in-memory report exactly.  Each report carries a determinism hash over
 its canonical JSON with the timestamp removed; two runs with the same
 scenario file and seeds must agree hash-for-hash regardless of parallelism.
-Scenarios are independent, so run() spreads them over forked worker
-processes when asked for more than one; each report is canonicalized once,
-in the process that evaluated it, and emit() writes it as it stands.
+Scenarios are independent, so on Linux run() spreads them over forked
+worker processes when asked for more than one; each report is canonicalized
+once, in the process that evaluated it, and emit() writes it as it stands.
 Individual scenario failures (a system that is not a frame, a malformed
 candidate family, an escaping carrier) are captured in the report's "error"
 field and never abort the batch; any other exception is a bug and aborts it.
@@ -20,6 +20,7 @@ import hashlib
 import io
 import json
 import os
+import sys
 from datetime import datetime, timezone
 
 import numpy as np
@@ -55,8 +56,8 @@ from framecert.scenarios import (
 _VOLATILE_KEYS = ("timestamp", "determinism_sha256")
 
 
-# Exact types that are already canonical; dispatch on type(obj) skips the
-# isinstance chain for every value a report is built from.
+# Exact types that are already canonical; checking type(obj) first skips the
+# isinstance chain for almost every value a report is built from.
 _AS_IS = frozenset((int, str, bool, type(None)))
 
 
@@ -65,17 +66,13 @@ def _canon(obj):
     kind = type(obj)
     if kind is float:
         return float(f"{obj:.12g}")
-    if kind is dict:
+    if isinstance(obj, dict):
         return {str(k): v if type(v) in _AS_IS else _canon(v) for k, v in obj.items()}
-    if kind is list or kind is tuple:
+    if isinstance(obj, (list, tuple)):
         return [x if type(x) in _AS_IS else _canon(x) for x in obj]
     if kind in _AS_IS:
         return obj
-    # numpy scalars and arrays, subclasses of the builtins
-    if isinstance(obj, dict):
-        return {str(k): _canon(obj[k]) for k in obj}
-    if isinstance(obj, (list, tuple)):
-        return [_canon(x) for x in obj]
+    # numpy scalars and arrays, subclasses of int and float
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (int, np.integer)):
@@ -407,24 +404,23 @@ def run(
 
     With ``parallelism`` > 1 the scenarios are spread over at most
     ``min(parallelism, len(scenarios), os.cpu_count())`` worker processes
-    forked from this one, so they see its modules as they are.  Where the
-    fork start method is missing, or one worker would do, the scenarios run
-    serially in this process.  An exception that is a bug propagates out of
-    run() from a worker as it does from the serial loop."""
+    forked from this one, so they see its modules as they are.  Only Linux
+    forks; on other platforms (macOS, where fork is unsafe once the system
+    BLAS has run, and Windows, which has no fork), or when one worker would
+    do, the scenarios run serially in this process.  An exception that is a
+    bug propagates out of run() from a worker as it does from the serial
+    loop."""
     seeds = [seed_override] * len(scenarios)
     workers = min(parallelism, len(scenarios), os.cpu_count() or 1)
-    reports = None
-    if workers > 1:
+    if workers > 1 and sys.platform == "linux":
         # imported here: the serial path and the CLI's start-up never pay for them
         import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-        if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import ProcessPoolExecutor
-
-            context = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-                reports = list(pool.map(_evaluate, scenarios, seeds))
-    if reports is None:
+        context = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+            reports = list(pool.map(_evaluate, scenarios, seeds))
+    else:
         reports = list(map(_evaluate, scenarios, seeds))
     return sorted(reports, key=lambda r: r["scenario_id"])
 

@@ -99,6 +99,16 @@ def test_emit_json_equals_canonical_json_of_the_suite():
     assert emit(reports, "json") == canonical_json(reports).encode("utf-8")
 
 
+def test_emit_json_writes_its_input_as_it_stands():
+    # emit's precondition is canonical input, as run() returns it; it does
+    # not canonicalize, so other input must go through canonical_json
+    report = {"x": 1.0 / 3.0}
+    assert emit([report], "json") == b'[{"x":0.3333333333333333}]'
+    assert canonical_json([report]) == '[{"x":0.333333333333}]'
+    with pytest.raises(TypeError):
+        emit([{"x": np.arange(2)}], "json")
+
+
 def _scenario_file(tmp_path, ids) -> str:
     payload = [
         {
@@ -150,6 +160,23 @@ def test_worker_count_is_capped(tmp_path, monkeypatch, cpus):
     serial = run(scenarios)
     assert [r["determinism_sha256"] for r in reports] == [
         r["determinism_sha256"] for r in serial]
+
+
+@pytest.mark.parametrize("platform", ["darwin", "win32"])
+def test_no_pool_off_linux(tmp_path, monkeypatch, platform):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was built")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(sys, "platform", platform)
+    scenarios = load_scenarios(_scenario_file(tmp_path, ["a", "b"]))
+    reports = run(scenarios, parallelism=2)
+    monkeypatch.undo()
+    assert [r["determinism_sha256"] for r in reports] == [
+        r["determinism_sha256"] for r in run(scenarios)]
 
 
 def test_importing_the_cli_loads_no_pool_machinery():
