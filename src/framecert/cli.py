@@ -11,8 +11,8 @@ import os
 import sys
 from pathlib import Path
 
-from framecert.runner import _sha256, _summary, emit, run
-from framecert.scenarios import ParseError, ValidationError, load_scenarios
+from framecert.runner import _seal, _summary, emit, run
+from framecert.scenarios import ParseError, ValidationError, is_seed, load_scenarios
 
 _BOUNDS_CHECKS = {"frame_bounds", "frame_inequality", "separation_constant"}
 _DUAL_CHECKS = {"dual_reconstruction", "bessel_dual"}
@@ -39,13 +39,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _filter_checks(report: dict, names: set[str]) -> dict:
     checks = [c for c in report.get("checks", []) if c["check"] in names]
-    passed = sum(1 for c in checks if c["ok"])
-    filtered = dict(report)
-    filtered["checks"] = checks
-    filtered["summary"] = _summary(len(checks), passed, len(checks) - passed, 0)
-    filtered["ok"] = report["error"] is None and filtered["summary"]["fail_total"] == 0
-    filtered["determinism_sha256"] = _sha256(filtered)
-    return filtered
+    summary = _summary(checks, sum(1 for c in checks if c["ok"]))
+    return _seal({**report, "checks": checks, "summary": summary})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,6 +66,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.seed is not None and not is_seed(args.seed):
+            parser.error(f"argument --seed: {args.seed} is not an unsigned 64-bit integer")
     except SystemExit as exc:
         return int(exc.code or 0)
     kind_filter, check_filter = _SUBCOMMANDS[args.command]

@@ -169,33 +169,36 @@ class ComparisonScenario:
 
 @dataclass
 class ComparisonCertificate:
-    """One (y, K) cell: trace, rank, both counts, and every verified inequality."""
+    """One (y, K) cell: trace, rank, both counts, and every verified inequality.
+
+    The defaults describe a boundary cell, one whose window escapes a
+    truncated carrier: nothing is computed and no inequality is verified.
+    """
 
     y: object
     k_label: object
     l_label: object
     epsilon: float
-    trace_T: float | None
-    rank_P: int | None
-    card_x_in_ykl: int | None
-    card_y_in_yk: int | None
-    h_norm_sq: float
     b_used: float
     b_provenance: str
     b_alternative: float
-    lhs: float | None
-    chain_ok: bool
-    final_ok: bool
-    restricted_sum: float | None
-    restricted_sum_ok: bool
-    projected_sum_identity_error: float | None
-    identity_ok: bool
-    star_signed: float | None
-    star_bound: float | None
-    star_ok: bool
-    trace_lemma_ok: bool
-    trace_lower_ok: bool
-    boundary: bool
+    trace_T: float | None = None
+    rank_P: int | None = None
+    card_x_in_ykl: int | None = None
+    card_y_in_yk: int | None = None
+    lhs: float | None = None
+    chain_ok: bool = False
+    final_ok: bool = False
+    restricted_sum: float | None = None
+    restricted_sum_ok: bool = False
+    projected_sum_identity_error: float | None = None
+    identity_ok: bool = False
+    star_signed: float | None = None
+    star_bound: float | None = None
+    star_ok: bool = False
+    trace_lemma_ok: bool = False
+    trace_lower_ok: bool = False
+    boundary: bool = True
 
     @property
     def ok(self) -> bool:
@@ -211,36 +214,6 @@ class ComparisonCertificate:
         )
 
 
-def _boundary_certificate(scenario: ComparisonScenario, y, k_label, l_label) -> ComparisonCertificate:
-    return ComparisonCertificate(
-        y=y,
-        k_label=k_label,
-        l_label=l_label,
-        epsilon=scenario.epsilon,
-        trace_T=None,
-        rank_P=None,
-        card_x_in_ykl=None,
-        card_y_in_yk=None,
-        h_norm_sq=scenario.h_norm_sq,
-        b_used=scenario.b_used,
-        b_provenance=scenario.b_provenance,
-        b_alternative=scenario.b_alternative,
-        lhs=None,
-        chain_ok=False,
-        final_ok=False,
-        restricted_sum=None,
-        restricted_sum_ok=False,
-        projected_sum_identity_error=None,
-        identity_ok=False,
-        star_signed=None,
-        star_bound=None,
-        star_ok=False,
-        trace_lemma_ok=False,
-        trace_lower_ok=False,
-        boundary=True,
-    )
-
-
 def comparison_certificate(
     scenario: ComparisonScenario, y, K: CompactSet, k_label=None
 ) -> ComparisonCertificate:
@@ -254,11 +227,14 @@ def comparison_certificate(
         except ValueError:
             k_label = None
     dim = scenario.given.rep.dim
+    cell = dict(y=y, k_label=k_label, l_label=l_label, epsilon=scenario.epsilon,
+                b_used=scenario.b_used, b_provenance=scenario.b_provenance,
+                b_alternative=scenario.b_alternative)
     try:
         ykl = translate_set(y, product_set(K, L))
         yk = translate_set(y, K)
     except OutOfCarrier:
-        return _boundary_certificate(scenario, y, k_label, l_label)
+        return ComparisonCertificate(**cell)
 
     duals = scenario.given_analysis.canonical_dual
     # Selections in frame-index order: the column order fixes the SVD's rounding.
@@ -290,18 +266,11 @@ def comparison_certificate(
     chain_ok = trace_check.trace <= P.rank + _REL_SLACK and P.rank <= card_x
     final_ok = lhs <= card_x + _REL_SLACK
     return ComparisonCertificate(
-        y=y,
-        k_label=k_label,
-        l_label=l_label,
-        epsilon=scenario.epsilon,
+        **cell,
         trace_T=trace_check.trace,
         rank_P=P.rank,
         card_x_in_ykl=card_x,
         card_y_in_yk=card_y,
-        h_norm_sq=h_sq,
-        b_used=b_used,
-        b_provenance=scenario.b_provenance,
-        b_alternative=scenario.b_alternative,
         lhs=lhs,
         chain_ok=chain_ok,
         final_ok=final_ok,

@@ -11,11 +11,17 @@ once, in the process that evaluated it, and emit() writes it as it stands.
 Individual scenario failures (a system that is not a frame, a malformed
 candidate family, an escaping carrier) are captured in the report's "error"
 field and never abort the batch; any other exception is a bug and aborts it.
+
+Report rows are generated from the certificate dataclasses (HapCell,
+ComparisonCertificate, DensityRow, ...): every field becomes a key, renamed
+where _REPORT_NAMES says so.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -102,13 +108,50 @@ def determinism_sha256(report: dict) -> str:
     return _sha256(_canon(report))
 
 
-def _summary(cells: int, passed: int, failed: int, boundary: int) -> dict:
+# Report keys that differ from the certificate dataclasses' field names.
+_REPORT_NAMES = {
+    "k_label": "K_radius",
+    "l_label": "L_radius",
+    "card_x_in_ykl": "card_X",
+    "card_y_in_yk": "card_Y",
+    "b_used": "B_used",
+    "b_provenance": "B_provenance",
+    "b_alternative": "B_alternative",
+    "projected_sum_identity_error": "identity_error",
+    "empirical_B_dual": "empirical",
+}
+
+
+@functools.cache
+def _row_keys(cls) -> tuple[tuple[str, str], ...]:
+    return tuple((f.name, _REPORT_NAMES.get(f.name, f.name)) for f in dataclasses.fields(cls))
+
+
+def _row(certificate, **extra) -> dict:
+    """A report row: the certificate's dataclass fields under their report
+    names, then ``extra``."""
+    row = {key: getattr(certificate, name) for name, key in _row_keys(type(certificate))}
+    row.update(extra)
+    return row
+
+
+def _summary(rows: list[dict], passes: int) -> dict:
+    """Counts over a report's rows; rows marked boundary neither pass nor fail."""
+    boundary = sum(1 for row in rows if row.get("boundary"))
     return {
-        "cell_count": cells,
-        "pass_total": passed,
-        "fail_total": failed,
+        "cell_count": len(rows),
+        "pass_total": passes,
+        "fail_total": len(rows) - passes - boundary,
         "boundary_total": boundary,
     }
+
+
+def _seal(report: dict) -> dict:
+    """The finished report: ``ok`` set, canonicalized, and hashed."""
+    report["ok"] = report["error"] is None and report["summary"]["fail_total"] == 0
+    report = _canon(report)
+    report["determinism_sha256"] = _sha256(report)
+    return report
 
 
 def _run_sampling_bound(spec: dict, seed: int) -> dict:
@@ -116,7 +159,6 @@ def _run_sampling_bound(spec: dict, seed: int) -> dict:
     rng = np.random.default_rng(seed)
     max_radius = spec["max_radius"]
     rows = []
-    passed = 0
     for t in range(spec["trials"]):
         values = rng.standard_normal(group.order) + 1j * rng.standard_normal(group.order)
         f = GroupFunction(group, values)
@@ -125,24 +167,10 @@ def _run_sampling_bound(spec: dict, seed: int) -> dict:
         u_radius = int(rng.integers(0, max_radius + 1))
         k_radius = int(rng.integers(0, max_radius + 1))
         check = sampling_bound_check(f, X, group.ball(k_radius), group.ball(u_radius))
-        passed += bool(check.holds)
-        rows.append(
-            {
-                "instance": t,
-                "points": size,
-                "u_radius": u_radius,
-                "k_radius": k_radius,
-                "lhs": check.lhs,
-                "rhs": check.rhs,
-                "C": check.C,
-                "C0": check.C0,
-                "holds": check.holds,
-            }
-        )
-    total = len(rows)
+        rows.append(_row(check, instance=t, points=size, u_radius=u_radius, k_radius=k_radius))
     return {
         "table": rows,
-        "summary": _summary(total, passed, total - passed, 0),
+        "summary": _summary(rows, sum(1 for row in rows if row["holds"])),
     }
 
 
@@ -169,15 +197,13 @@ def _run_frame_analysis(spec: dict, seed: int) -> dict:
         {"check": "frame_bounds", "A": analysis.A, "B": analysis.B, "ok": True},
         {"check": "frame_inequality", "trials": 20, "max_rel_violation": worst_rel,
          "ok": worst_rel <= 1e-9},
-        {"check": "dual_reconstruction", "max_error": dual_check.max_error, "ok": dual_check.ok},
-        {"check": "bessel_dual", "empirical": bessel.empirical_B_dual, "bound": bessel.bound,
-         "ok": bool(bessel.ok)},
+        _row(dual_check, check="dual_reconstruction"),
+        _row(bessel, check="bessel_dual"),
         {"check": "separation_constant", "u_radius": u_radius, "C0": c0, "ok": True},
     ]
-    passed = sum(1 for c in checks if c["ok"])
     return {
         "checks": checks,
-        "summary": _summary(len(checks), passed, len(checks) - passed, 0),
+        "summary": _summary(checks, sum(1 for c in checks if c["ok"])),
     }
 
 
@@ -207,22 +233,11 @@ def _run_hap(spec: dict, seed: int) -> dict:
         l_labels=list(spec["l_radii"]),
     )
     cert = find_L(scenario)
-    table = [
-        {
-            "y": cell.y,
-            "K_radius": cell.k_label,
-            "L_radius": cell.l_label,
-            "error": cell.error,
-            "boundary": cell.boundary,
-        }
-        for cell in cert.table
-    ]
+    table = [_row(cell) for cell in cert.table]
     chosen_rows = [row for row in table if row["L_radius"] == cert.chosen_l_label]
-    boundary = sum(1 for row in chosen_rows if row["boundary"])
     passed = sum(
         1 for row in chosen_rows if not row["boundary"] and row["error"] < cert.epsilon
     )
-    failed = len(chosen_rows) - passed - boundary
     certificate = {
         "chosen_L_radius": cert.chosen_l_label,
         "worst_error": cert.worst_error,
@@ -231,21 +246,12 @@ def _run_hap(spec: dict, seed: int) -> dict:
         "C0": cert.separation,
         "dual": cert.dual_label,
         "eq42_convention": TAIL_INTEGRAND_CONVENTION,
-        "candidates": [
-            {
-                "L_radius": cand.l_label,
-                "worst_error": cand.worst_error,
-                "theoretical_bound": cand.theoretical_bound,
-                "passed": cand.passed,
-                "domination_ok": cand.domination_ok,
-            }
-            for cand in cert.candidates
-        ],
+        "candidates": [_row(cand) for cand in cert.candidates],
         "table": table,
     }
     return {
         "certificate": certificate,
-        "summary": _summary(len(chosen_rows), passed, failed, boundary),
+        "summary": _summary(chosen_rows, passed),
     }
 
 
@@ -271,39 +277,7 @@ def _run_comparison(spec: dict, seed: int) -> dict:
     )
     certificates = comparison_run(scenario)
     hap = scenario.hap_choice
-    rows = [
-        {
-            "y": cert.y,
-            "K_radius": cert.k_label,
-            "L_radius": cert.l_label,
-            "trace_T": cert.trace_T,
-            "rank_P": cert.rank_P,
-            "card_X": cert.card_x_in_ykl,
-            "card_Y": cert.card_y_in_yk,
-            "lhs": cert.lhs,
-            "B_used": cert.b_used,
-            "B_provenance": cert.b_provenance,
-            "B_alternative": cert.b_alternative,
-            "epsilon": cert.epsilon,
-            "chain_ok": cert.chain_ok,
-            "final_ok": cert.final_ok,
-            "restricted_sum": cert.restricted_sum,
-            "restricted_sum_ok": cert.restricted_sum_ok,
-            "identity_error": cert.projected_sum_identity_error,
-            "identity_ok": cert.identity_ok,
-            "star_signed": cert.star_signed,
-            "star_bound": cert.star_bound,
-            "star_ok": cert.star_ok,
-            "trace_lemma_ok": cert.trace_lemma_ok,
-            "trace_lower_ok": cert.trace_lower_ok,
-            "boundary": cert.boundary,
-            "ok": cert.ok,
-        }
-        for cert in certificates
-    ]
-    boundary = sum(1 for c in certificates if c.boundary)
-    passed = sum(1 for c in certificates if c.ok)
-    failed = len(certificates) - passed - boundary
+    rows = [_row(cert, ok=cert.ok) for cert in certificates]
     return {
         "hap_precondition": {
             "chosen_L_radius": hap.chosen_l_label,
@@ -311,7 +285,7 @@ def _run_comparison(spec: dict, seed: int) -> dict:
             "threshold": hap.epsilon,
         },
         "certificates": rows,
-        "summary": _summary(len(rows), passed, failed, boundary),
+        "summary": _summary(rows, sum(1 for row in rows if row["ok"])),
     }
 
 
@@ -323,26 +297,11 @@ def _run_density(spec: dict, seed: int) -> dict:
     if y_sample is not None:
         y_sample = [tuple(y) if isinstance(y, list) else y for y in y_sample]
     report = density_report(X, K_family, y_sample=y_sample, k_labels=list(spec["k_radii"]))
-    rows = [
-        {
-            "y": row.y,
-            "K_radius": row.k_label,
-            "count": row.count,
-            "measure": row.measure,
-            "ratio": row.ratio,
-            "boundary": row.boundary,
-        }
-        for row in report.rows
-    ]
-    summary_rows = [
-        {"K_radius": s.k_label, "min_ratio": s.min_ratio, "max_ratio": s.max_ratio}
-        for s in report.summary
-    ]
-    boundary = sum(1 for row in rows if row["boundary"])
+    rows = [_row(row) for row in report.rows]
     return {
         "table": rows,
-        "ratio_summary": summary_rows,
-        "summary": _summary(len(rows), len(rows) - boundary, 0, boundary),
+        "ratio_summary": [_row(s) for s in report.summary],
+        "summary": _summary(rows, sum(1 for row in rows if not row["boundary"])),
     }
 
 
@@ -375,12 +334,11 @@ _EVALUATORS = {
 def _evaluate(scenario: Scenario, seed_override: int | None) -> dict:
     seed = scenario.seed if seed_override is None else seed_override
     error = None
-    payload: dict = {}
     try:
         payload = _EVALUATORS[scenario.kind](scenario.spec, seed)
     except _SCENARIO_ERRORS as exc:  # captured per-report, the batch continues
         error = {"type": type(exc).__name__, "message": str(exc)}
-        payload = {"summary": _summary(0, 0, 0, 0)}
+        payload = {"summary": _summary([], 0)}
     report = {
         "scenario_id": scenario.id,
         "kind": scenario.kind,
@@ -390,10 +348,7 @@ def _evaluate(scenario: Scenario, seed_override: int | None) -> dict:
         "error": error,
         **payload,
     }
-    report["ok"] = error is None and report["summary"]["fail_total"] == 0
-    report = _canon(report)
-    report["determinism_sha256"] = _sha256(report)
-    return report
+    return _seal(report)
 
 
 def run(
@@ -425,33 +380,21 @@ def run(
     return sorted(reports, key=lambda r: r["scenario_id"])
 
 
-_CSV_COLUMNS = {
-    "sampling_bound": ("instance", "u_radius", "k_radius", "lhs", "rhs", "C", "C0", "holds"),
-    "hap": ("y", "K_radius", "L_radius", "error"),
-    "comparison": (
-        "y",
-        "K_radius",
-        "L_radius",
-        "trace_T",
-        "rank_P",
-        "card_X",
-        "card_Y",
-        "chain_ok",
-        "final_ok",
+# kind -> (keys leading from a report to its rows, CSV columns)
+_CSV = {
+    "sampling_bound": (
+        ("table",),
+        ("instance", "u_radius", "k_radius", "lhs", "rhs", "C", "C0", "holds"),
     ),
-    "density": ("y", "K_radius", "count", "measure", "ratio"),
+    "frame_analysis": (("checks",), ("check", "ok")),
+    "hap": (("certificate", "table"), ("y", "K_radius", "L_radius", "error")),
+    "comparison": (
+        ("certificates",),
+        ("y", "K_radius", "L_radius", "trace_T", "rank_P", "card_X", "card_Y",
+         "chain_ok", "final_ok"),
+    ),
+    "density": (("table",), ("y", "K_radius", "count", "measure", "ratio")),
 }
-
-
-def _csv_rows(report: dict) -> list[dict]:
-    kind = report["kind"]
-    if kind == "sampling_bound" or kind == "density":
-        return report.get("table", [])
-    if kind == "hap":
-        return report.get("certificate", {}).get("table", [])
-    if kind == "comparison":
-        return report.get("certificates", [])
-    return report.get("checks", [])
 
 
 def _csv_cell(value):
@@ -462,22 +405,18 @@ def _csv_cell(value):
 
 def _emit_csv(reports: list[dict]) -> str:
     blocks = []
-    kinds_in_order = []
-    for report in reports:
-        if report["kind"] not in kinds_in_order:
-            kinds_in_order.append(report["kind"])
-    for kind in kinds_in_order:
+    for kind in dict.fromkeys(report["kind"] for report in reports):
+        path, columns = _CSV[kind]
         buffer = io.StringIO()
-        if kind == "frame_analysis":
-            columns = ("check", "ok")
-        else:
-            columns = _CSV_COLUMNS[kind]
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(("scenario_id",) + columns)
         for report in reports:
             if report["kind"] != kind:
                 continue
-            for row in _csv_rows(report):
+            rows = report
+            for key in path:  # error reports have no rows
+                rows = rows.get(key, {})
+            for row in rows:
                 writer.writerow(
                     [report["scenario_id"]] + [_csv_cell(row.get(c)) for c in columns]
                 )

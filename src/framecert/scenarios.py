@@ -49,28 +49,17 @@ from framecert.representations import (
 
 KINDS = ("sampling_bound", "frame_analysis", "hap", "comparison", "density")
 
-_COMMON_KEYS = {"id", "kind", "seed"}
+_COMMON_KEYS = ("id", "kind", "seed")
+# kind -> (required keys, optional keys)
 _KIND_KEYS = {
-    "sampling_bound": {"group", "trials", "max_radius"},
-    "frame_analysis": {"frame", "u_radius"},
-    "hap": {"frame", "f", "epsilon", "u_radius", "k_radii", "l_radii"},
-    "comparison": {
-        "frame",
-        "reference",
-        "epsilon",
-        "u_radius",
-        "k_radii",
-        "l_radii",
-        "b_convention",
-    },
-    "density": {"group", "points", "k_radii", "y_sample"},
-}
-_REQUIRED_KEYS = {
-    "sampling_bound": {"group", "trials", "max_radius"},
-    "frame_analysis": {"frame"},
-    "hap": {"frame", "f", "epsilon", "u_radius", "k_radii", "l_radii"},
-    "comparison": {"frame", "reference", "epsilon", "u_radius", "k_radii", "l_radii"},
-    "density": {"group", "points", "k_radii"},
+    "sampling_bound": (("group", "trials", "max_radius"), ()),
+    "frame_analysis": (("frame",), ("u_radius",)),
+    "hap": (("frame", "f", "epsilon", "u_radius", "k_radii", "l_radii"), ()),
+    "comparison": (
+        ("frame", "reference", "epsilon", "u_radius", "k_radii", "l_radii"),
+        ("b_convention",),
+    ),
+    "density": (("group", "points", "k_radii"), ("y_sample",)),
 }
 
 _PRESET_RE = re.compile(r"(dirac\d+|flat|gauss)$")
@@ -126,6 +115,21 @@ def load_scenarios(path) -> list[Scenario]:
     return scenarios
 
 
+def _int_in(value, low: int, high: int | None = None) -> bool:
+    """value is an int, not a bool, with low <= value (and value < high)."""
+    return (
+        isinstance(value, int)
+        and not isinstance(value, bool)
+        and value >= low
+        and (high is None or value < high)
+    )
+
+
+def is_seed(value) -> bool:
+    """value is an unsigned 64-bit integer, as every seed must be."""
+    return _int_in(value, 0, 2**64)
+
+
 def _fail(field_name: str, message: str):
     raise ValidationError(field_name, message)
 
@@ -142,15 +146,15 @@ def _validate_scenario(item: dict, where: str) -> Scenario:
     kind = item.get("kind")
     if kind not in KINDS:
         _fail("kind", f"{where}.kind must be one of {KINDS}, got {kind!r}")
-    allowed = _COMMON_KEYS | _KIND_KEYS[kind]
+    required, optional = _KIND_KEYS[kind]
     for key in item:
-        if key not in allowed:
+        if key not in _COMMON_KEYS + required + optional:
             _fail(key, f"{where}: unknown key {key!r} for kind {kind!r}")
-    for key in _REQUIRED_KEYS[kind]:
+    for key in required:
         if key not in item:
             _fail(key, f"{where}: kind {kind!r} requires key {key!r}")
     seed = item.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
+    if not is_seed(seed):
         _fail("seed", f"{where}.seed must be an unsigned 64-bit integer")
 
     if "group" in item:
@@ -176,7 +180,7 @@ def _validate_scenario(item: dict, where: str) -> Scenario:
             _validate_radii(item[key], key, where)
     if "trials" in item:
         trials = item["trials"]
-        if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
+        if not _int_in(trials, 1):
             _fail("trials", f"{where}.trials must be a positive integer")
     if "max_radius" in item:
         _validate_radius(item["max_radius"], "max_radius", where)
@@ -188,16 +192,15 @@ def _validate_scenario(item: dict, where: str) -> Scenario:
 
 
 def _validate_radius(value, name: str, where: str) -> None:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+    if not _int_in(value, 0):
         _fail(name, f"{where}.{name} must be a nonnegative integer")
 
 
 def _validate_radii(value, name: str, where: str) -> None:
     if not isinstance(value, list) or not value:
         _fail(name, f"{where}.{name} must be a nonempty list of radii")
-    for r in value:
-        if not isinstance(r, int) or isinstance(r, bool) or r < 0:
-            _fail(name, f"{where}.{name} entries must be nonnegative integers")
+    if not all(_int_in(r, 0) for r in value):
+        _fail(name, f"{where}.{name} entries must be nonnegative integers")
     if any(b <= a for a, b in zip(value, value[1:])):
         _fail(name, f"{where}.{name} must be strictly increasing")
 
@@ -210,21 +213,13 @@ def _validate_group(desc, where: str) -> None:
         if set(desc) != {"kind", "moduli"}:
             _fail("group", f"{where} must have exactly keys kind, moduli")
         moduli = desc["moduli"]
-        if (
-            not isinstance(moduli, list)
-            or not moduli
-            or any(not isinstance(n, int) or isinstance(n, bool) or n < 1 for n in moduli)
-        ):
+        if not isinstance(moduli, list) or not moduli or not all(_int_in(n, 1) for n in moduli):
             _fail("moduli", f"{where}.moduli must be a nonempty list of positive integers")
     elif kind == "box":
         if set(desc) != {"kind", "halfwidths"}:
             _fail("group", f"{where} must have exactly keys kind, halfwidths")
         widths = desc["halfwidths"]
-        if (
-            not isinstance(widths, list)
-            or not widths
-            or any(not isinstance(m, int) or isinstance(m, bool) or m < 0 for m in widths)
-        ):
+        if not isinstance(widths, list) or not widths or not all(_int_in(m, 0) for m in widths):
             _fail("halfwidths", f"{where}.halfwidths must be nonnegative integers")
     else:
         _fail("group", f"{where}.kind must be 'cyclic' or 'box'")
@@ -237,8 +232,7 @@ def _validate_rep(desc, where: str) -> None:
     if kind in ("translation", "gabor"):
         if set(desc) != {"kind", "n"}:
             _fail("rep", f"{where} must have exactly keys kind, n")
-        n = desc["n"]
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        if not _int_in(desc["n"], 1):
             _fail("n", f"{where}.n must be a positive integer")
     elif kind == "tensor":
         if set(desc) != {"kind", "factors"}:
@@ -283,11 +277,7 @@ def _validate_points(desc, where: str) -> None:
         if not isinstance(lattice, dict) or set(lattice) != {"steps"}:
             _fail("points", f"{where}.lattice must have exactly key steps")
         steps = lattice["steps"]
-        if (
-            not isinstance(steps, list)
-            or not steps
-            or any(not isinstance(s, int) or isinstance(s, bool) or s < 1 for s in steps)
-        ):
+        if not isinstance(steps, list) or not steps or not all(_int_in(s, 1) for s in steps):
             _fail("steps", f"{where}.lattice.steps must be positive integers")
         return
     _fail("points", f"{where}: not a recognized point-set descriptor")
