@@ -68,6 +68,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.seed is not None and not is_seed(args.seed):
             parser.error(f"argument --seed: {args.seed} is not an unsigned 64-bit integer")
+        if args.parallel < 1:
+            parser.error(f"argument --parallel: {args.parallel} is not a positive integer")
     except SystemExit as exc:
         return int(exc.code or 0)
     kind_filter, check_filter = _SUBCOMMANDS[args.command]
@@ -81,7 +83,7 @@ def main(argv=None) -> int:
         return 1
     if kind_filter is not None:
         scenarios = [s for s in scenarios if s.kind == kind_filter]
-    reports = run(scenarios, parallelism=max(1, args.parallel), seed_override=args.seed)
+    reports = run(scenarios, parallelism=args.parallel, seed_override=args.seed)
     if check_filter is not None:
         reports = [_filter_checks(r, check_filter) for r in reports]
     payload = emit(reports, args.format)

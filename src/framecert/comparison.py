@@ -25,7 +25,7 @@ recorded alongside for transparency and can be selected instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -106,6 +106,7 @@ class ComparisonScenario:
     k_labels: list | None = None
     l_labels: list | None = None
     b_convention: str = "reference"
+    _chosen_products: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.given.rep.group is not self.reference.rep.group:
@@ -166,6 +167,16 @@ class ComparisonScenario:
         except NoAdmissibleL as exc:
             raise HapPreconditionUnmet(str(exc)) from exc
 
+    def chosen_product(self, K: CompactSet) -> CompactSet | None:
+        """K.L for the chosen L, built once per K; None when it escapes a
+        truncated carrier, which makes every (y, K) cell boundary."""
+        if K not in self._chosen_products:
+            try:
+                self._chosen_products[K] = product_set(K, self.hap_choice.chosen_L)
+            except OutOfCarrier:
+                self._chosen_products[K] = None
+        return self._chosen_products[K]
+
 
 @dataclass
 class ComparisonCertificate:
@@ -218,9 +229,7 @@ def comparison_certificate(
     scenario: ComparisonScenario, y, K: CompactSet, k_label=None
 ) -> ComparisonCertificate:
     """Build and verify the full counting chain for one (y, K) cell."""
-    choice = scenario.hap_choice
-    L = choice.chosen_L
-    l_label = choice.chosen_l_label
+    l_label = scenario.hap_choice.chosen_l_label
     if k_label is None:
         try:
             k_label = scenario.k_labels[scenario.K_family.index(K)]
@@ -230,8 +239,11 @@ def comparison_certificate(
     cell = dict(y=y, k_label=k_label, l_label=l_label, epsilon=scenario.epsilon,
                 b_used=scenario.b_used, b_provenance=scenario.b_provenance,
                 b_alternative=scenario.b_alternative)
+    kl = scenario.chosen_product(K)
+    if kl is None:
+        return ComparisonCertificate(**cell)
     try:
-        ykl = translate_set(y, product_set(K, L))
+        ykl = translate_set(y, kl)
         yk = translate_set(y, K)
     except OutOfCarrier:
         return ComparisonCertificate(**cell)

@@ -23,7 +23,18 @@ produced it, so the scan runs y outermost and builds one projector per
 distinct K.L set at each y; every (K, L) pair with that product reuses it.
 Its generators are the duals of K.L's sorted positions translated by y, in
 that order: the column order fixes the SVD's rounding, and with it every
-table float and the determinism hashes.
+table float and the determinism hashes.  Per y, one composition of y with
+the whole carrier gives every yK and yKL, and each window's transported
+test vectors are gathered once.  Each (K, L) pair keeps its own residual
+product: BLAS rounds a column differently in products of different widths
+(by up to ~1e-15 for complex d x d @ d x n, d 4-32), so batching the
+windows of several K would move the hashes.
+
+Base points are independent, so find_L is three steps: prepare_scan (all
+that does not depend on y), scan_errors over any range of base points, and
+certify over the pieces.  find_L runs one range over the whole carrier;
+the runner splits the carrier over worker processes and gets the same
+certificate.
 """
 
 from __future__ import annotations
@@ -36,6 +47,7 @@ from framecert.amalgam import GroupFunction, local_max, sharp_tail_mass
 from framecert.frames import FrameSystem, SpanProjector, span_projector
 from framecert.groups import (
     CompactSet,
+    GroupModel,
     OutOfCarrier,
     PointSet,
     measure,
@@ -165,35 +177,45 @@ class HapCertificate:
     dual_label: str
 
 
-def _translate(group, yp: int, positions: np.ndarray) -> np.ndarray | None:
-    """Positions of y.S for y at carrier position ``yp``, in the order of S's
-    positions; None when y.S escapes a truncated carrier."""
-    translated, inside = group.multiply_masked(yp, positions)
-    return translated if inside.all() else None
+@dataclass(frozen=True, eq=False)
+class HapScan:
+    """A scenario's cell scan, set up once: what scan_errors needs for any
+    range of base points, and the tail bounds that certify reads.
 
-
-def find_L(scenario: HapScenario) -> HapCertificate:
-    """Scan the candidate family smallest-first and certify the first success.
-
-    Error tables are computed for *every* candidate (they are wanted in
-    reports and for monotonicity checks), so the scan does not stop early.
-    Cells whose windows escape a truncated carrier are marked boundary and
-    excluded from the pass/fail aggregate.
-
-    y is the outer loop: at each y one projector is built per distinct K.L
-    set whose translate yKL stays in the carrier, from the duals at K.L's
-    sorted positions translated one by one (the column order pins the
-    hashes), and only that y's projectors are held.  The table still lists
-    cells in (K, L, y) order.
+    It holds the group, arrays and small tuples, not the frame, so it
+    pickles cheaply to worker processes.
     """
+
+    group: GroupModel
+    duals: np.ndarray
+    transported: np.ndarray  # pi(x) f for every carrier position x, as columns
+    # Row p: the frame indices of the points at carrier position p, ascending,
+    # then -1 padding up to the largest multiplicity.
+    point_slots: np.ndarray
+    k_positions: tuple[np.ndarray, ...]
+    kl_positions: tuple[np.ndarray, ...]  # the distinct K.L sets
+    pairs: tuple[tuple[int, int, int | None], ...]  # (K, L, K.L set) per table row
+    bounds: tuple[float | None, ...]
+    separation: int
+
+    def columns(self, positions: np.ndarray) -> np.ndarray:
+        """Frame indices of the points at ``positions``: position by position
+        in the given order, each position's indices ascending, duplicates kept."""
+        slots = self.point_slots[positions].ravel()
+        return slots[slots >= 0]
+
+
+def prepare_scan(scenario: HapScenario) -> HapScan:
+    """Everything in find_L that does not depend on the base point y."""
     frame = scenario.frame
     group = frame.rep.group
-    dim = frame.rep.dim
 
     transported = np.column_stack([apply_rep(frame.rep, x, scenario.f) for x in group.carrier])
-    by_position: list[list[int]] = [[] for _ in range(group.order)]
-    for j, p in enumerate(frame.points.positions().tolist()):
-        by_position[p].append(j)
+    points = frame.points.positions()
+    order = np.argsort(points, kind="stable")
+    counts = np.bincount(points, minlength=group.order)
+    point_slots = np.full((group.order, counts.max(initial=0)), -1, dtype=np.int64)
+    point_slots[points[order], np.arange(len(order)) - np.repeat(np.cumsum(counts) - counts, counts)] = order
 
     c0 = separation_constant(frame.points, scenario.U)
     try:
@@ -222,40 +244,83 @@ def find_L(scenario: HapScenario) -> HapCertificate:
                 pairs.append((ik, il, None))
                 continue
             pairs.append((ik, il, kl_index.setdefault(kl, len(kl_index))))
-    kl_positions = [kl.positions() for kl in kl_index]
 
-    errors = np.zeros((len(pairs), group.order))
-    inside = np.zeros((len(pairs), group.order), dtype=bool)
-    for yp in range(group.order):
-        yk = [_translate(group, yp, K.positions()) for K in scenario.K_family]
+    return HapScan(
+        group=group,
+        duals=scenario.duals,
+        transported=transported,
+        point_slots=point_slots,
+        k_positions=tuple(K.positions() for K in scenario.K_family),
+        kl_positions=tuple(kl.positions() for kl in kl_index),
+        pairs=tuple(pairs),
+        bounds=tuple(bounds),
+        separation=c0,
+    )
+
+
+def scan_errors(scan: HapScan, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cell errors of the base points at carrier positions start..stop-1.
+
+    Returns ``(errors, inside)``, each with one row per (K, L) pair of the
+    table and one column per base point; a cell that is not inside (y.K or
+    y.K.L escapes a truncated carrier, or K.L does) is boundary, and its
+    error is 0.  Each y is independent of the others, so any split of the
+    carrier into ranges gives the same columns.
+    """
+    group = scan.group
+    dim = scan.duals.shape[0]
+    errors = np.zeros((len(scan.pairs), stop - start))
+    inside = np.zeros((len(scan.pairs), stop - start), dtype=bool)
+    for column, yp in enumerate(range(start, stop)):
+        # y.x for every carrier position x: each y.K and y.K.L is read off it.
+        translated, kept = group.multiply_masked(yp, group.all_positions)
+        targets = [
+            scan.transported[:, translated[k]] if kept[k].all() else None
+            for k in scan.k_positions
+        ]
         # Scoped to this y: keeping every y's projectors would hold
         # |G| x (distinct sets) dim x dim matrices at once.
         projectors: dict[int, np.ndarray | None] = {}
-        for row, (ik, _, s) in enumerate(pairs):
-            if s is None or yk[ik] is None:
+        for row, (ik, _, s) in enumerate(scan.pairs):
+            if s is None or targets[ik] is None:
                 continue
             if s not in projectors:
-                ykl = _translate(group, yp, kl_positions[s])
-                if ykl is None:
-                    projectors[s] = None
-                else:
-                    # Columns follow K.L's sorted positions translated one by
-                    # one; the column order fixes the SVD's rounding, hence
-                    # the hashes.
-                    selected = [j for p in ykl.tolist() for j in by_position[p]]
-                    projectors[s] = span_projector(scenario.duals[:, selected], dim=dim).matrix
+                kl = scan.kl_positions[s]
+                # Columns follow K.L's sorted positions translated one by
+                # one; the column order fixes the SVD's rounding, hence the
+                # hashes.
+                projectors[s] = (
+                    span_projector(scan.duals[:, scan.columns(translated[kl])], dim=dim).matrix
+                    if kept[kl].all()
+                    else None
+                )
             matrix = projectors[s]
             if matrix is None:
                 continue
-            targets = transported[:, yk[ik]]
-            residual = targets - matrix @ targets
-            errors[row, yp] = np.max(np.linalg.norm(residual, axis=0))
-            inside[row, yp] = True
+            # One product per (K, L) pair: a column's rounding depends on the
+            # width of the product it is computed in, so batching the targets
+            # of several K into one product would move the hashes.
+            residual = targets[ik] - matrix @ targets[ik]
+            # np.linalg.norm(residual, axis=0), written out
+            errors[row, column] = np.sqrt((residual.conj() * residual).real.sum(axis=0)).max()
+            inside[row, column] = True
+    return errors, inside
+
+
+def certify(
+    scenario: HapScenario, scan: HapScan, pieces: list[tuple[np.ndarray, np.ndarray]]
+) -> HapCertificate:
+    """The certificate from scan_errors' pieces, which must cover every base
+    point once, in carrier order."""
+    group = scan.group
+    errors = np.concatenate([piece[0] for piece in pieces], axis=1)
+    inside = np.concatenate([piece[1] for piece in pieces], axis=1)
+    bounds = scan.bounds
 
     table: list[HapCell] = []
     worst: dict[int, float] = {}
     dominated: dict[int, bool] = {il: True for il in range(len(scenario.L_family))}
-    for row, (ik, il, _) in enumerate(pairs):
+    for row, (ik, il, _) in enumerate(scan.pairs):
         k_label, l_label = scenario.k_labels[ik], scenario.l_labels[il]
         for y, error, interior in zip(group.carrier, errors[row].tolist(), inside[row].tolist()):
             if not interior:
@@ -293,9 +358,26 @@ def find_L(scenario: HapScenario) -> HapCertificate:
         worst_error=worst[chosen_index],
         theoretical_bound=bounds[chosen_index],
         epsilon=scenario.epsilon,
-        separation=c0,
+        separation=scan.separation,
         passed=True,
         table=table,
         candidates=candidates,
         dual_label=scenario.dual_label,
     )
+
+
+def find_L(scenario: HapScenario) -> HapCertificate:
+    """Scan the candidate family smallest-first and certify the first success.
+
+    Error tables are computed for *every* candidate (they are wanted in
+    reports and for monotonicity checks), so the scan does not stop early.
+    Cells whose windows escape a truncated carrier are marked boundary and
+    excluded from the pass/fail aggregate.
+
+    y is the outer loop (scan_errors), here as one range over the whole
+    carrier; the runner may split the carrier into ranges and run them in
+    worker processes, with the same table.  The table still lists cells in
+    (K, L, y) order.
+    """
+    scan = prepare_scan(scenario)
+    return certify(scenario, scan, [scan_errors(scan, 0, scan.group.order)])

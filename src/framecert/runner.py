@@ -5,9 +5,12 @@ at assembly time, so emitting canonical JSON and parsing it back reproduces
 the in-memory report exactly.  Each report carries a determinism hash over
 its canonical JSON with the timestamp removed; two runs with the same
 scenario file and seeds must agree hash-for-hash regardless of parallelism.
-Scenarios are independent, so on Linux run() spreads them over forked
-worker processes when asked for more than one; each report is canonicalized
-once, in the process that evaluated it, and emit() writes it as it stands.
+Scenarios are independent, and so are a HAP scan's base points, so on Linux
+run() spreads them over forked worker processes when asked for more than
+one: each HAP scan is set up here, its base points are split into one range
+per worker and queued first, and its certificate is assembled here while
+the workers run the other scenarios.  Each report is canonicalized once, in
+the process that assembled it, and emit() writes it as it stands.
 Individual scenario failures (a system that is not a frame, a malformed
 candidate family, an escaping carrier) are captured in the report's "error"
 field and never abort the batch; any other exception is a bug and aborts it.
@@ -48,7 +51,16 @@ from framecert.frames import (
     verify_dual,
 )
 from framecert.groups import NonSymmetricNeighborhood, OutOfCarrier, PointSet, separation_constant
-from framecert.hap import HapScenario, NoAdmissibleL, find_L
+from framecert.hap import (
+    HapCertificate,
+    HapScan,
+    HapScenario,
+    NoAdmissibleL,
+    certify,
+    find_L,
+    prepare_scan,
+    scan_errors,
+)
 from framecert.representations import DimensionMismatch, ZeroResult, ZeroWindow
 from framecert.scenarios import (
     Scenario,
@@ -214,13 +226,13 @@ def _radius_families(group, spec):
     return U, K_family, L_family
 
 
-def _run_hap(spec: dict, seed: int) -> dict:
+def _hap_scenario(spec: dict) -> HapScenario:
     frame = build_frame(spec["frame"])
     analysis = analyze_frame(frame)
     group = frame.rep.group
     f = build_vector(spec["f"], frame.rep.dim)
     U, K_family, L_family = _radius_families(group, spec)
-    scenario = HapScenario(
+    return HapScenario(
         frame=frame,
         duals=analysis.canonical_dual,
         lower_bound=analysis.A,
@@ -232,7 +244,9 @@ def _run_hap(spec: dict, seed: int) -> dict:
         k_labels=list(spec["k_radii"]),
         l_labels=list(spec["l_radii"]),
     )
-    cert = find_L(scenario)
+
+
+def _hap_payload(cert: HapCertificate) -> dict:
     table = [_row(cell) for cell in cert.table]
     chosen_rows = [row for row in table if row["L_radius"] == cert.chosen_l_label]
     passed = sum(
@@ -253,6 +267,10 @@ def _run_hap(spec: dict, seed: int) -> dict:
         "certificate": certificate,
         "summary": _summary(chosen_rows, passed),
     }
+
+
+def _run_hap(spec: dict, seed: int) -> dict:
+    return _hap_payload(find_L(_hap_scenario(spec)))
 
 
 def _run_comparison(spec: dict, seed: int) -> dict:
@@ -331,14 +349,16 @@ _EVALUATORS = {
 }
 
 
-def _evaluate(scenario: Scenario, seed_override: int | None) -> dict:
-    seed = scenario.seed if seed_override is None else seed_override
-    error = None
+def _outcome(compute, *args) -> tuple[object, dict | None]:
+    """``(compute(*args), None)``, or ``(None, error)`` when it raises a
+    scenario error; any other exception propagates."""
     try:
-        payload = _EVALUATORS[scenario.kind](scenario.spec, seed)
+        return compute(*args), None
     except _SCENARIO_ERRORS as exc:  # captured per-report, the batch continues
-        error = {"type": type(exc).__name__, "message": str(exc)}
-        payload = {"summary": _summary([], 0)}
+        return None, {"type": type(exc).__name__, "message": str(exc)}
+
+
+def _report(scenario: Scenario, seed: int, payload: dict | None, error: dict | None) -> dict:
     report = {
         "scenario_id": scenario.id,
         "kind": scenario.kind,
@@ -346,9 +366,37 @@ def _evaluate(scenario: Scenario, seed_override: int | None) -> dict:
         "seed": seed,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "error": error,
-        **payload,
+        **(payload or {"summary": _summary([], 0)}),
     }
     return _seal(report)
+
+
+def _seed(scenario: Scenario, seed_override: int | None) -> int:
+    return scenario.seed if seed_override is None else seed_override
+
+
+def _evaluate(scenario: Scenario, seed_override: int | None) -> dict:
+    seed = _seed(scenario, seed_override)
+    return _report(scenario, seed, *_outcome(_EVALUATORS[scenario.kind], scenario.spec, seed))
+
+
+def _queue_hap(pool, spec: dict, slices: int):
+    """Set up a HAP scan here and queue its base points on ``pool`` in
+    ``slices`` contiguous ranges; returns what _finish_hap needs."""
+    scenario = _hap_scenario(spec)
+    scan = prepare_scan(scenario)
+    ranges = [r for r in np.array_split(np.arange(scan.group.order), slices) if len(r)]
+    pieces = pool.map(
+        scan_errors,
+        [scan] * len(ranges),
+        [int(r[0]) for r in ranges],
+        [int(r[-1]) + 1 for r in ranges],
+    )
+    return scenario, scan, pieces
+
+
+def _finish_hap(scenario: HapScenario, scan: HapScan, pieces) -> dict:
+    return _hap_payload(certify(scenario, scan, list(pieces)))
 
 
 def run(
@@ -357,16 +405,24 @@ def run(
     """Evaluate all scenarios; output is ordered by scenario id and is
     byte-identical for fixed seeds regardless of the parallelism level.
 
-    With ``parallelism`` > 1 the scenarios are spread over at most
-    ``min(parallelism, len(scenarios), os.cpu_count())`` worker processes
-    forked from this one, so they see its modules as they are.  Only Linux
-    forks; on other platforms (macOS, where fork is unsafe once the system
-    BLAS has run, and Windows, which has no fork), or when one worker would
-    do, the scenarios run serially in this process.  An exception that is a
-    bug propagates out of run() from a worker as it does from the serial
-    loop."""
-    seeds = [seed_override] * len(scenarios)
-    workers = min(parallelism, len(scenarios), os.cpu_count() or 1)
+    With ``parallelism`` > 1 the work is spread over at most
+    ``min(parallelism, os.cpu_count(), tasks)`` worker processes forked from
+    this one, so they see its modules as they are.  A HAP scenario counts
+    as one task per worker: this process sets up its scan, splits its base
+    points into one contiguous range per worker and queues the ranges ahead
+    of the other scenarios, then assembles the certificate while the
+    workers run the rest.  Each y's cells are computed as in the serial
+    scan, so the report is the same, and one HAP scenario alone can keep
+    every worker busy.  Only Linux forks; on other platforms (macOS, where
+    fork is unsafe once the system BLAS has run, and Windows, which has no
+    fork), or when one worker would do, the scenarios run serially in this
+    process.  A scenario error in either HAP step becomes that report's
+    error; an exception that is a bug propagates out of run() from a worker
+    as it does from the serial loop."""
+    haps = [s for s in scenarios if s.kind == "hap"]
+    others = [s for s in scenarios if s.kind != "hap"]
+    tasks = len(others) + len(haps) * parallelism
+    workers = min(parallelism, tasks, os.cpu_count() or 1)
     if workers > 1 and sys.platform == "linux":
         # imported here: the serial path and the CLI's start-up never pay for them
         import multiprocessing
@@ -374,9 +430,17 @@ def run(
 
         context = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-            reports = list(pool.map(_evaluate, scenarios, seeds))
+            queued_haps = [(s, *_outcome(_queue_hap, pool, s.spec, workers)) for s in haps]
+            queued = pool.map(_evaluate, others, [seed_override] * len(others))
+            reports = []
+            for scenario, job, error in queued_haps:
+                payload = None
+                if job is not None:
+                    payload, error = _outcome(_finish_hap, *job)
+                reports.append(_report(scenario, _seed(scenario, seed_override), payload, error))
+            reports.extend(queued)
     else:
-        reports = list(map(_evaluate, scenarios, seeds))
+        reports = list(map(_evaluate, scenarios, [seed_override] * len(scenarios)))
     return sorted(reports, key=lambda r: r["scenario_id"])
 
 

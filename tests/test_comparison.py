@@ -13,7 +13,7 @@ from framecert.comparison import (
     trace_bounds_check,
 )
 from framecert.frames import FrameSystem, analyze_frame, coherent_frame, span_projector
-from framecert.groups import GroupModel, compact_set, full_point_set, point_set
+from framecert.groups import GroupModel, compact_set, full_point_set, point_set, product_set
 from framecert.representations import (
     GaborRep,
     TranslationRep,
@@ -207,3 +207,23 @@ def test_density_boundary_rows_on_box():
     assert any(not row.boundary for row in report.rows)
     interior = [row.ratio for row in report.rows if not row.boundary]
     assert all(r == pytest.approx(1.0) for r in interior)
+
+
+def test_comparison_run_builds_each_chosen_product_once(monkeypatch):
+    import framecert.comparison
+
+    rep = GaborRep(8)
+    group = rep.group
+    given = coherent_frame(rep, periodized_gaussian(8), full_point_set(group))
+    reference = coherent_frame(rep, dirac_vector(8), point_set(group, [(k, 0) for k in range(8)]))
+    scenario = _scenario(given, reference, epsilon=0.5, k_radii=(0, 1), l_radii=(0, 1, 2, 3, 4))
+    built = []
+
+    def counting(K, L):
+        built.append((K, L))
+        return product_set(K, L)
+
+    monkeypatch.setattr(framecert.comparison, "product_set", counting)
+    certs = comparison_run(scenario)
+    assert len(certs) == 2 * group.order
+    assert built == [(K, scenario.hap_choice.chosen_L) for K in scenario.K_family]

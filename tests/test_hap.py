@@ -1,3 +1,7 @@
+import multiprocessing
+import sys
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -17,9 +21,12 @@ from framecert.hap import (
     HapCell,
     HapScenario,
     NoAdmissibleL,
+    certify,
     find_L,
     hap_error,
     local_subspace,
+    prepare_scan,
+    scan_errors,
     theoretical_tail_bound,
 )
 from framecert.representations import (
@@ -342,3 +349,67 @@ def test_find_L_builds_one_projector_per_y_and_distinct_kl_set(monkeypatch):
     # 15 (K, L) pairs share 5 K.L sets: balls of radius 0..3 and the carrier.
     assert len(distinct) == 5
     assert len(builds) == group.order * len(distinct) == 320
+
+
+def _box_scenario():
+    """The box-group scenario of the boundary test above: every source of
+    boundary cells occurs, so slice edges cut through boundary rows."""
+    rep = _RollRep(3)
+    group = rep.group
+    frame = coherent_frame(rep, _random_vector(rep.dim, 5), full_point_set(group))
+    analysis = analyze_frame(frame)
+    return HapScenario(
+        frame=frame,
+        duals=analysis.canonical_dual,
+        lower_bound=analysis.A,
+        f=_random_vector(rep.dim, 6),
+        epsilon=10.0,
+        U=group.ball(1),
+        K_family=[group.ball(0), group.ball(1)],
+        L_family=[group.ball(r) for r in range(4)],
+        k_labels=[0, 1],
+        l_labels=[0, 1, 2, 3],
+    )
+
+
+def _gabor_scenario():
+    frame, analysis = gabor_gauss(8)
+    return ball_scenario(frame, analysis, _random_vector(8, 3), epsilon=2.0)
+
+
+def _sliced_certificate(scenario, slices, mapper):
+    """find_L's certificate with the base points scanned in ``slices``
+    contiguous ranges through ``mapper`` (map's signature)."""
+    scan = prepare_scan(scenario)
+    ranges = np.array_split(np.arange(scan.group.order), slices)
+    pieces = mapper(
+        scan_errors, [scan] * slices, [int(r[0]) for r in ranges], [int(r[-1]) + 1 for r in ranges]
+    )
+    return certify(scenario, scan, list(pieces))
+
+
+SPLIT_SCENARIOS = {"gabor-z8": _gabor_scenario, "box": _box_scenario}
+
+
+@pytest.mark.parametrize("make", SPLIT_SCENARIOS.values(), ids=SPLIT_SCENARIOS.keys())
+@pytest.mark.parametrize("slices", [1, 2, 3])
+def test_sliced_scan_equals_serial_find_L(make, slices):
+    scenario = make()
+    serial = find_L(scenario)
+    sliced = _sliced_certificate(scenario, slices, map)
+    assert sliced.table == serial.table  # floats compared with ==
+    assert sliced.candidates == serial.candidates
+    assert sliced.worst_error == serial.worst_error
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the runner forks only on Linux")
+@pytest.mark.parametrize("make", SPLIT_SCENARIOS.values(), ids=SPLIT_SCENARIOS.keys())
+def test_sliced_scan_through_a_fork_pool_equals_serial_find_L(make):
+    scenario = make()
+    serial = find_L(scenario)
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(max_workers=2, mp_context=context) as pool:
+        for slices in (1, 2, 3):
+            sliced = _sliced_certificate(scenario, slices, pool.map)
+            assert sliced.table == serial.table
+            assert sliced.candidates == serial.candidates

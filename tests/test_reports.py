@@ -132,3 +132,35 @@ def test_cli_runs_the_largest_seed(tmp_path):
     reports = json.loads(out.read_text())
     assert [r["seed"] for r in reports] == [2**64 - 1] * 2
     assert all(r["error"] is None and r["ok"] for r in reports)
+
+
+@pytest.mark.parametrize("parallel", ["0", "-3"])
+def test_cli_rejects_a_non_positive_parallel(parallel, capsys):
+    assert main(["suite", "--scenarios", str(SUITE), "--parallel", parallel]) == 1
+    assert "--parallel" in capsys.readouterr().err
+
+
+def test_cli_runs_at_parallel_one(tmp_path):
+    out = tmp_path / "out.json"
+    args = ["frame-bounds", "--scenarios", str(SUITE), "--parallel", "1", "--out", str(out)]
+    assert main(args) == 0
+    assert all(r["ok"] for r in json.loads(out.read_text()))
+
+
+def _cli_hashes(tmp_path, command, scenarios) -> dict:
+    out = tmp_path / f"{command}.json"
+    args = [command, "--scenarios", str(scenarios), "--parallel", "2", "--out", str(out)]
+    assert main(args) == 0
+    return {r["scenario_id"]: r["determinism_sha256"] for r in json.loads(out.read_text())}
+
+
+def test_cli_at_parallel_two_keeps_the_pinned_hashes(tmp_path, monkeypatch):
+    # Two CPUs, so the split HAP scan runs in the pool on any host.
+    monkeypatch.setattr(runner.os, "cpu_count", lambda: 2)
+    pinned = json.loads(PINNED_HASHES.read_text(encoding="utf-8"))
+    z16 = "hap-gabor-z16-gauss-dirac01"
+    alone = tmp_path / "z16.json"
+    alone.write_text(json.dumps(
+        [s for s in json.loads(SUITE.read_text(encoding="utf-8")) if s["id"] == z16]))
+    assert _cli_hashes(tmp_path, "hap", alone) == {z16: pinned[z16]}
+    assert _cli_hashes(tmp_path, "suite", SUITE) == pinned

@@ -238,3 +238,77 @@ def test_filtered_frame_reports_hash_their_own_content(tmp_path, command):
     assert len(reports) == 4
     for report in reports:
         assert determinism_sha256(report) == report["determinism_sha256"]
+
+
+def _hap_spec(sid, **changes):
+    spec = {"id": sid, "kind": "hap",
+            "frame": {"rep": {"kind": "gabor", "n": 8}, "window": "gauss", "points": "full"},
+            "f": "dirac0", "epsilon": 0.2, "u_radius": 1, "k_radii": [0, 1],
+            "l_radii": [0, 1, 2]}
+    spec.update(changes)
+    return spec
+
+
+def _hap_file(tmp_path, specs) -> str:
+    path = tmp_path / "hap.json"
+    path.write_text(json.dumps(specs))
+    return str(path)
+
+
+def _without_timestamp(report):
+    return {k: v for k, v in report.items() if k != "timestamp"}
+
+
+def test_one_hap_scenario_is_split_over_the_pool(tmp_path, monkeypatch):
+    import concurrent.futures
+
+    seen = {}
+    real_pool = concurrent.futures.ProcessPoolExecutor
+
+    class RecordingPool(real_pool):
+        def __init__(self, max_workers=None, **kwargs):
+            seen["max_workers"] = max_workers
+            super().__init__(max_workers, **kwargs)
+
+        def map(self, fn, *iterables, **kwargs):
+            iterables = [list(it) for it in iterables]
+            seen.setdefault("tasks", []).append((fn.__name__, len(iterables[0])))
+            return super().map(fn, *iterables, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    scenarios = load_scenarios(_hap_file(tmp_path, [_hap_spec("z8")]))
+    [pooled] = run(scenarios, parallelism=2)
+    monkeypatch.undo()
+    assert seen["max_workers"] == 2
+    assert seen["tasks"][0] == ("scan_errors", 2)  # the y-slices, queued first
+    [serial] = run(scenarios)
+    assert pooled["error"] is None and pooled["ok"]
+    assert _without_timestamp(pooled) == _without_timestamp(serial)
+
+
+def test_hap_scenario_errors_stay_in_their_report_across_the_pool(tmp_path, monkeypatch):
+    specs = [
+        _hap_spec("good"),
+        _hap_spec("no-admissible-L", epsilon=0.01, l_radii=[0]),
+        _hap_spec("not-a-frame", frame={"rep": {"kind": "gabor", "n": 4}, "window": "flat",
+                                        "points": {"lattice": {"steps": [1, 4]}}}),
+    ]
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    good, no_l, not_a_frame = run(load_scenarios(_hap_file(tmp_path, specs)), parallelism=2)
+    assert good["error"] is None and good["ok"]
+    assert no_l["error"]["type"] == "NoAdmissibleL" and not no_l["ok"]
+    assert not_a_frame["error"]["type"] == "NotAFrame" and not not_a_frame["ok"]
+    assert "certificate" not in no_l and "certificate" not in not_a_frame
+
+
+def _buggy_slice(scan, start, stop):
+    raise TypeError("a bug in the slice, not a scenario failure")
+
+
+def test_programming_errors_in_a_hap_slice_escape_run(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(runner, "scan_errors", _buggy_slice)
+    scenarios = load_scenarios(_hap_file(tmp_path, [_hap_spec("z8")]))
+    with pytest.raises(TypeError, match="a bug in the slice"):
+        run(scenarios, parallelism=2)
