@@ -1,7 +1,8 @@
 """Command line interface: per-kind scenario runs and the full suite.
 
-Exit codes: 0 = ran, 1 = usage or parse/validation error, 2 = at least one
-certificate failed and --strict was given.
+Exit codes: 0 = ran, 1 = usage, parse/validation or file error (a scenario
+file that cannot be read, an output file that cannot be written), 2 = at
+least one certificate failed and --strict was given.
 """
 
 from __future__ import annotations
@@ -35,6 +36,11 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _fail(exc: Exception) -> int:
+    print(f"framecert: error: {exc}", file=sys.stderr)
+    return 1
 
 
 def _filter_checks(report: dict, names: set[str]) -> dict:
@@ -75,12 +81,8 @@ def main(argv=None) -> int:
     kind_filter, check_filter = _SUBCOMMANDS[args.command]
     try:
         scenarios = load_scenarios(args.scenarios)
-    except FileNotFoundError as exc:
-        print(f"framecert: error: {exc}", file=sys.stderr)
-        return 1
-    except (ParseError, ValidationError) as exc:
-        print(f"framecert: error: {exc}", file=sys.stderr)
-        return 1
+    except (OSError, ParseError, ValidationError) as exc:
+        return _fail(exc)
     if kind_filter is not None:
         scenarios = [s for s in scenarios if s.kind == kind_filter]
     reports = run(scenarios, parallelism=args.parallel, seed_override=args.seed)
@@ -98,7 +100,10 @@ def main(argv=None) -> int:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             return 0
     else:
-        Path(args.out).write_bytes(payload)
+        try:
+            Path(args.out).write_bytes(payload)
+        except OSError as exc:
+            return _fail(exc)
     if args.strict and any(not r["ok"] for r in reports):
         return 2
     return 0

@@ -16,7 +16,9 @@ a coordinate array of shape ``(..., rank)``; the cyclic wrap and the box
 escape rule live only in ``GroupModel._reduce``.  Hot paths (balls,
 translates, product sets, window scans) work on position arrays and shift
 the whole carrier by one set member at a time, so no |G| x |G| table is ever
-built and temporaries stay O(|G|).  Elements as Python values -- plain ints
+built and temporaries stay O(|G|).  ``multiply_masked`` translates position
+arrays axis by axis on 1-D arrays, through per-axis tables of O(extent)
+entries read off ``_reduce``.  Elements as Python values -- plain ints
 for rank-1 groups, tuples of ints otherwise -- appear only at the I/O
 boundary: parsing scenarios and writing report rows.
 
@@ -82,6 +84,23 @@ class GroupModel:
         self.haar = np.ones(len(self.carrier))
         self.identity: Element = 0 if self.rank == 1 else (0,) * self.rank
         self._balls: dict[int, CompactSet] = {}
+        self._axes = tuple(self._axis(i, extent) for i, extent in enumerate(extents))
+
+    def _axis(self, i: int, extent: int):
+        """Translate tables of axis ``i``: the axis digit (coordinate minus its
+        lowest value) of every carrier position, and for each sum of two digits
+        the product's share of the position and whether the product stays in
+        the carrier on this axis (None on cyclic groups, where it always does).
+
+        The tables are read off ``_reduce``, so the wrap and the escape rule
+        are not restated here.
+        """
+        digits = self.coords[:, i] - self._low[i]
+        sums = np.zeros((2 * extent - 1, self.rank), dtype=np.int64)
+        sums[:, i] = np.arange(2 * extent - 1) + 2 * self._low[i]
+        reduced, inside = self._reduce(sums)
+        share = (reduced[:, i] - self._low[i]) * self._strides[i]
+        return digits, share, inside
 
     @classmethod
     def cyclic(cls, moduli: Sequence[int]) -> "GroupModel":
@@ -200,8 +219,11 @@ class GroupModel:
         return int(distance) if element else distance
 
     def _position(self, coords: np.ndarray) -> np.ndarray:
-        """Mixed-radix positions of carrier coordinates (..., rank)."""
-        return (coords - self._low) @ self._strides
+        """Mixed-radix positions of carrier coordinates (..., rank), summed axis by axis."""
+        position = (coords[..., 0] - self._low[0]) * self._strides[0]
+        for i in range(1, self.rank):
+            position += (coords[..., i] - self._low[i]) * self._strides[i]
+        return position
 
     def index(self, x):
         """Carrier position of an element, or positions of a coordinate array."""
@@ -218,17 +240,25 @@ class GroupModel:
 
     def multiply(self, p, q) -> np.ndarray:
         """Positions of x_p . x_q for position arrays (broadcast); raises on a box escape."""
-        return self._position(self.compose(self.coords[p], self.coords[q]))
+        # compose gives one product as an element (an int or a tuple), hence atleast_1d
+        return self._position(np.atleast_1d(self.compose(self.coords[p], self.coords[q])))
 
     def multiply_masked(self, p, q) -> tuple[np.ndarray, np.ndarray]:
         """Positions of x_p . x_q and the mask of products inside the carrier.
 
-        Escaped products (box kind only) get position 0; callers use the mask.
+        Computed axis by axis on 1-D arrays: the two digits are added and the
+        sum is looked up in the axis's translate tables.  Escaped products
+        (box kind only) get position 0; callers use the mask.
         """
-        coords, inside = self._reduce(self.coords[p] + self.coords[q])
+        position, inside = 0, None
+        for digits, share, kept in self._axes:
+            digit_sum = digits[p] + digits[q]
+            position += share[digit_sum]
+            if kept is not None:
+                inside = kept[digit_sum] if inside is None else inside & kept[digit_sum]
         if inside is None:
-            return self._position(coords), np.ones(coords.shape[:-1], dtype=bool)
-        return np.where(inside, self._position(coords), 0), inside
+            return position, np.ones(np.shape(position), dtype=bool)
+        return np.where(inside, position, 0), inside
 
     # -- derived structure ---------------------------------------------------
 

@@ -1,23 +1,28 @@
 """Batch scenario execution and canonical report serialization.
 
-Reports are plain dicts whose floats are normalized to 12 significant digits
-at assembly time, so emitting canonical JSON and parsing it back reproduces
-the in-memory report exactly.  Each report carries a determinism hash over
-its canonical JSON with the timestamp removed; two runs with the same
-scenario file and seeds must agree hash-for-hash regardless of parallelism.
+Reports are dicts built in canonical form (floats at 12 significant digits,
+lists, plain Python scalars) as they are assembled, so emitting canonical
+JSON and parsing it back reproduces the in-memory report exactly.  Each
+report carries a determinism hash over its canonical JSON with the
+timestamp removed; two runs with the same scenario file and seeds must
+agree hash-for-hash regardless of parallelism.  Sealing a report encodes it
+once: the hash is taken over that encoding, and the sealed report (a dict)
+keeps the full text, which emit() writes as it stands.
 Scenarios are independent, and so are a HAP scan's base points, so on Linux
 run() spreads them over forked worker processes when asked for more than
 one: each HAP scan is set up here, its base points are split into one range
 per worker and queued first, and its certificate is assembled here while
-the workers run the other scenarios.  Each report is canonicalized once, in
-the process that assembled it, and emit() writes it as it stands.
+the workers run the other scenarios.  Each report is built and encoded once,
+in the process that assembled it, and its text crosses the pool with it.
 Individual scenario failures (a system that is not a frame, a malformed
 candidate family, an escaping carrier) are captured in the report's "error"
 field and never abort the batch; any other exception is a bug and aborts it.
 
 Report rows are generated from the certificate dataclasses (HapCell,
 ComparisonCertificate, DensityRow, ...): every field becomes a key, renamed
-where _REPORT_NAMES says so.
+where _REPORT_NAMES says so, and every value is canonicalized as it is read.
+canonical_json() and determinism_sha256() canonicalize arbitrary input from
+scratch and stay the slow reference for the sealed text.
 """
 
 from __future__ import annotations
@@ -110,14 +115,10 @@ def canonical_json(obj) -> str:
     return _dumps(_canon(obj))
 
 
-def _sha256(canonical: dict) -> str:
-    """determinism_sha256 of a report already in canonical form."""
-    stripped = {k: v for k, v in canonical.items() if k not in _VOLATILE_KEYS}
-    return hashlib.sha256(_dumps(stripped).encode("utf-8")).hexdigest()
-
-
 def determinism_sha256(report: dict) -> str:
-    return _sha256(_canon(report))
+    """SHA-256 of the report's canonical JSON without its volatile entries."""
+    stripped = {k: v for k, v in _canon(report).items() if k not in _VOLATILE_KEYS}
+    return hashlib.sha256(_dumps(stripped).encode("utf-8")).hexdigest()
 
 
 # Report keys that differ from the certificate dataclasses' field names.
@@ -140,10 +141,14 @@ def _row_keys(cls) -> tuple[tuple[str, str], ...]:
 
 
 def _row(certificate, **extra) -> dict:
-    """A report row: the certificate's dataclass fields under their report
-    names, then ``extra``."""
-    row = {key: getattr(certificate, name) for name, key in _row_keys(type(certificate))}
-    row.update(extra)
+    """A canonical report row: the certificate's dataclass fields under their
+    report names, then ``extra``, each value canonicalized as it is read."""
+    row = {}
+    for name, key in _row_keys(type(certificate)):
+        value = getattr(certificate, name)
+        row[key] = value if type(value) in _AS_IS else _canon(value)
+    if extra:
+        row.update(_canon(extra))
     return row
 
 
@@ -158,12 +163,45 @@ def _summary(rows: list[dict], passes: int) -> dict:
     }
 
 
-def _seal(report: dict) -> dict:
-    """The finished report: ``ok`` set, canonicalized, and hashed."""
+class _Sealed(dict):
+    """A finished report and, in ``json``, its canonical JSON as UTF-8 bytes.
+
+    The text is encoded once, when the report is sealed, and emit() writes
+    it as it stands; a sealed report is final, so changing it afterwards
+    does not change its text.
+    """
+
+    __slots__ = ("json",)
+
+
+def _object_bytes(entries: dict[str, bytes]) -> bytes:
+    """A JSON object from its encoded ``"key":value`` entries, keys sorted as
+    _dumps sorts them."""
+    return b"{" + b",".join(entries[key] for key in sorted(entries)) + b"}"
+
+
+def _entry(key: str, value) -> bytes:
+    return f"{_dumps(key)}:{_dumps(value)}".encode("utf-8")
+
+
+def _seal(report: dict) -> _Sealed:
+    """The finished report: ``ok`` set, hashed, and encoded.
+
+    Every value in ``report`` must already be canonical (rows from _row,
+    hand-built dicts through _canon).  Each entry is encoded once: the
+    non-volatile entries make up the hashed text, and the full text adds
+    the timestamp and the hash to them.
+    """
     report["ok"] = report["error"] is None and report["summary"]["fail_total"] == 0
-    report = _canon(report)
-    report["determinism_sha256"] = _sha256(report)
-    return report
+    sealed = _Sealed(report)
+    entries = {key: _entry(key, value) for key, value in sealed.items()
+               if key not in _VOLATILE_KEYS}
+    sealed["determinism_sha256"] = hashlib.sha256(_object_bytes(entries)).hexdigest()
+    for key in _VOLATILE_KEYS:
+        if key in sealed:
+            entries[key] = _entry(key, sealed[key])
+    sealed.json = _object_bytes(entries)
+    return sealed
 
 
 def _run_sampling_bound(spec: dict, seed: int) -> dict:
@@ -206,12 +244,12 @@ def _run_frame_analysis(spec: dict, seed: int) -> dict:
     dual_check = verify_dual(frame, analysis.canonical_dual)
     bessel = bessel_bound_check(analysis.canonical_dual, analysis.A)
     checks = [
-        {"check": "frame_bounds", "A": analysis.A, "B": analysis.B, "ok": True},
-        {"check": "frame_inequality", "trials": 20, "max_rel_violation": worst_rel,
-         "ok": worst_rel <= 1e-9},
+        _canon({"check": "frame_bounds", "A": analysis.A, "B": analysis.B, "ok": True}),
+        _canon({"check": "frame_inequality", "trials": 20, "max_rel_violation": worst_rel,
+                "ok": worst_rel <= 1e-9}),
         _row(dual_check, check="dual_reconstruction"),
         _row(bessel, check="bessel_dual"),
-        {"check": "separation_constant", "u_radius": u_radius, "C0": c0, "ok": True},
+        _canon({"check": "separation_constant", "u_radius": u_radius, "C0": c0, "ok": True}),
     ]
     return {
         "checks": checks,
@@ -248,11 +286,13 @@ def _hap_scenario(spec: dict) -> HapScenario:
 
 def _hap_payload(cert: HapCertificate) -> dict:
     table = [_row(cell) for cell in cert.table]
-    chosen_rows = [row for row in table if row["L_radius"] == cert.chosen_l_label]
+    # Pass counts compare the unrounded errors with epsilon.
+    chosen = [(cell, row) for cell, row in zip(cert.table, table)
+              if cell.l_label == cert.chosen_l_label]
     passed = sum(
-        1 for row in chosen_rows if not row["boundary"] and row["error"] < cert.epsilon
+        1 for cell, _ in chosen if not cell.boundary and cell.error < cert.epsilon
     )
-    certificate = {
+    certificate = _canon({
         "chosen_L_radius": cert.chosen_l_label,
         "worst_error": cert.worst_error,
         "epsilon": cert.epsilon,
@@ -260,12 +300,12 @@ def _hap_payload(cert: HapCertificate) -> dict:
         "C0": cert.separation,
         "dual": cert.dual_label,
         "eq42_convention": TAIL_INTEGRAND_CONVENTION,
-        "candidates": [_row(cand) for cand in cert.candidates],
-        "table": table,
-    }
+    })
+    certificate["candidates"] = [_row(cand) for cand in cert.candidates]
+    certificate["table"] = table
     return {
         "certificate": certificate,
-        "summary": _summary(chosen_rows, passed),
+        "summary": _summary([row for _, row in chosen], passed),
     }
 
 
@@ -297,11 +337,11 @@ def _run_comparison(spec: dict, seed: int) -> dict:
     hap = scenario.hap_choice
     rows = [_row(cert, ok=cert.ok) for cert in certificates]
     return {
-        "hap_precondition": {
+        "hap_precondition": _canon({
             "chosen_L_radius": hap.chosen_l_label,
             "worst_error": hap.worst_error,
             "threshold": hap.epsilon,
-        },
+        }),
         "certificates": rows,
         "summary": _summary(rows, sum(1 for row in rows if row["ok"])),
     }
@@ -359,15 +399,15 @@ def _outcome(compute, *args) -> tuple[object, dict | None]:
 
 
 def _report(scenario: Scenario, seed: int, payload: dict | None, error: dict | None) -> dict:
-    report = {
+    report = _canon({
         "scenario_id": scenario.id,
         "kind": scenario.kind,
         "version": __version__,
         "seed": seed,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "error": error,
-        **(payload or {"summary": _summary([], 0)}),
-    }
+    })
+    report.update(payload or {"summary": _summary([], 0)})
     return _seal(report)
 
 
@@ -512,12 +552,14 @@ def _emit_text(reports: list[dict]) -> str:
 def emit(reports: list[dict], format: str = "json") -> bytes:
     """Serialize reports: canonical JSON, flattened CSV, or a text summary.
 
-    The reports must already be canonical, as run() returns them (and as
-    cli's check filter leaves them): JSON output writes them as they are,
-    without a second canonicalizing pass.  Use canonical_json() for
-    arbitrary input."""
+    JSON output joins the texts that sealed reports carry, as run() and
+    cli's check filter return them, without encoding them again; a plain
+    dict is encoded as it stands, without canonicalizing it.  Use
+    canonical_json() for arbitrary input."""
     if format == "json":
-        return _dumps(reports).encode("utf-8")
+        texts = (r.json if isinstance(r, _Sealed) else _dumps(r).encode("utf-8")
+                 for r in reports)
+        return b"[" + b",".join(texts) + b"]"
     if format == "csv":
         return _emit_csv(reports).encode("utf-8")
     if format == "text":

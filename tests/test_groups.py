@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from framecert.groups import (
     CompactSet,
@@ -377,3 +378,49 @@ def test_compact_set_constructor_needs_sorted_distinct_positions(z8):
     for bad in ([2, 0], [0, 2, 2], [-1, 3], [3, 8], [[0, 1]]):
         with pytest.raises(ValueError):
             CompactSet(z8, bad)
+
+
+# -- per-axis translates against the coordinate law ---------------------------
+
+
+@st.composite
+def _broadcast_positions(draw):
+    """A group and two position operands of mutually broadcastable shapes;
+    a 0-d operand is sometimes a plain int."""
+    group, _ = draw(_groups())
+    shapes = draw(hnp.mutually_broadcastable_shapes(num_shapes=2, max_dims=3, max_side=4))
+    elements = st.integers(0, group.order - 1)
+
+    def operand(shape):
+        if shape == () and draw(st.booleans()):
+            return draw(elements)
+        return draw(hnp.arrays(np.int64, shape, elements=elements))
+
+    p, q = (operand(shape) for shape in shapes.input_shapes)
+    return group, p, q, shapes.result_shape
+
+
+@_PROPERTY_SETTINGS
+@given(_broadcast_positions())
+def test_multiply_masked_matches_compose_and_index(case):
+    group, p, q, shape = case
+    expected = np.zeros(shape, dtype=np.int64)
+    expected_inside = np.ones(shape, dtype=bool)
+    pairs = zip(np.broadcast_to(p, shape).ravel().tolist(),
+                np.broadcast_to(q, shape).ravel().tolist())
+    for k, (i, j) in enumerate(pairs):
+        try:
+            expected.flat[k] = group.index(group.compose(group.carrier[i], group.carrier[j]))
+        except OutOfCarrier:  # escaped box products: position 0, masked out
+            expected_inside.flat[k] = False
+
+    positions, inside = group.multiply_masked(p, q)
+    assert np.shape(positions) == shape and np.shape(inside) == shape
+    assert np.asarray(positions).dtype == np.int64 and np.asarray(inside).dtype == bool
+    assert np.array_equal(positions, expected)
+    assert np.array_equal(inside, expected_inside)
+    if expected_inside.all():
+        assert np.array_equal(group.multiply(p, q), expected)
+    else:
+        with pytest.raises(OutOfCarrier):
+            group.multiply(p, q)

@@ -164,3 +164,18 @@ def test_cli_at_parallel_two_keeps_the_pinned_hashes(tmp_path, monkeypatch):
         [s for s in json.loads(SUITE.read_text(encoding="utf-8")) if s["id"] == z16]))
     assert _cli_hashes(tmp_path, "hap", alone) == {z16: pinned[z16]}
     assert _cli_hashes(tmp_path, "suite", SUITE) == pinned
+
+
+def test_cli_reports_an_unwritable_output_file(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    assert main(["density", "--scenarios", str(SUITE), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("framecert: error: ") and err.count("\n") == 1
+    assert "No such file or directory" in err and not out.exists()
+
+
+def test_cli_reports_a_directory_given_as_scenario_file(capsys):
+    assert main(["density", "--scenarios", str(SUITE.parent)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("framecert: error: ") and err.count("\n") == 1
+    assert "Is a directory" in err

@@ -312,3 +312,68 @@ def test_programming_errors_in_a_hap_slice_escape_run(tmp_path, monkeypatch):
     scenarios = load_scenarios(_hap_file(tmp_path, [_hap_spec("z8")]))
     with pytest.raises(TypeError, match="a bug in the slice"):
         run(scenarios, parallelism=2)
+
+
+# -- one encoding per report ---------------------------------------------------
+
+_GAUSS_Z6 = {"rep": {"kind": "gabor", "n": 6}, "window": "gauss", "points": "full"}
+
+# Every kind, both error kinds the runner captures most often, box-group
+# density with boundary rows (whole-carrier and sampled base points), a
+# tensor representation and the dual_of_given convention.
+_EDGE_SCENARIOS = [
+    {"id": "box-density", "kind": "density", "group": {"kind": "box", "halfwidths": [3, 2]},
+     "points": [[0, 0], [1, -1], [3, 2], [-2, 1], [1, -1]], "k_radii": [0, 1, 2]},
+    {"id": "box-density-sample", "kind": "density", "group": {"kind": "box", "halfwidths": [4]},
+     "points": [0, 1, 1, -3], "k_radii": [1], "y_sample": [0, 3, 4, 7]},
+    {"id": "cyclic-sampling", "kind": "sampling_bound",
+     "group": {"kind": "cyclic", "moduli": [5, 3]}, "trials": 4, "max_radius": 1, "seed": 9},
+    {"id": "box-sampling", "kind": "sampling_bound", "group": {"kind": "box", "halfwidths": [2]},
+     "trials": 3, "max_radius": 1, "seed": 5},
+    {"id": "not-a-frame", "kind": "frame_analysis",
+     "frame": {"rep": {"kind": "gabor", "n": 4}, "window": "flat",
+               "points": {"lattice": {"steps": [1, 4]}}}},
+    {"id": "tensor-frame", "kind": "frame_analysis", "u_radius": 1, "seed": 3,
+     "frame": {"rep": {"kind": "tensor", "factors": [{"kind": "translation", "n": 2},
+                                                     {"kind": "gabor", "n": 3}]},
+               "window": "gauss", "points": "full"}},
+    {"id": "hap-z6", "kind": "hap", "frame": _GAUSS_Z6, "f": "dirac0", "epsilon": 0.2,
+     "u_radius": 1, "k_radii": [0, 1], "l_radii": [0, 1, 2]},
+    {"id": "no-admissible-L", "kind": "hap", "frame": _GAUSS_Z6, "f": "dirac0",
+     "epsilon": 0.01, "u_radius": 1, "k_radii": [0, 1], "l_radii": [0]},
+    {"id": "compare-dual", "kind": "comparison",
+     "frame": {"rep": {"kind": "gabor", "n": 4},
+               "window": {"sum": ["gauss", [[0.1, 0], [0, 0.1], [0, 0], [0.05, 0.05]]]},
+               "points": "full"},
+     "reference": {"window": "dirac0", "points": {"lattice": {"steps": [1, 4]}}},
+     "epsilon": 0.5, "u_radius": 1, "k_radii": [0, 1], "l_radii": [0, 1, 2],
+     "b_convention": "dual_of_given"},
+]
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_each_report_is_encoded_once_as_canonical_json(tmp_path, monkeypatch, parallelism):
+    from framecert.cli import _BOUNDS_CHECKS, _DUAL_CHECKS, _filter_checks
+    from framecert.scenarios import KINDS
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # the pool path at parallelism 2
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(_EDGE_SCENARIOS))
+    reports = run(load_scenarios(path), parallelism=parallelism)
+    frames = [r for r in reports if r["kind"] == "frame_analysis"]
+    reports += [_filter_checks(r, names) for r in frames for names in (_BOUNDS_CHECKS, _DUAL_CHECKS)]
+
+    assert {r["kind"] for r in reports} == set(KINDS)
+    errors = {r["error"]["type"] for r in reports if r["error"] is not None}
+    assert {"NotAFrame", "NoAdmissibleL", "OutOfCarrier"} <= errors
+    assert any(row["boundary"] for r in reports if r["kind"] == "density" for row in r["table"])
+    assert all(isinstance(r, runner._Sealed) for r in reports)  # each carries its text
+
+    encoded = emit(reports, "json")
+    assert encoded == canonical_json(reports).encode("utf-8")
+    assert json.loads(encoded) == reports  # lists, not tuples; floats that round-trip
+    for report in reports:
+        assert report["determinism_sha256"] == determinism_sha256(report)
+    mixed = [reports[0], {"plain": [1, 0.5]}, dict(reports[1]), reports[2]]
+    assert emit(mixed, "json") == runner._dumps(mixed).encode("utf-8")
+    assert emit([], "json") == b"[]"
