@@ -174,14 +174,16 @@ class _Sealed(dict):
     __slots__ = ("json",)
 
 
-def _object_bytes(entries: dict[str, bytes]) -> bytes:
-    """A JSON object from its encoded ``"key":value`` entries, keys sorted as
-    _dumps sorts them."""
-    return b"{" + b",".join(entries[key] for key in sorted(entries)) + b"}"
-
-
-def _entry(key: str, value) -> bytes:
-    return f"{_dumps(key)}:{_dumps(value)}".encode("utf-8")
+def _object_parts(entries: dict[str, bytes]) -> list[bytes]:
+    """The pieces of a JSON object whose values are already encoded, keys
+    sorted as _dumps sorts them; joined, they are the object's text."""
+    parts = [b"{"]
+    for key in sorted(entries):
+        if len(parts) > 1:
+            parts.append(b",")
+        parts += (_dumps(key).encode("utf-8"), b":", entries[key])
+    parts.append(b"}")
+    return parts
 
 
 def _seal(report: dict) -> _Sealed:
@@ -189,18 +191,22 @@ def _seal(report: dict) -> _Sealed:
 
     Every value in ``report`` must already be canonical (rows from _row,
     hand-built dicts through _canon).  Each entry is encoded once: the
-    non-volatile entries make up the hashed text, and the full text adds
-    the timestamp and the hash to them.
+    non-volatile entries are hashed piece by piece, so the hashed text is
+    never joined into a copy of its own, and the full text adds the
+    timestamp and the hash to them.
     """
     report["ok"] = report["error"] is None and report["summary"]["fail_total"] == 0
     sealed = _Sealed(report)
-    entries = {key: _entry(key, value) for key, value in sealed.items()
+    entries = {key: _dumps(value).encode("utf-8") for key, value in sealed.items()
                if key not in _VOLATILE_KEYS}
-    sealed["determinism_sha256"] = hashlib.sha256(_object_bytes(entries)).hexdigest()
+    digest = hashlib.sha256()
+    for part in _object_parts(entries):
+        digest.update(part)
+    sealed["determinism_sha256"] = digest.hexdigest()
     for key in _VOLATILE_KEYS:
         if key in sealed:
-            entries[key] = _entry(key, sealed[key])
-    sealed.json = _object_bytes(entries)
+            entries[key] = _dumps(sealed[key]).encode("utf-8")
+    sealed.json = b"".join(_object_parts(entries))
     return sealed
 
 
@@ -559,7 +565,8 @@ def emit(reports: list[dict], format: str = "json") -> bytes:
     if format == "json":
         texts = (r.json if isinstance(r, _Sealed) else _dumps(r).encode("utf-8")
                  for r in reports)
-        return b"[" + b",".join(texts) + b"]"
+        # b"[" + joined + b"]" with one copy of the joined texts, not two
+        return b",".join(texts).join((b"[", b"]"))
     if format == "csv":
         return _emit_csv(reports).encode("utf-8")
     if format == "text":
