@@ -37,7 +37,6 @@ from framecert.representations import (
     Representation,
     TensorRep,
     TranslationRep,
-    VoiceTransform,
     ZeroResult,
     ZeroWindow,
     apply_rep,

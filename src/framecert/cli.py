@@ -45,8 +45,7 @@ def _fail(exc: Exception) -> int:
 
 def _filter_checks(report: dict, names: set[str]) -> dict:
     checks = [c for c in report.get("checks", []) if c["check"] in names]
-    summary = _summary(checks, sum(1 for c in checks if c["ok"]))
-    return _seal({**report, "checks": checks, "summary": summary})
+    return _seal({**report, "checks": checks, "summary": _summary(checks, "ok")})
 
 
 def build_parser() -> argparse.ArgumentParser:

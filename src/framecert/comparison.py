@@ -40,7 +40,7 @@ from framecert.groups import (
     translate_set,
     window_reduce,
 )
-from framecert.hap import HapCertificate, HapScenario, NoAdmissibleL, find_L
+from framecert.hap import HapCertificate, HapScenario, NoAdmissibleL, find_L, local_subspace
 
 _REL_SLACK = 1e-9
 
@@ -235,7 +235,6 @@ def comparison_certificate(
             k_label = scenario.k_labels[scenario.K_family.index(K)]
         except ValueError:
             k_label = None
-    dim = scenario.given.rep.dim
     cell = dict(y=y, k_label=k_label, l_label=l_label, epsilon=scenario.epsilon,
                 b_used=scenario.b_used, b_provenance=scenario.b_provenance,
                 b_alternative=scenario.b_alternative)
@@ -243,18 +242,15 @@ def comparison_certificate(
     if kl is None:
         return ComparisonCertificate(**cell)
     try:
-        ykl = translate_set(y, kl)
         yk = translate_set(y, K)
+        # The duals of the points in y.K.L, in frame-index order.
+        P = local_subspace(scenario.given_analysis.canonical_dual, scenario.given.points, y, kl)
     except OutOfCarrier:
         return ComparisonCertificate(**cell)
 
-    duals = scenario.given_analysis.canonical_dual
-    # Selections in frame-index order: the column order fixes the SVD's rounding.
-    sel_x = np.flatnonzero(ykl.indicator[scenario.given.points.positions()])
     sel_y = np.flatnonzero(yk.indicator[scenario.reference.points.positions()])
-    P = span_projector(duals[:, sel_x], dim=dim)
     ref_atoms = scenario.reference.synthesis[:, sel_y]
-    Q = span_projector(ref_atoms, dim=dim)
+    Q = span_projector(ref_atoms, dim=scenario.given.rep.dim)
     T = qpq_operator(P, Q)
 
     trace_check = trace_bounds_check(
@@ -263,7 +259,7 @@ def comparison_certificate(
         scenario.reference_analysis.A,
         scenario.reference_analysis.B,
     )
-    card_x = len(sel_x)
+    card_x = P.generators.shape[1]
     card_y = len(sel_y)
     h_sq = scenario.h_norm_sq
     b_used = scenario.b_used

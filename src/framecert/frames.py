@@ -43,9 +43,6 @@ class FrameSystem:
     def size(self) -> int:
         return self.synthesis.shape[1]
 
-    def atom(self, j: int) -> np.ndarray:
-        return self.synthesis[:, j]
-
 
 def coherent_frame(rep: Representation, window, points: PointSet) -> FrameSystem:
     if points.group is not rep.group:

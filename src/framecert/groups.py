@@ -169,7 +169,7 @@ class GroupModel:
                 raise ValueError(f"coordinate arrays need a last axis of {self.rank}")
             coords, element = x, False
         else:
-            if self.rank == 1 and isinstance(x, (int, np.integer)):
+            if isinstance(x, (int, np.integer)):
                 x_coords = (x,)
             else:
                 x_coords = tuple(x)

@@ -15,7 +15,6 @@ coefficients) is unaffected by the cocycle.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -49,6 +48,8 @@ class Representation:
     dim: int
 
     def apply(self, x, v: np.ndarray) -> np.ndarray:
+        """pi(x) applied along the last axis of ``v``, whose length is dim;
+        any leading axes are a batch, and each vector is acted on alone."""
         raise NotImplementedError
 
 
@@ -61,7 +62,7 @@ class TranslationRep(Representation):
         self.dim = int(n)
 
     def apply(self, x, v: np.ndarray) -> np.ndarray:
-        return np.roll(v, self.group.canon(x))
+        return np.roll(v, self.group.canon(x), axis=-1)
 
 
 class GaborRep(Representation):
@@ -79,7 +80,7 @@ class GaborRep(Representation):
 
     def apply(self, x, v: np.ndarray) -> np.ndarray:
         k, l = self.group.canon(x)
-        return np.exp(2j * np.pi * l * self._t / self.n) * np.roll(v, k)
+        return np.exp(2j * np.pi * l * self._t / self.n) * np.roll(v, k, axis=-1)
 
 
 class TensorRep(Representation):
@@ -102,14 +103,10 @@ class TensorRep(Representation):
 
     def apply(self, x, v: np.ndarray) -> np.ndarray:
         x1, x2 = self._split(x)
-        block = np.asarray(v).reshape(self.left.dim, self.right.dim)
-        block = np.stack(
-            [self.left.apply(x1, block[:, j]) for j in range(self.right.dim)], axis=1
-        )
-        block = np.stack(
-            [self.right.apply(x2, block[i, :]) for i in range(self.left.dim)], axis=0
-        )
-        return block.reshape(-1)
+        block = v.reshape(v.shape[:-1] + (self.left.dim, self.right.dim))
+        # The left factor acts on the columns of each (left.dim, right.dim) block.
+        block = self.left.apply(x1, block.swapaxes(-1, -2)).swapaxes(-1, -2)
+        return self.right.apply(x2, block).reshape(v.shape)
 
 
 def apply_rep(rep: Representation, x, v) -> np.ndarray:
@@ -120,15 +117,7 @@ def apply_rep(rep: Representation, x, v) -> np.ndarray:
     return rep.apply(x, v)
 
 
-@dataclass
-class VoiceTransform(GroupFunction):
-    """Samples of x -> inner(f, pi(x) g) on the whole carrier."""
-
-    source: np.ndarray
-    window: np.ndarray
-
-
-def voice_transform(rep: Representation, g, f) -> VoiceTransform:
+def voice_transform(rep: Representation, g, f) -> GroupFunction:
     """V_g f(x) = inner(f, pi(x) g) for every carrier element x."""
     g = np.asarray(g, dtype=complex)
     f = np.asarray(f, dtype=complex)
@@ -139,7 +128,7 @@ def voice_transform(rep: Representation, g, f) -> VoiceTransform:
     if np.linalg.norm(g) == 0.0:
         raise ZeroWindow("the analyzing window must be nonzero")
     values = np.array([inner(f, rep.apply(x, g)) for x in rep.group.carrier])
-    return VoiceTransform(group=rep.group, values=values, source=f.copy(), window=g.copy())
+    return GroupFunction(group=rep.group, values=values)
 
 
 def mollify_window(rep: Representation, g0, kernel: Mapping) -> np.ndarray:

@@ -51,6 +51,7 @@ from framecert.comparison import (
 from framecert.frames import (
     LengthMismatch,
     NotAFrame,
+    analysis_coefficients,
     analyze_frame,
     bessel_bound_check,
     verify_dual,
@@ -152,9 +153,11 @@ def _row(certificate, **extra) -> dict:
     return row
 
 
-def _summary(rows: list[dict], passes: int) -> dict:
-    """Counts over a report's rows; rows marked boundary neither pass nor fail."""
+def _summary(rows: list[dict], flag: str | None = None) -> dict:
+    """Counts over a report's rows: a row passes when ``row[flag]`` is true or,
+    with no flag, when it is not boundary; boundary rows neither pass nor fail."""
     boundary = sum(1 for row in rows if row.get("boundary"))
+    passes = len(rows) - boundary if flag is None else sum(1 for row in rows if row[flag])
     return {
         "cell_count": len(rows),
         "pass_total": passes,
@@ -226,7 +229,7 @@ def _run_sampling_bound(spec: dict, seed: int) -> dict:
         rows.append(_row(check, instance=t, points=size, u_radius=u_radius, k_radius=k_radius))
     return {
         "table": rows,
-        "summary": _summary(rows, sum(1 for row in rows if row["holds"])),
+        "summary": _summary(rows, "holds"),
     }
 
 
@@ -240,7 +243,7 @@ def _run_frame_analysis(spec: dict, seed: int) -> dict:
     worst_rel = 0.0
     for _ in range(20):
         f = rng.standard_normal(frame.rep.dim) + 1j * rng.standard_normal(frame.rep.dim)
-        energy = float(np.sum(np.abs(frame.synthesis.conj().T @ f) ** 2))
+        energy = float(np.sum(np.abs(analysis_coefficients(frame, f)) ** 2))
         norm_sq = float(np.linalg.norm(f) ** 2)
         worst_rel = max(
             worst_rel,
@@ -259,7 +262,7 @@ def _run_frame_analysis(spec: dict, seed: int) -> dict:
     ]
     return {
         "checks": checks,
-        "summary": _summary(checks, sum(1 for c in checks if c["ok"])),
+        "summary": _summary(checks, "ok"),
     }
 
 
@@ -292,12 +295,9 @@ def _hap_scenario(spec: dict) -> HapScenario:
 
 def _hap_payload(cert: HapCertificate) -> dict:
     table = [_row(cell) for cell in cert.table]
-    # Pass counts compare the unrounded errors with epsilon.
-    chosen = [(cell, row) for cell, row in zip(cert.table, table)
+    # certify chose this L for its worst interior error: each interior row passes.
+    chosen = [row for cell, row in zip(cert.table, table)
               if cell.l_label == cert.chosen_l_label]
-    passed = sum(
-        1 for cell, _ in chosen if not cell.boundary and cell.error < cert.epsilon
-    )
     certificate = _canon({
         "chosen_L_radius": cert.chosen_l_label,
         "worst_error": cert.worst_error,
@@ -311,7 +311,7 @@ def _hap_payload(cert: HapCertificate) -> dict:
     certificate["table"] = table
     return {
         "certificate": certificate,
-        "summary": _summary([row for _, row in chosen], passed),
+        "summary": _summary(chosen),
     }
 
 
@@ -349,7 +349,7 @@ def _run_comparison(spec: dict, seed: int) -> dict:
             "threshold": hap.epsilon,
         }),
         "certificates": rows,
-        "summary": _summary(rows, sum(1 for row in rows if row["ok"])),
+        "summary": _summary(rows, "ok"),
     }
 
 
@@ -365,7 +365,7 @@ def _run_density(spec: dict, seed: int) -> dict:
     return {
         "table": rows,
         "ratio_summary": [_row(s) for s in report.summary],
-        "summary": _summary(rows, sum(1 for row in rows if not row["boundary"])),
+        "summary": _summary(rows),
     }
 
 
@@ -413,7 +413,7 @@ def _report(scenario: Scenario, seed: int, payload: dict | None, error: dict | N
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "error": error,
     })
-    report.update(payload or {"summary": _summary([], 0)})
+    report.update(payload or {"summary": _summary([])})
     return _seal(report)
 
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -125,6 +126,23 @@ def _int_in(value, low: int, high: int | None = None) -> bool:
     )
 
 
+def _finite(value) -> bool:
+    """value is an int or float, not a bool, that a float holds finitely."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _is_element(value) -> bool:
+    """value is a group element as JSON gives it: an int or a list of ints,
+    each in the signed 64-bit range of the carrier coordinates."""
+    coords = value if isinstance(value, list) else [value]
+    return all(_int_in(c, -(2**63), 2**63) for c in coords)
+
+
 def is_seed(value) -> bool:
     """value is an unsigned 64-bit integer, as every seed must be."""
     return _int_in(value, 0, 2**64)
@@ -169,8 +187,8 @@ def _validate_scenario(item: dict, where: str) -> Scenario:
         _validate_points(item["points"], f"{where}.points")
     if "epsilon" in item:
         eps = item["epsilon"]
-        if not isinstance(eps, (int, float)) or isinstance(eps, bool) or eps <= 0:
-            _fail("epsilon", f"{where}.epsilon must be a positive number")
+        if not _finite(eps) or eps <= 0:
+            _fail("epsilon", f"{where}.epsilon must be a finite positive number")
         if kind == "comparison" and not eps < 1:
             _fail("epsilon", f"{where}.epsilon must lie in (0, 1) for comparison")
     if "u_radius" in item:
@@ -186,8 +204,8 @@ def _validate_scenario(item: dict, where: str) -> Scenario:
         _validate_radius(item["max_radius"], "max_radius", where)
     if "b_convention" in item and item["b_convention"] not in ("reference", "dual_of_given"):
         _fail("b_convention", f"{where}.b_convention must be 'reference' or 'dual_of_given'")
-    if "y_sample" in item and not isinstance(item["y_sample"], list):
-        _fail("y_sample", f"{where}.y_sample must be a list of elements")
+    if "y_sample" in item:
+        _validate_elements(item["y_sample"], "y_sample", f"{where}.y_sample")
     return Scenario(id=sid, kind=kind, seed=seed, spec=dict(item))
 
 
@@ -203,6 +221,14 @@ def _validate_radii(value, name: str, where: str) -> None:
         _fail(name, f"{where}.{name} entries must be nonnegative integers")
     if any(b <= a for a, b in zip(value, value[1:])):
         _fail(name, f"{where}.{name} must be strictly increasing")
+
+
+def _validate_elements(value, name: str, where: str) -> None:
+    # An element's rank and carrier membership are checked against the group
+    # at build time, where a mismatch stays inside its report.
+    if not isinstance(value, list) or not all(_is_element(e) for e in value):
+        _fail(name, f"{where} must be a list of elements, each an integer "
+                    "or a list of integers in the signed 64-bit range")
 
 
 def _validate_group(desc, where: str) -> None:
@@ -256,9 +282,10 @@ def _validate_vector(desc, where: str) -> None:
             if (
                 not isinstance(entry, list)
                 or len(entry) != 2
-                or any(not isinstance(c, (int, float)) or isinstance(c, bool) for c in entry)
+                or not all(_finite(c) for c in entry)
             ):
-                _fail(_leaf(where), f"{where}: inline vectors are [[re, im], ...] arrays")
+                _fail(_leaf(where),
+                      f"{where}: inline vectors are [[re, im], ...] arrays of finite numbers")
         return
     if isinstance(desc, dict) and set(desc) == {"sum"} and isinstance(desc["sum"], list):
         for k, sub in enumerate(desc["sum"]):
@@ -271,7 +298,8 @@ def _validate_points(desc, where: str) -> None:
     if desc == "full":
         return
     if isinstance(desc, list):
-        return  # element shapes are checked against the group at build time
+        _validate_elements(desc, "points", where)
+        return
     if isinstance(desc, dict) and set(desc) == {"lattice"}:
         lattice = desc["lattice"]
         if not isinstance(lattice, dict) or set(lattice) != {"steps"}:
@@ -341,17 +369,12 @@ def build_points(desc, group: GroupModel) -> PointSet:
             if n % s != 0:
                 raise ValueError(f"lattice step {s} does not divide modulus {n}")
         axes = [range(0, n, s) for s, n in zip(steps, group.moduli)]
-        if group.rank == 1:
-            return point_set(group, axes[0])
         return point_set(group, itertools.product(*axes))
     return point_set(group, [tuple(p) if isinstance(p, list) else p for p in desc])
 
 
 def build_frame(desc: dict) -> FrameSystem:
-    rep = build_rep(desc["rep"])
-    window = build_vector(desc["window"], rep.dim)
-    points = build_points(desc["points"], rep.group)
-    return coherent_frame(rep, window, points)
+    return build_reference(desc, build_rep(desc["rep"]))
 
 
 def build_reference(desc: dict, rep: Representation) -> FrameSystem:

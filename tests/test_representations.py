@@ -202,3 +202,53 @@ def test_periodized_gaussian_truncation_converged():
         wide += np.exp(-np.pi * (t + m * 16) ** 2 / 16)
     wide /= np.linalg.norm(wide)
     assert np.allclose(periodized_gaussian(16), wide, atol=1e-15)
+
+
+def _looped_tensor_apply(rep, x, v):
+    """The column-by-column TensorRep.apply that the batched one replaced,
+    kept as its bit-for-bit reference."""
+    x1, x2 = rep._split(x)
+    block = np.asarray(v).reshape(rep.left.dim, rep.right.dim)
+    block = np.stack([rep.left.apply(x1, block[:, j]) for j in range(rep.right.dim)], axis=1)
+    block = np.stack([rep.right.apply(x2, block[i, :]) for i in range(rep.left.dim)], axis=0)
+    return block.reshape(-1)
+
+
+def _nested_tensor():
+    return TensorRep(GaborRep(2), TensorRep(TranslationRep(2), GaborRep(3)))
+
+
+BATCH_REPS = {
+    "translation": lambda: TranslationRep(5),
+    "gabor": lambda: GaborRep(6),
+    "tensor": lambda: TensorRep(GaborRep(3), TranslationRep(4)),
+    "nested-tensor": _nested_tensor,
+}
+
+
+@pytest.mark.parametrize("make", BATCH_REPS.values(), ids=BATCH_REPS.keys())
+def test_apply_acts_on_the_last_axis_of_a_batch(make):
+    rep = make()
+    rng = np.random.default_rng(17)
+    V = rng.standard_normal((3, rep.dim)) + 1j * rng.standard_normal((3, rep.dim))
+    for x in rep.group.carrier:
+        batch = rep.apply(x, V)
+        assert batch.shape == V.shape
+        assert np.array_equal(batch, np.stack([rep.apply(x, v) for v in V]))
+
+
+@pytest.mark.parametrize("rep", [TensorRep(GaborRep(3), GaborRep(4)), _nested_tensor()],
+                         ids=["tensor", "nested-tensor"])
+def test_tensor_apply_equals_the_column_loops_bit_for_bit(rep):
+    rng = np.random.default_rng(19)
+    v = rng.standard_normal(rep.dim) + 1j * rng.standard_normal(rep.dim)
+    for x in rep.group.carrier:
+        assert np.array_equal(rep.apply(x, v), _looped_tensor_apply(rep, x, v))
+
+
+def test_voice_transform_is_a_group_function():
+    from framecert.amalgam import GroupFunction
+
+    rep = GaborRep(4)
+    transform = voice_transform(rep, flat_vector(4), dirac_vector(4))
+    assert type(transform) is GroupFunction and transform.group is rep.group

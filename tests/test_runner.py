@@ -377,3 +377,44 @@ def test_each_report_is_encoded_once_as_canonical_json(tmp_path, monkeypatch, pa
     mixed = [reports[0], {"plain": [1, 0.5]}, dict(reports[1]), reports[2]]
     assert emit(mixed, "json") == runner._dumps(mixed).encode("utf-8")
     assert emit([], "json") == b"[]"
+
+
+_NESTED_TENSOR = {"kind": "tensor", "factors": [
+    {"kind": "gabor", "n": 2},
+    {"kind": "tensor", "factors": [{"kind": "translation", "n": 2}, {"kind": "gabor", "n": 3}]},
+]}
+_NESTED_AND_LATTICE = [
+    {"id": "hap-nested-tensor", "kind": "hap",
+     "frame": {"rep": _NESTED_TENSOR, "window": "gauss", "points": "full"},
+     "f": "dirac1", "epsilon": 0.6, "u_radius": 1, "k_radii": [0, 1], "l_radii": [0, 1, 2]},
+    {"id": "compare-lattice", "kind": "comparison",
+     "frame": {"rep": {"kind": "gabor", "n": 4}, "window": "gauss",
+               "points": {"lattice": {"steps": [1, 2]}}},
+     "reference": {"window": "dirac0", "points": {"lattice": {"steps": [1, 4]}}},
+     "epsilon": 0.5, "u_radius": 1, "k_radii": [0, 1], "l_radii": [0, 1, 2]},
+    {"id": "compare-lattice-rank1", "kind": "comparison",
+     "frame": {"rep": {"kind": "translation", "n": 6}, "window": "gauss",
+               "points": {"lattice": {"steps": [1]}}},
+     "reference": {"window": "dirac0", "points": {"lattice": {"steps": [1]}}},
+     "epsilon": 0.5, "u_radius": 1, "k_radii": [0, 1], "l_radii": [0, 1, 2]},
+    {"id": "density-lattice-rank1", "kind": "density", "group": {"kind": "cyclic", "moduli": [12]},
+     "points": {"lattice": {"steps": [3]}}, "k_radii": [0, 1, 2], "y_sample": [0, 5, 11]},
+]
+
+
+def test_nested_tensor_hap_and_lattice_comparisons_agree_across_the_pool(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # the pool path at parallelism 2
+    path = tmp_path / "nested.json"
+    path.write_text(json.dumps(_NESTED_AND_LATTICE))
+    scenarios = load_scenarios(path)
+    serial, pooled = run(scenarios, parallelism=1), run(scenarios, parallelism=2)
+
+    assert [r["error"] for r in serial] == [None] * 4
+    assert all(r["summary"]["cell_count"] > 0 for r in serial)
+
+    def stable(reports):
+        return [{k: v for k, v in r.items() if k != "timestamp"} for r in reports]
+
+    assert stable(serial) == stable(pooled)
+    for reports in (serial, pooled):
+        assert emit(reports, "json") == canonical_json(reports).encode("utf-8")

@@ -317,3 +317,64 @@ def test_cli_text_to_stdout(tmp_path, capsys):
     assert main(["suite", "--scenarios", path, "--format", "text"]) == 0
     out = capsys.readouterr().out
     assert "1/1 scenarios passed" in out
+
+
+def _hap(**changes):
+    return dict({"id": "h", "kind": "hap", "frame": MINIMAL[0]["frame"], "f": "dirac0",
+                 "epsilon": 0.5, "u_radius": 1, "k_radii": [0], "l_radii": [0, 1]}, **changes)
+
+
+def _density(**changes):
+    return dict({"id": "d", "kind": "density", "group": {"kind": "cyclic", "moduli": [4, 4]},
+                 "points": [[1, 2]], "k_radii": [0]}, **changes)
+
+
+# The text is written as it stands: json.dumps would refuse NaN and turn
+# 1e999 into Infinity, and json.loads reads all three.
+_NAN_VECTOR = '[[NaN, 0], [0, 0], [1, 0], [0, 0]]'
+_INVALID_FILES = {
+    "epsilon-1e999": (json.dumps([_hap()]).replace('"epsilon": 0.5', '"epsilon": 1e999'),
+                      "epsilon"),
+    "epsilon-nan": (json.dumps([_hap()]).replace('"epsilon": 0.5', '"epsilon": NaN'),
+                    "epsilon"),
+    "vector-nan": (json.dumps([_hap()]).replace('"f": "dirac0"', '"f": ' + _NAN_VECTOR), "f"),
+    "point-null": (json.dumps([_density(points=[None])]), "points"),
+    "point-float": (json.dumps([_density(points=[1.5])]), "points"),
+    "point-bool": (json.dumps([_density(points=[[True, 0]])]), "points"),
+    "point-overflow": (json.dumps([_density(points=[[10**29, 2]])]), "points"),
+    "point-truncated": (json.dumps([_density(points=[[1.5, 2]])]), "points"),
+    "frame-point-float": (json.dumps([dict(MINIMAL[0], frame=dict(
+        MINIMAL[0]["frame"], points=[1.5, 2]))]), "points"),
+    "y-null": (json.dumps([_density(y_sample=[None])]), "y_sample"),
+    "y-overflow": (json.dumps([_density(y_sample=[[10**29, 2]])]), "y_sample"),
+    "y-truncated": (json.dumps([_density(y_sample=[[1.9, 2.2]])]), "y_sample"),
+}
+
+
+@pytest.mark.parametrize("text, field", _INVALID_FILES.values(), ids=_INVALID_FILES.keys())
+def test_cli_rejects_non_finite_numbers_and_non_integer_elements(tmp_path, capsys, text, field):
+    path = write(tmp_path, text)
+    with pytest.raises(ValidationError) as info:
+        load_scenarios(path)
+    assert info.value.field == field
+    assert main(["suite", "--scenarios", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("framecert: error: ") and captured.err.count("\n") == 1
+    assert f".{field}" in captured.err
+
+
+def test_elements_in_the_signed_64_bit_range_load(tmp_path):
+    # the extremes load; whether they lie in the carrier is a build-time question
+    box = {"kind": "box", "halfwidths": [2]}
+    payload = [_density(group=box, points=[-(2**63), 2**63 - 1, [0]], y_sample=[[1], 2])]
+    report = run(load_scenarios(write(tmp_path, payload)))[0]
+    assert report["error"]["type"] == "OutOfCarrier"
+
+
+def test_an_element_of_the_wrong_rank_stays_in_its_report(tmp_path):
+    payload = [_density(points=[5]), dict(MINIMAL[0], id="fine")]
+    reports = run(load_scenarios(write(tmp_path, payload)))
+    assert reports[0]["error"] == {"type": "ValueError",
+                                   "message": "element 5 has rank 1, expected 2"}
+    assert reports[1]["ok"]
