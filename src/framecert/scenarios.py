@@ -20,6 +20,7 @@ Descriptors:
     vector     "dirac<k>" | "flat" | "gauss" | [[re, im], ...]
                | {"sum": [vecdesc, ...]}
     points     "full" | [element, ...] | {"lattice": {"steps": [a1, ...]}}
+    element    int | [int, ...]   (signed 64-bit coordinates)
     frame      {"rep": repdesc, "window": vecdesc, "points": pointsdesc}
     reference  {"window": vecdesc, "points": pointsdesc}   (rep is shared)
 
