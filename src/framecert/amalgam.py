@@ -83,7 +83,6 @@ def amalgam_norm(f: GroupFunction, U: CompactSet) -> float:
 
 def tail_mass(f: GroupFunction, U: CompactSet, L: CompactSet) -> float:
     """Squared mass of f# on the inflated complement (L^c)U."""
-    require_symmetric_ball(U)
     return sharp_tail_mass(local_max(f, U), U, L)
 
 

@@ -106,6 +106,9 @@ class ComparisonScenario:
     k_labels: list | None = None
     l_labels: list | None = None
     b_convention: str = "reference"
+    b_used: float = field(init=False)
+    b_alternative: float = field(init=False)
+    b_provenance: str = field(init=False)
     _chosen_products: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -113,7 +116,14 @@ class ComparisonScenario:
             raise ValueError("both frames must live on the same group")
         if not 0 < self.epsilon < 1:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if self.b_convention not in ("reference", "dual_of_given"):
+        reference_b, dual_b = self.reference_analysis.B, 1.0 / self.given_analysis.A
+        if self.b_convention == "reference":
+            self.b_used, self.b_alternative = reference_b, dual_b
+            self.b_provenance = "upper bound of reference frame"
+        elif self.b_convention == "dual_of_given":
+            self.b_used, self.b_alternative = dual_b, reference_b
+            self.b_provenance = "upper bound of dual of E_g"
+        else:
             raise ValueError(f"unknown b_convention {self.b_convention!r}")
         if self.k_labels is None:
             self.k_labels = list(range(len(self.K_family)))
@@ -123,24 +133,6 @@ class ComparisonScenario:
     @property
     def h_norm_sq(self) -> float:
         return float(np.linalg.norm(self.reference.window) ** 2)
-
-    @property
-    def b_used(self) -> float:
-        if self.b_convention == "reference":
-            return self.reference_analysis.B
-        return 1.0 / self.given_analysis.A
-
-    @property
-    def b_provenance(self) -> str:
-        if self.b_convention == "reference":
-            return "upper bound of reference frame"
-        return "upper bound of dual of E_g"
-
-    @property
-    def b_alternative(self) -> float:
-        if self.b_convention == "reference":
-            return 1.0 / self.given_analysis.A
-        return self.reference_analysis.B
 
     @cached_property
     def hap_choice(self) -> HapCertificate:
@@ -226,15 +218,11 @@ class ComparisonCertificate:
 
 
 def comparison_certificate(
-    scenario: ComparisonScenario, y, K: CompactSet, k_label=None
+    scenario: ComparisonScenario, y, K: CompactSet, k_label
 ) -> ComparisonCertificate:
-    """Build and verify the full counting chain for one (y, K) cell."""
+    """Build and verify the full counting chain for one (y, K) cell; the
+    certificate reports the cell under ``k_label``, K's label in the family."""
     l_label = scenario.hap_choice.chosen_l_label
-    if k_label is None:
-        try:
-            k_label = scenario.k_labels[scenario.K_family.index(K)]
-        except ValueError:
-            k_label = None
     cell = dict(y=y, k_label=k_label, l_label=l_label, epsilon=scenario.epsilon,
                 b_used=scenario.b_used, b_provenance=scenario.b_provenance,
                 b_alternative=scenario.b_alternative)

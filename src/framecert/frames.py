@@ -48,7 +48,8 @@ def coherent_frame(rep: Representation, window, points: PointSet) -> FrameSystem
     if points.group is not rep.group:
         raise ValueError("point set must live on the representation's group")
     window = np.asarray(window, dtype=complex)
-    atoms = np.column_stack([apply_rep(rep, x, window) for x in points.points])
+    columns = [apply_rep(rep, x, window) for x in points.points]
+    atoms = np.column_stack(columns) if columns else np.zeros((rep.dim, 0), dtype=complex)
     return FrameSystem(rep=rep, window=window, points=points, synthesis=atoms)
 
 
@@ -140,22 +141,22 @@ def bessel_bound_check(duals, A_of_primary: float) -> BesselCheck:
 
 @dataclass
 class SpanProjector:
-    """Orthogonal projector onto the span of the listed generators."""
+    """Orthogonal projector onto the span of the listed generators, and its rank."""
 
     generators: np.ndarray  # shape (dim, m), columns as given (duplicates kept)
     matrix: np.ndarray  # shape (dim, dim)
     rank: int
-    tolerance: float
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         return self.matrix @ v
 
 
 def span_projector(vectors, dim: int | None = None) -> SpanProjector:
-    """Projector onto span(vectors); empty input gives the zero projector.
+    """Projector basis @ basis^* onto span(vectors), the basis orthonormal.
 
     ``vectors`` may be a (dim, m) matrix or an iterable of vectors.  Rank is
-    the number of singular values above RANK_TOLERANCE times the largest.
+    the number of singular values above RANK_TOLERANCE times the largest, so
+    empty or all-zero generators give an empty basis: the zero projector.
     """
     if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
         gen = np.asarray(vectors, dtype=complex)
@@ -169,15 +170,13 @@ def span_projector(vectors, dim: int | None = None) -> SpanProjector:
             raise ValueError("an empty generator list needs an explicit dim")
         else:
             gen = np.zeros((dim, 0), dtype=complex)
-    d = gen.shape[0]
     if gen.shape[1] == 0:
-        return SpanProjector(gen, np.zeros((d, d), dtype=complex), 0, RANK_TOLERANCE)
-    u, s, _ = np.linalg.svd(gen, full_matrices=False)
-    if s[0] == 0.0:
-        return SpanProjector(gen, np.zeros((d, d), dtype=complex), 0, RANK_TOLERANCE)
-    rank = int(np.count_nonzero(s > RANK_TOLERANCE * s[0]))
-    basis = u[:, :rank]
-    return SpanProjector(gen, basis @ basis.conj().T, rank, RANK_TOLERANCE)
+        basis, rank = gen, 0
+    else:
+        u, s, _ = np.linalg.svd(gen, full_matrices=False)
+        rank = int(np.count_nonzero(s > RANK_TOLERANCE * s[0]))
+        basis = u[:, :rank]
+    return SpanProjector(gen, basis @ basis.conj().T, rank)
 
 
 @dataclass(frozen=True)

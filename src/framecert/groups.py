@@ -204,11 +204,8 @@ class GroupModel:
 
     def inverse(self, a):
         coords, element = self._carrier(a)
-        inverse = self._checked(
-            -coords,
-            lambda row: f"inverse of {self._name(a, coords, element, row)!r} escapes the carrier",
-        )
-        return self._out(inverse, element)
+        # -x stays in a symmetric box and wraps on a cyclic group.
+        return self._out(self._reduce(-coords)[0], element)
 
     def metric(self, x):
         """Max-metric distance to the identity, per element or per coordinate row."""

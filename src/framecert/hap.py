@@ -103,8 +103,8 @@ def theoretical_tail_bound(
 
 def _tail_bound(sharp: GroupFunction, U: CompactSet, L: CompactSet, C0: int,
                 lower_bound: float) -> float:
-    """The tail bound from the local maximum function of V_g f; raises
-    OutOfCarrier when the tail domain (L^c)U escapes a truncated carrier."""
+    """The tail bound from the local maximum function of V_g f, which exists only
+    when every window xU, hence every tail domain (L^c)U, is in the carrier."""
     c = C0 / measure(U)
     return float(np.sqrt(c * sharp_tail_mass(sharp, U, L) / lower_bound))
 
@@ -219,18 +219,13 @@ def prepare_scan(scenario: HapScenario) -> HapScan:
 
     c0 = separation_constant(frame.points, scenario.U)
     try:
-        transform = voice_transform(frame.rep, frame.window, scenario.f)
-        sharp = local_max(transform, scenario.U)
+        sharp = local_max(voice_transform(frame.rep, frame.window, scenario.f), scenario.U)
     except OutOfCarrier:
-        # The window maxima already escape a truncated carrier.
-        sharp = None
-    bounds: list[float | None] = [None] * len(scenario.L_family)
-    if sharp is not None:
-        for il, L in enumerate(scenario.L_family):
-            try:
-                bounds[il] = _tail_bound(sharp, scenario.U, L, c0, scenario.lower_bound)
-            except OutOfCarrier:
-                pass  # this tail domain escapes; no closed form
+        # The window maxima escape a truncated carrier: no closed form.
+        bounds: list[float | None] = [None] * len(scenario.L_family)
+    else:
+        bounds = [_tail_bound(sharp, scenario.U, L, c0, scenario.lower_bound)
+                  for L in scenario.L_family]
 
     # Every (K, L) pair in table order, with the index of its K.L set among
     # the distinct ones, or None when K.L escapes a truncated carrier.
@@ -312,42 +307,30 @@ def certify(
 ) -> HapCertificate:
     """The certificate from scan_errors' pieces, which must cover every base
     point once, in carrier order."""
-    group = scan.group
     errors = np.concatenate([piece[0] for piece in pieces], axis=1)
     inside = np.concatenate([piece[1] for piece in pieces], axis=1)
-    bounds = scan.bounds
-
-    table: list[HapCell] = []
-    worst: dict[int, float] = {}
-    dominated: dict[int, bool] = {il: True for il in range(len(scenario.L_family))}
-    for row, (ik, il, _) in enumerate(scan.pairs):
-        k_label, l_label = scenario.k_labels[ik], scenario.l_labels[il]
-        for y, error, interior in zip(group.carrier, errors[row].tolist(), inside[row].tolist()):
-            if not interior:
-                table.append(HapCell(y, k_label, l_label, None, True))
-                continue
-            table.append(HapCell(y, k_label, l_label, error, False))
-            if error > worst.get(il, -1.0):
-                worst[il] = error
-            if bounds[il] is not None and error > bounds[il] + 1e-9:
-                dominated[il] = False
-
+    table = [
+        HapCell(y, scenario.k_labels[ik], scenario.l_labels[il],
+                error if interior else None, not interior)
+        for (ik, il, _), row_errors, row_inside in zip(scan.pairs, errors.tolist(), inside.tolist())
+        for y, error, interior in zip(scan.group.carrier, row_errors, row_inside)
+    ]
+    l_of_row = np.array([il for _, il, _ in scan.pairs])
     candidates = []
-    chosen_index = None
-    for il in range(len(scenario.L_family)):
-        worst_l = worst.get(il)
-        passed = worst_l is not None and worst_l < scenario.epsilon
+    for il, bound in enumerate(scan.bounds):
+        rows = l_of_row == il
+        interior = errors[rows][inside[rows]]
+        worst = float(interior.max()) if interior.size else None
         candidates.append(
             HapCandidate(
                 l_label=scenario.l_labels[il],
-                worst_error=worst_l,
-                theoretical_bound=bounds[il],
-                passed=passed,
-                domination_ok=dominated[il],
+                worst_error=worst,
+                theoretical_bound=bound,
+                passed=worst is not None and worst < scenario.epsilon,
+                domination_ok=bound is None or bool(np.all(interior <= bound + 1e-9)),
             )
         )
-        if passed and chosen_index is None:
-            chosen_index = il
+    chosen_index = next((il for il, c in enumerate(candidates) if c.passed), None)
     if chosen_index is None:
         raise NoAdmissibleL(
             f"no candidate among {scenario.l_labels} reached worst error < {scenario.epsilon}"
@@ -355,8 +338,8 @@ def certify(
     return HapCertificate(
         chosen_L=scenario.L_family[chosen_index],
         chosen_l_label=scenario.l_labels[chosen_index],
-        worst_error=worst[chosen_index],
-        theoretical_bound=bounds[chosen_index],
+        worst_error=candidates[chosen_index].worst_error,
+        theoretical_bound=scan.bounds[chosen_index],
         epsilon=scenario.epsilon,
         separation=scan.separation,
         passed=True,

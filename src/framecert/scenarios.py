@@ -21,6 +21,7 @@ Descriptors:
                | {"sum": [vecdesc, ...]}
     points     "full" | [element, ...] | {"lattice": {"steps": [a1, ...]}}
     element    int | [int, ...]   (signed 64-bit coordinates)
+    radius     int in [0, 2^63)   (u_radius, max_radius, k_radii, l_radii)
     frame      {"rep": repdesc, "window": vecdesc, "points": pointsdesc}
     reference  {"window": vecdesc, "points": pointsdesc}   (rep is shared)
 
@@ -211,15 +212,15 @@ def _validate_scenario(item: dict, where: str) -> Scenario:
 
 
 def _validate_radius(value, name: str, where: str) -> None:
-    if not _int_in(value, 0):
-        _fail(name, f"{where}.{name} must be a nonnegative integer")
+    if not _int_in(value, 0, 2**63):
+        _fail(name, f"{where}.{name} must be an integer in [0, 2^63)")
 
 
 def _validate_radii(value, name: str, where: str) -> None:
     if not isinstance(value, list) or not value:
         _fail(name, f"{where}.{name} must be a nonempty list of radii")
-    if not all(_int_in(r, 0) for r in value):
-        _fail(name, f"{where}.{name} entries must be nonnegative integers")
+    if not all(_int_in(r, 0, 2**63) for r in value):
+        _fail(name, f"{where}.{name} entries must be integers in [0, 2^63)")
     if any(b <= a for a, b in zip(value, value[1:])):
         _fail(name, f"{where}.{name} must be strictly increasing")
 

@@ -413,3 +413,22 @@ def test_sliced_scan_through_a_fork_pool_equals_serial_find_L(make):
             sliced = _sliced_certificate(scenario, slices, pool.map)
             assert sliced.table == serial.table
             assert sliced.candidates == serial.candidates
+
+
+def test_a_tail_bound_below_a_cell_error_fails_domination():
+    # A lower bound 10^6 times too large shrinks every tail bound by 10^3:
+    # L = 0 leaves an error of 0.707 against a bound of 0.0014.
+    frame, analysis = gabor_gauss(8)
+    group = frame.rep.group
+    cert = find_L(HapScenario(
+        frame=frame, duals=analysis.canonical_dual, lower_bound=1e6 * analysis.A,
+        f=dirac_vector(8), epsilon=0.2, U=group.ball(1),
+        K_family=[group.ball(0), group.ball(1)], L_family=[group.ball(r) for r in range(4)],
+        k_labels=[0, 1], l_labels=[0, 1, 2, 3],
+    ))
+    first = cert.candidates[0]
+    assert not first.passed and not first.domination_ok
+    assert first.worst_error == pytest.approx(0.7071, abs=1e-4)
+    assert first.theoretical_bound == pytest.approx(0.0014, abs=1e-4)
+    assert all(c.domination_ok for c in cert.candidates[1:])
+    assert cert.chosen_l_label == 1

@@ -9,7 +9,7 @@ import pytest
 
 import framecert.runner as runner
 from framecert.cli import main
-from framecert.comparison import ComparisonScenario, comparison_run
+from framecert.comparison import ComparisonCertificate, ComparisonScenario, comparison_run
 from framecert.frames import analyze_frame, coherent_frame
 from framecert.groups import GroupModel, full_point_set
 from framecert.representations import Representation
@@ -179,3 +179,34 @@ def test_cli_reports_a_directory_given_as_scenario_file(capsys):
     err = capsys.readouterr().err
     assert err.startswith("framecert: error: ") and err.count("\n") == 1
     assert "Is a directory" in err
+
+
+def test_a_window_whose_chosen_product_escapes_has_only_boundary_cells():
+    rep = _RollRep(2)
+    frame, reference = _dirac_frame(rep), _dirac_frame(rep)
+    group = rep.group
+    scenario = ComparisonScenario(
+        given=frame,
+        given_analysis=analyze_frame(frame),
+        reference=reference,
+        reference_analysis=analyze_frame(reference),
+        epsilon=0.5,
+        U=group.ball(1),
+        K_family=[group.ball(0), group.ball(2)],
+        L_family=[group.ball(1)],
+        k_labels=[0, 2],
+        l_labels=[1],
+    )
+    assert scenario.hap_choice.chosen_l_label == 1
+    assert scenario.chosen_product(group.ball(2)) is None  # K.L escapes [-2, 2]
+    certificates = comparison_run(scenario)
+    escaped = [c for c in certificates if c.k_label == 2]
+    assert escaped == [
+        ComparisonCertificate(y=y, k_label=2, l_label=1, epsilon=0.5, b_used=scenario.b_used,
+                              b_provenance=scenario.b_provenance,
+                              b_alternative=scenario.b_alternative)
+        for y in group.carrier
+    ]
+    computed = [c for c in certificates if c.k_label == 0]
+    assert [c.y for c in computed if not c.boundary] == [-1, 0, 1]
+    assert all(c.ok for c in computed if not c.boundary)

@@ -418,3 +418,12 @@ def test_nested_tensor_hap_and_lattice_comparisons_agree_across_the_pool(tmp_pat
     assert stable(serial) == stable(pooled)
     for reports in (serial, pooled):
         assert emit(reports, "json") == canonical_json(reports).encode("utf-8")
+
+
+def test_text_output_prints_each_report_error(tmp_path):
+    path = tmp_path / "scenarios.json"
+    path.write_text(json.dumps([s for s in _EDGE_SCENARIOS if s["id"] == "not-a-frame"]))
+    lines = emit(run(load_scenarios(path)), "text").decode("utf-8").splitlines()
+    assert lines[0].startswith("scenario not-a-frame [frame_analysis]: FAIL")
+    assert lines[1].startswith("  error: NotAFrame: lower frame bound ")
+    assert lines[2] == "0/1 scenarios passed"

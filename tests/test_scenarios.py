@@ -378,3 +378,56 @@ def test_an_element_of_the_wrong_rank_stays_in_its_report(tmp_path):
     assert reports[0]["error"] == {"type": "ValueError",
                                    "message": "element 5 has rank 1, expected 2"}
     assert reports[1]["ok"]
+
+
+# -- radii and empty point sets ------------------------------------------------
+
+
+def _radius_file(key, radius):
+    """One scenario whose ``key`` radius (or its last entry) is ``radius``."""
+    if key == "max_radius":
+        return [{"id": "s", "kind": "sampling_bound", "group": {"kind": "cyclic", "moduli": [4]},
+                 "trials": 3, "max_radius": radius, "seed": 2}]
+    return [_hap(**{key: radius if key == "u_radius" else [0, radius]})]
+
+
+_RADIUS_KEYS = ("u_radius", "max_radius", "k_radii", "l_radii")
+
+
+@pytest.mark.parametrize("radius", [2**63, 10**30])
+@pytest.mark.parametrize("key", _RADIUS_KEYS)
+def test_cli_rejects_radii_outside_signed_64_bit(tmp_path, capsys, key, radius):
+    path = write(tmp_path, _radius_file(key, radius))
+    with pytest.raises(ValidationError) as info:
+        load_scenarios(path)
+    assert info.value.field == key
+    assert main(["suite", "--scenarios", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("framecert: error: ") and captured.err.count("\n") == 1
+    assert f".{key}" in captured.err and "[0, 2^63)" in captured.err
+
+
+@pytest.mark.parametrize("key", _RADIUS_KEYS)
+def test_the_largest_radius_loads_and_runs(tmp_path, key):
+    # A ball of radius 2^63 - 1 is the whole carrier.
+    report = run(load_scenarios(write(tmp_path, _radius_file(key, 2**63 - 1))))[0]
+    assert report["error"] is None and report["ok"]
+
+
+_NO_POINTS_ERROR = {"type": "NotAFrame",
+                    "message": "lower frame bound 0.000e+00 vanishes relative to upper bound 0.000e+00"}
+
+
+def test_a_frame_without_points_is_not_a_frame(tmp_path):
+    payload = [dict(MINIMAL[0], frame=dict(MINIMAL[0]["frame"], points=[]))]
+    report = run(load_scenarios(write(tmp_path, payload)))[0]
+    assert report["error"] == _NO_POINTS_ERROR
+
+
+def test_a_reference_without_points_is_not_a_frame(tmp_path):
+    payload = [{"id": "c", "kind": "comparison", "frame": MINIMAL[0]["frame"],
+                "reference": {"window": "dirac0", "points": []}, "epsilon": 0.5,
+                "u_radius": 1, "k_radii": [0], "l_radii": [0, 1]}]
+    report = run(load_scenarios(write(tmp_path, payload)))[0]
+    assert report["error"] == _NO_POINTS_ERROR
