@@ -40,6 +40,7 @@ from framecert.representations import (
     ZeroResult,
     ZeroWindow,
     apply_rep,
+    carrier_orbit,
     dirac_vector,
     flat_vector,
     inner,

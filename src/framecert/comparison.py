@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -296,6 +297,8 @@ def comparison_run(scenario: ComparisonScenario) -> list[ComparisonCertificate]:
 
 @dataclass(frozen=True)
 class DensityRow:
+    """One row of DensityReport.rows, the per-cell view of its columns."""
+
     y: object
     k_label: object
     count: int | None
@@ -311,19 +314,62 @@ class DensitySummary:
     max_ratio: float | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityReport:
-    rows: list[DensityRow]
-    summary: list[DensitySummary]
+    """Counting ratios card{x_j in yK} / |K| as columns.
+
+    Row i of ``counts`` and ``inside`` is the window K_i, labelled
+    ``k_labels[i]`` with Haar measure ``measures[i]``; column n is the base
+    point ``y_sample[n]``.  A cell that is not inside (yK escapes a truncated
+    carrier, or y lies outside it) is boundary, and its count is not a count
+    of yK.  The ratio of an inside cell is ``count / measure``.
+    """
+
+    y_sample: Sequence
+    k_labels: list
+    measures: list[float]
+    counts: np.ndarray  # (|K family|, len(y_sample)), int
+    inside: np.ndarray  # (|K family|, len(y_sample)), bool
+
+    @property
+    def rows(self) -> list[DensityRow]:
+        """One DensityRow per cell in (K, y) order, built from the columns on
+        each access; a boundary row's count and ratio are None."""
+        return [
+            DensityRow(y, k_label, count, vol, count / vol, False)
+            if interior else DensityRow(y, k_label, None, vol, None, True)
+            for k_label, vol, counts, inside
+            in zip(self.k_labels, self.measures, self.counts.tolist(), self.inside.tolist())
+            for y, count, interior in zip(self.y_sample, counts, inside)
+        ]
+
+    @property
+    def summary(self) -> list[DensitySummary]:
+        """The smallest and largest ratio per K over its inside cells, or None
+        when it has none.  Dividing by a positive measure is monotone and
+        correctly rounded, so they are the extreme counts divided once."""
+        summary = []
+        for k_label, vol, counts, inside in zip(self.k_labels, self.measures, self.counts,
+                                                self.inside):
+            interior = counts[inside]
+            if interior.size:
+                summary.append(DensitySummary(k_label, int(interior.min()) / vol,
+                                              int(interior.max()) / vol))
+            else:
+                summary.append(DensitySummary(k_label, None, None))
+        return summary
 
 
 def density_report(
     X: PointSet, K_family: list[CompactSet], y_sample=None, k_labels=None
 ) -> DensityReport:
-    """Counting ratios card{x_j in yK} / |K| per (y, K), with per-K extremes.
+    """Counting ratios card{x_j in yK} / |K| per (y, K), as columns, with the
+    per-K extremes and one row per cell as derived views.
 
     The starting point for density statements: expanding windows whose count
     per unit Haar measure stabilizes reveal the density of the point set.
+    ``y_sample`` defaults to the whole carrier; sampled base points outside
+    a truncated carrier give boundary cells.
     """
     group = X.group
     if y_sample is None:
@@ -334,28 +380,18 @@ def density_report(
     if k_labels is None:
         k_labels = list(range(len(K_family)))
     point_counts = X.counts()
-    rows = []
-    summary = []
+    counts = np.zeros((len(K_family), len(y_positions)), dtype=point_counts.dtype)
+    inside = np.zeros((len(K_family), len(y_positions)), dtype=bool)
     for ik, K in enumerate(K_family):
-        vol = measure(K)
-        counts, whole = window_reduce(point_counts, K, np.add, at=y_positions)
-        whole &= y_inside
-        ratios = []
-        for y, count, inside in zip(y_sample, counts.tolist(), whole.tolist()):
-            if not inside:
-                rows.append(DensityRow(y, k_labels[ik], None, vol, None, True))
-                continue
-            ratio = count / vol
-            ratios.append(ratio)
-            rows.append(DensityRow(y, k_labels[ik], count, vol, ratio, False))
-        summary.append(
-            DensitySummary(
-                k_label=k_labels[ik],
-                min_ratio=min(ratios) if ratios else None,
-                max_ratio=max(ratios) if ratios else None,
-            )
-        )
-    return DensityReport(rows=rows, summary=summary)
+        counts[ik], inside[ik] = window_reduce(point_counts, K, np.add, at=y_positions)
+    inside &= y_inside
+    return DensityReport(
+        y_sample=y_sample,
+        k_labels=k_labels,
+        measures=[measure(K) for K in K_family],
+        counts=counts,
+        inside=inside,
+    )
 
 
 def _sample_positions(group, y_sample) -> tuple[np.ndarray, np.ndarray]:

@@ -34,7 +34,10 @@ Base points are independent, so find_L is three steps: prepare_scan (all
 that does not depend on y), scan_errors over any range of base points, and
 certify over the pieces.  find_L runs one range over the whole carrier;
 the runner splits the carrier over worker processes and gets the same
-certificate.
+certificate.  The certificate keeps the table as the error and inside
+arrays the scan produced, one row per (K, L) pair and one column per base
+point; HapCertificate.table lists the same cells as HapCell objects, built
+on access for library callers.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from framecert.groups import (
     separation_constant,
     translate_set,
 )
-from framecert.representations import apply_rep, voice_transform
+from framecert.representations import apply_rep, carrier_orbit, voice_transform
 
 
 class NoAdmissibleL(Exception):
@@ -145,6 +148,8 @@ class HapScenario:
 
 @dataclass(frozen=True)
 class HapCell:
+    """One cell of HapCertificate.table, the per-cell view of its columns."""
+
     y: object
     k_label: object
     l_label: object
@@ -161,9 +166,16 @@ class HapCandidate:
     domination_ok: bool
 
 
-@dataclass
+@dataclass(eq=False)
 class HapCertificate:
-    """Outcome of the candidate scan: chosen set, worst error, and full table."""
+    """Outcome of the candidate scan: chosen set, worst error, and the full
+    table as columns.
+
+    Row r of ``errors`` and ``inside`` is the table's r-th (K, L) pair, whose
+    labels are ``pair_labels[r]``; column p is the base point at carrier
+    position p of ``group``.  A cell that is not inside is boundary, and its
+    entry in ``errors`` is 0.
+    """
 
     chosen_L: CompactSet
     chosen_l_label: object
@@ -172,9 +184,23 @@ class HapCertificate:
     epsilon: float
     separation: int
     passed: bool
-    table: list[HapCell]
     candidates: list[HapCandidate]
     dual_label: str
+    group: GroupModel
+    pair_labels: list[tuple[object, object]]
+    errors: np.ndarray  # (pairs, |G|)
+    inside: np.ndarray  # (pairs, |G|), bool
+
+    @property
+    def table(self) -> list[HapCell]:
+        """One HapCell per cell in (K, L, y) order, built from the columns on
+        each access; a boundary cell's error is None."""
+        return [
+            HapCell(y, k_label, l_label, error if interior else None, not interior)
+            for (k_label, l_label), row_errors, row_inside
+            in zip(self.pair_labels, self.errors.tolist(), self.inside.tolist())
+            for y, error, interior in zip(self.group.carrier, row_errors, row_inside)
+        ]
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,7 +236,7 @@ def prepare_scan(scenario: HapScenario) -> HapScan:
     frame = scenario.frame
     group = frame.rep.group
 
-    transported = np.column_stack([apply_rep(frame.rep, x, scenario.f) for x in group.carrier])
+    transported = carrier_orbit(frame.rep, scenario.f).T
     points = frame.points.positions()
     order = np.argsort(points, kind="stable")
     counts = np.bincount(points, minlength=group.order)
@@ -306,15 +332,11 @@ def certify(
     scenario: HapScenario, scan: HapScan, pieces: list[tuple[np.ndarray, np.ndarray]]
 ) -> HapCertificate:
     """The certificate from scan_errors' pieces, which must cover every base
-    point once, in carrier order."""
+    point once, in carrier order.  The pieces are joined into the
+    certificate's error and inside columns as they are; each candidate is
+    read off the rows of its L."""
     errors = np.concatenate([piece[0] for piece in pieces], axis=1)
     inside = np.concatenate([piece[1] for piece in pieces], axis=1)
-    table = [
-        HapCell(y, scenario.k_labels[ik], scenario.l_labels[il],
-                error if interior else None, not interior)
-        for (ik, il, _), row_errors, row_inside in zip(scan.pairs, errors.tolist(), inside.tolist())
-        for y, error, interior in zip(scan.group.carrier, row_errors, row_inside)
-    ]
     l_of_row = np.array([il for _, il, _ in scan.pairs])
     candidates = []
     for il, bound in enumerate(scan.bounds):
@@ -343,9 +365,12 @@ def certify(
         epsilon=scenario.epsilon,
         separation=scan.separation,
         passed=True,
-        table=table,
         candidates=candidates,
         dual_label=scenario.dual_label,
+        group=scan.group,
+        pair_labels=[(scenario.k_labels[ik], scenario.l_labels[il]) for ik, il, _ in scan.pairs],
+        errors=errors,
+        inside=inside,
     )
 
 

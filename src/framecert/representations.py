@@ -52,6 +52,11 @@ class Representation:
         any leading axes are a batch, and each vector is acted on alone."""
         raise NotImplementedError
 
+    def orbit(self, v: np.ndarray) -> np.ndarray:
+        """pi(x) v for every carrier element x, one row per element in carrier
+        order: row p is apply(x_p, v), bit for bit, for a vector v of length dim."""
+        return np.stack([self.apply(x, v) for x in self.group.carrier])
+
 
 class TranslationRep(Representation):
     """Cyclic shift action of Z_n on C^n: (pi(k) v)(t) = v(t - k)."""
@@ -82,6 +87,13 @@ class GaborRep(Representation):
         k, l = self.group.canon(x)
         return np.exp(2j * np.pi * l * self._t / self.n) * np.roll(v, k, axis=-1)
 
+    def orbit(self, v: np.ndarray) -> np.ndarray:
+        # The carrier lists (k, l) row-major, so row k*n + l is M_l T_k v: each
+        # phase and each shift is computed once, as apply computes it.
+        phases = np.stack([np.exp(2j * np.pi * l * self._t / self.n) for l in range(self.n)])
+        shifts = np.stack([np.roll(v, k) for k in range(self.n)])
+        return (phases * shifts[:, None, :]).reshape(self.n * self.n, self.n)
+
 
 class TensorRep(Representation):
     """Tensor product of two cyclic-group representations."""
@@ -109,12 +121,22 @@ class TensorRep(Representation):
         return self.right.apply(x2, block).reshape(v.shape)
 
 
-def apply_rep(rep: Representation, x, v) -> np.ndarray:
-    """pi(x) v with dimension validation; norm is preserved to rounding."""
+def _vector(rep: Representation, v) -> np.ndarray:
     v = np.asarray(v, dtype=complex)
     if v.shape != (rep.dim,):
         raise DimensionMismatch(f"expected a vector of dimension {rep.dim}, got shape {v.shape}")
-    return rep.apply(x, v)
+    return v
+
+
+def apply_rep(rep: Representation, x, v) -> np.ndarray:
+    """pi(x) v with dimension validation; norm is preserved to rounding."""
+    return rep.apply(x, _vector(rep, v))
+
+
+def carrier_orbit(rep: Representation, v) -> np.ndarray:
+    """pi(x) v for every carrier element x, one row per element in carrier
+    order, with dimension validation; row p equals apply_rep(rep, x_p, v)."""
+    return rep.orbit(_vector(rep, v))
 
 
 def voice_transform(rep: Representation, g, f) -> GroupFunction:
@@ -127,7 +149,7 @@ def voice_transform(rep: Representation, g, f) -> GroupFunction:
         )
     if np.linalg.norm(g) == 0.0:
         raise ZeroWindow("the analyzing window must be nonzero")
-    values = np.array([inner(f, rep.apply(x, g)) for x in rep.group.carrier])
+    values = np.array([inner(f, atom) for atom in rep.orbit(g)])
     return GroupFunction(group=rep.group, values=values)
 
 

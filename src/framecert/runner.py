@@ -18,11 +18,18 @@ Individual scenario failures (a system that is not a frame, a malformed
 candidate family, an escaping carrier) are captured in the report's "error"
 field and never abort the batch; any other exception is a bug and aborts it.
 
-Report rows are generated from the certificate dataclasses (HapCell,
-ComparisonCertificate, DensityRow, ...): every field becomes a key, renamed
-where _REPORT_NAMES says so, and every value is canonicalized as it is read.
-canonical_json() and determinism_sha256() canonicalize arbitrary input from
-scratch and stay the slow reference for the sealed text.
+The whole-carrier tables, the HAP error table and the density counts, are
+written straight from the certificates' column arrays: the canonical base
+points are listed once per group, each label and measure is formatted once,
+a density ratio once per distinct count, and no object is built per cell.
+Those rows carry the keys that _row gives the per-cell views (HapCell,
+DensityRow), which the certificates still offer to library callers.  Every
+other row comes from a certificate dataclass (ComparisonCertificate,
+HapCandidate, DensitySummary, the sampling and frame checks) through _row:
+every field becomes a key, renamed where _REPORT_NAMES says so, and every
+value is canonicalized as it is read.  canonical_json() and
+determinism_sha256() canonicalize arbitrary input from scratch and stay the
+slow reference for the sealed text.
 """
 
 from __future__ import annotations
@@ -293,11 +300,33 @@ def _hap_scenario(spec: dict) -> HapScenario:
     )
 
 
+def _carrier_column(group) -> list:
+    """The canonical base point of every carrier position, in carrier order:
+    an int on a rank-1 group, else a list of coordinates."""
+    coords = group.coords[:, 0] if group.rank == 1 else group.coords
+    return coords.tolist()
+
+
 def _hap_payload(cert: HapCertificate) -> dict:
-    table = [_row(cell) for cell in cert.table]
-    # certify chose this L for its worst interior error: each interior row passes.
-    chosen = [row for cell, row in zip(cert.table, table)
-              if cell.l_label == cert.chosen_l_label]
+    # Rows straight from the certificate's columns, under the keys _row gives
+    # HapCell; each error is formatted once, and rows share the y lists.
+    ys = _carrier_column(cert.group)
+    table, chosen = [], []
+    for (k_label, l_label), errors, inside in zip(
+        cert.pair_labels, cert.errors.tolist(), cert.inside.tolist()
+    ):
+        k, l = _canon(k_label), _canon(l_label)
+        rows = [
+            {"y": y, "K_radius": k, "L_radius": l, "error": float(f"{error:.12g}"),
+             "boundary": False}
+            if interior else
+            {"y": y, "K_radius": k, "L_radius": l, "error": None, "boundary": True}
+            for y, error, interior in zip(ys, errors, inside)
+        ]
+        table += rows
+        # certify chose this L for its worst interior error: each interior row passes.
+        if l_label == cert.chosen_l_label:
+            chosen += rows
     certificate = _canon({
         "chosen_L_radius": cert.chosen_l_label,
         "worst_error": cert.worst_error,
@@ -361,7 +390,24 @@ def _run_density(spec: dict, seed: int) -> dict:
     if y_sample is not None:
         y_sample = [tuple(y) if isinstance(y, list) else y for y in y_sample]
     report = density_report(X, K_family, y_sample=y_sample, k_labels=list(spec["k_radii"]))
-    rows = [_row(row) for row in report.rows]
+    # Rows straight from the report's columns, under the keys _row gives
+    # DensityRow; the measure is formatted once per K, the ratio once per
+    # distinct count, and rows share the y lists.
+    ys = _carrier_column(group) if y_sample is None else _canon(y_sample)
+    rows = []
+    for k_label, vol, counts, inside in zip(
+        report.k_labels, report.measures, report.counts.tolist(), report.inside.tolist()
+    ):
+        k, measure = _canon(k_label), _canon(vol)
+        ratios = {count: _canon(count / vol) for count in set(counts)}
+        rows += [
+            {"y": y, "K_radius": k, "count": count, "measure": measure,
+             "ratio": ratios[count], "boundary": False}
+            if interior else
+            {"y": y, "K_radius": k, "count": None, "measure": measure, "ratio": None,
+             "boundary": True}
+            for y, count, interior in zip(ys, counts, inside)
+        ]
     return {
         "table": rows,
         "ratio_summary": [_row(s) for s in report.summary],

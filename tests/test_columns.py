@@ -1,0 +1,203 @@
+"""Report rows written straight from certificate columns: byte-identical to the
+rows of the per-cell views, and no per-cell object on the runner's path."""
+
+import json
+import os
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import framecert.runner as runner
+from framecert.comparison import DensityRow, density_report
+from framecert.frames import analyze_frame, coherent_frame
+from framecert.groups import GroupModel, OutOfCarrier, full_point_set, point_set
+from framecert.hap import HapCell, HapScenario, find_L
+from framecert.representations import Representation
+from framecert.runner import _row, _summary, canonical_json, emit, run
+from framecert.scenarios import build_group, build_points, load_scenarios
+
+ROOT = Path(__file__).resolve().parent.parent
+SUITE = ROOT / "scenarios" / "acceptance.json"
+PINNED_HASHES = ROOT / "perfbench" / "acceptance_hashes.json"
+
+
+class _RollRep(Representation):
+    """Unitary cyclic rolls indexed by a truncated carrier: a HAP on a box
+    group, the only way to reach boundary HAP cells."""
+
+    def __init__(self, halfwidth: int):
+        self.kind = "roll"
+        self.group = GroupModel.box([halfwidth])
+        self.dim = self.group.order
+
+    def apply(self, x, v):
+        return np.roll(v, self.group.canon(x), axis=-1)
+
+
+def _box_hap_certificate():
+    rep = _RollRep(3)
+    group = rep.group
+    rng = np.random.default_rng(5)
+    window, f = rng.standard_normal((2, rep.dim)) + 1j * rng.standard_normal((2, rep.dim))
+    frame = coherent_frame(rep, window, full_point_set(group))
+    analysis = analyze_frame(frame)
+    return find_L(HapScenario(
+        frame=frame,
+        duals=analysis.canonical_dual,
+        lower_bound=analysis.A,
+        f=f,
+        epsilon=10.0,
+        U=group.ball(1),
+        K_family=[group.ball(0), group.ball(1)],
+        L_family=[group.ball(r) for r in range(4)],
+        k_labels=[0, 1],
+        l_labels=[0, 1, 2, 3],
+    ))
+
+
+def _assert_hap_payload_matches_the_views(payload, cert):
+    table = payload["certificate"]["table"]
+    view = [_row(cell) for cell in cert.table]
+    # the rows are canonical as built: encoding them as they stand is the same text
+    assert runner._dumps(table) == canonical_json(view)
+    chosen = [row for cell, row in zip(cert.table, view) if cell.l_label == cert.chosen_l_label]
+    assert payload["summary"] == _summary(chosen)
+
+
+def test_box_hap_rows_with_boundary_cells_equal_the_cell_views():
+    cert = _box_hap_certificate()
+    payload = runner._hap_payload(cert)
+    table = payload["certificate"]["table"]
+    assert any(row["error"] is None and row["boundary"] for row in table)
+    assert any(row["error"] is not None for row in table)
+    assert {type(row["y"]) for row in table} == {int}  # rank 1: plain ints
+    _assert_hap_payload_matches_the_views(payload, cert)
+
+
+# HAP on rank-2 and rank-1 groups; density over a box carrier with boundary
+# rows, over sampled base points outside a box carrier and outside the
+# canonical range of a cyclic one, and on a rank-1 group.
+_SCENARIOS = [
+    {"id": "hap-gabor-z6", "kind": "hap",
+     "frame": {"rep": {"kind": "gabor", "n": 6}, "window": "gauss", "points": "full"},
+     "f": "dirac0", "epsilon": 0.2, "u_radius": 1, "k_radii": [0, 1], "l_radii": [0, 1, 2]},
+    {"id": "hap-translation-8", "kind": "hap",
+     "frame": {"rep": {"kind": "translation", "n": 8}, "window": "gauss", "points": "full"},
+     "f": "dirac0", "epsilon": 0.1, "u_radius": 1, "k_radii": [0, 1], "l_radii": [0, 1, 2, 3]},
+    {"id": "density-box", "kind": "density", "group": {"kind": "box", "halfwidths": [3, 2]},
+     "points": [[0, 0], [1, -1], [3, 2], [-2, 1], [1, -1]], "k_radii": [0, 1, 2]},
+    {"id": "density-box-sample", "kind": "density",
+     "group": {"kind": "box", "halfwidths": [3, 2]}, "points": [[0, 0], [1, -1], [1, -1]],
+     "k_radii": [0, 1], "y_sample": [[0, 0], [5, 0], [3, 2], [-1, 1], [0, -3]]},
+    {"id": "density-box-rank1-sample", "kind": "density",
+     "group": {"kind": "box", "halfwidths": [4]}, "points": [0, 1, 1, -3],
+     "k_radii": [1, 5], "y_sample": [0, 3, 4, 7, -9]},
+    {"id": "density-cyclic-rank1", "kind": "density", "group": {"kind": "cyclic", "moduli": [12]},
+     "points": {"lattice": {"steps": [3]}}, "k_radii": [0, 1, 2]},
+    {"id": "density-cyclic-rank1-sample", "kind": "density",
+     "group": {"kind": "cyclic", "moduli": [12]}, "points": [0, 0, 5, 7],
+     "k_radii": [1], "y_sample": [0, 5, 11, 17, -1]},
+]
+
+
+def _density_view(spec):
+    group = build_group(spec["group"])
+    y_sample = spec.get("y_sample")
+    if y_sample is not None:
+        y_sample = [tuple(y) if isinstance(y, list) else y for y in y_sample]
+    return density_report(build_points(spec["points"], group),
+                          [group.ball(r) for r in spec["k_radii"]],
+                          y_sample=y_sample, k_labels=list(spec["k_radii"]))
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_rows_from_columns_equal_the_views_across_the_pool(tmp_path, monkeypatch, parallelism):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # the pool path at parallelism 2
+    path = tmp_path / "columns.json"
+    path.write_text(json.dumps(_SCENARIOS))
+    scenarios = load_scenarios(path)
+    reports = {r["scenario_id"]: r for r in run(scenarios, parallelism=parallelism)}
+    assert [r["error"] for r in reports.values()] == [None] * len(_SCENARIOS)
+
+    for scenario in scenarios:
+        report = reports[scenario.id]
+        if scenario.kind == "hap":
+            cert = find_L(runner._hap_scenario(scenario.spec))
+            _assert_hap_payload_matches_the_views(report, cert)
+            continue
+        view = _density_view(scenario.spec)
+        rows = [_row(row) for row in view.rows]
+        assert runner._dumps(report["table"]) == canonical_json(rows)
+        assert report["ratio_summary"] == [_row(s) for s in view.summary]
+        assert report["summary"] == _summary(rows)
+        assert emit([report], "json") == canonical_json([report]).encode("utf-8")
+
+    boundary = [row for r in reports.values() if r["kind"] == "density"
+                for row in r["table"] if row["boundary"]]
+    assert boundary and all(row["count"] is None and row["ratio"] is None for row in boundary)
+    sampled = reports["density-box-sample"]["table"]
+    assert [row["y"] for row in sampled] == 2 * [[0, 0], [5, 0], [3, 2], [-1, 1], [0, -3]]
+    # out of the carrier for every K; (3, 2) is a corner, so its K = 1 window escapes
+    assert [row["boundary"] for row in sampled] == [False, True, False, False, True,
+                                                    False, True, True, False, True]
+    assert [row["y"] for row in reports["density-cyclic-rank1-sample"]["table"]] == [
+        0, 5, 11, 17, -1]  # sampled elements as given, not reduced
+
+
+def test_ratio_extremes_from_counts_equal_min_and_max_of_the_row_ratios():
+    group = GroupModel.box([2, 3])
+    rng = np.random.default_rng(11)
+    X = point_set(group, [tuple(p) for p in rng.integers([-2, -3], [3, 4], size=(40, 2))])
+    K_family = [group.ball(r) for r in (0, 1, 2, 3)]
+    # Base points away from the origin: ball(3) covers the carrier, so every
+    # one of its windows escapes and it has no interior row.
+    y_sample = [(1, 1), (-1, 0), (2, 3), (0, 1), (9, 9)]
+    report = density_report(X, K_family, y_sample=y_sample)
+    rows = report.rows
+    for summary, vol in zip(report.summary, report.measures):
+        ratios = [row.ratio for row in rows if row.k_label == summary.k_label and not row.boundary]
+        assert all(row.ratio == row.count / vol for row in rows
+                   if row.k_label == summary.k_label and not row.boundary)
+        if ratios:
+            assert (summary.min_ratio, summary.max_ratio) == (min(ratios), max(ratios))
+            assert type(summary.min_ratio) is float and type(summary.max_ratio) is float
+        else:
+            assert (summary.min_ratio, summary.max_ratio) == (None, None)
+    assert report.summary[3].min_ratio is None
+    assert report.summary[1].min_ratio is not None
+    assert report.summary[1].min_ratio != report.summary[1].max_ratio
+    with pytest.raises(OutOfCarrier):
+        group.index((9, 9))
+
+
+def test_ratio_extremes_over_a_whole_cyclic_carrier():
+    group = GroupModel.cyclic([24, 24])
+    rng = np.random.default_rng(1)
+    X = point_set(group, [tuple(p) for p in rng.integers(0, 24, size=(64, 2))])
+    report = density_report(X, [group.ball(r) for r in (1, 2, 4)])
+    rows = report.rows
+    for summary in report.summary:
+        ratios = [row.ratio for row in rows if row.k_label == summary.k_label]
+        assert len(set(ratios)) > 2
+        assert (summary.min_ratio, summary.max_ratio) == (min(ratios), max(ratios))
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a per-cell view was built")
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_the_runner_builds_no_per_cell_objects(monkeypatch, parallelism):
+    monkeypatch.setattr(HapCell, "__init__", _refuse)
+    monkeypatch.setattr(DensityRow, "__init__", _refuse)
+    with pytest.raises(AssertionError, match="per-cell view"):
+        HapCell(0, 0, 0, None, True)
+    with pytest.raises(AssertionError, match="per-cell view"):
+        DensityRow(0, 0, None, 1.0, None, True)
+
+    reports = run(load_scenarios(SUITE), parallelism=parallelism)
+    encoded = emit(reports, "json")
+    pinned = json.loads(PINNED_HASHES.read_text(encoding="utf-8"))
+    assert {r["scenario_id"]: r["determinism_sha256"] for r in json.loads(encoded)} == pinned
+    assert all(r["error"] is None for r in reports)

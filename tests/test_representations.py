@@ -11,6 +11,7 @@ from framecert.representations import (
     ZeroResult,
     ZeroWindow,
     apply_rep,
+    carrier_orbit,
     dirac_vector,
     flat_vector,
     inner,
@@ -252,3 +253,31 @@ def test_voice_transform_is_a_group_function():
     rep = GaborRep(4)
     transform = voice_transform(rep, flat_vector(4), dirac_vector(4))
     assert type(transform) is GroupFunction and transform.group is rep.group
+
+
+ORBIT_REPS = {
+    **{f"gabor-{n}": (lambda n=n: GaborRep(n)) for n in (1, 2, 4, 8, 16, 24, 32)},
+    **BATCH_REPS,
+}
+
+
+@pytest.mark.parametrize("make", ORBIT_REPS.values(), ids=ORBIT_REPS.keys())
+def test_orbit_rows_equal_apply_bit_for_bit(make):
+    rep = make()
+    rng = np.random.default_rng(23)
+    v = rng.standard_normal(rep.dim) + 1j * rng.standard_normal(rep.dim)
+    looped = np.stack([apply_rep(rep, x, v) for x in rep.group.carrier])
+    orbit = carrier_orbit(rep, v)
+    assert orbit.shape == (rep.group.order, rep.dim) and orbit.dtype == complex
+    assert orbit.tobytes() == looped.tobytes()
+    # the voice transform reads its atoms off the orbit: same inner products
+    g = periodized_gaussian(rep.dim)
+    values = np.array([inner(v, rep.apply(x, g)) for x in rep.group.carrier])
+    assert voice_transform(rep, g, v).values.tobytes() == values.tobytes()
+
+
+def test_carrier_orbit_checks_the_dimension():
+    with pytest.raises(DimensionMismatch):
+        carrier_orbit(GaborRep(4), np.ones(5))
+    with pytest.raises(DimensionMismatch):
+        carrier_orbit(TranslationRep(3), np.ones((3, 3)))
