@@ -18,18 +18,15 @@ Individual scenario failures (a system that is not a frame, a malformed
 candidate family, an escaping carrier) are captured in the report's "error"
 field and never abort the batch; any other exception is a bug and aborts it.
 
-The whole-carrier tables, the HAP error table and the density counts, are
-written straight from the certificates' column arrays: the canonical base
-points are listed once per group, each label and measure is formatted once,
-a density ratio once per distinct count, and no object is built per cell.
-Those rows carry the keys that _row gives the per-cell views (HapCell,
-DensityRow), which the certificates still offer to library callers.  Every
-other row comes from a certificate dataclass (ComparisonCertificate,
-HapCandidate, DensitySummary, the sampling and frame checks) through _row:
-every field becomes a key, renamed where _REPORT_NAMES says so, and every
-value is canonicalized as it is read.  canonical_json() and
-determinism_sha256() canonicalize arbitrary input from scratch and stay the
-slow reference for the sealed text.
+The HAP error table and the density counts are written straight from the
+certificates' column arrays, with no object per cell: the base points are
+listed once per scenario, and labels, measures and density ratios are
+formatted once each.  Those rows carry the keys that _row gives the
+per-cell views (HapCell, DensityRow).  Every other row comes from a
+certificate dataclass through _row: every field becomes a key, renamed
+where _REPORT_NAMES says so, and every value is canonicalized as it is read.
+canonical_json() and determinism_sha256() canonicalize arbitrary input from
+scratch and stay the slow reference for the sealed text.
 """
 
 from __future__ import annotations
