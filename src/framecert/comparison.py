@@ -21,6 +21,11 @@ the final counting inequality
 B defaults to the upper frame bound of the reference frame (what the chain
 uses); the alternative reading, the upper bound 1/A of the dual of E_g, is
 recorded alongside for transparency and can be selected instead.
+
+Cells work on carrier positions: K.L is built once per K, each cell
+translates K and K.L with GroupModel.multiply_masked, and the point sets'
+slot tables (PointSet.indices_at) give P's duals and Q's reference atoms,
+both in frame-index order, the order that fixes the SVDs' rounding.
 """
 
 from __future__ import annotations
@@ -38,10 +43,9 @@ from framecert.groups import (
     PointSet,
     measure,
     product_set,
-    translate_set,
     window_reduce,
 )
-from framecert.hap import HapCertificate, HapScenario, NoAdmissibleL, find_L, local_subspace
+from framecert.hap import HapCertificate, HapScenario, NoAdmissibleL, find_L
 
 _REL_SLACK = 1e-9
 
@@ -110,7 +114,6 @@ class ComparisonScenario:
     b_used: float = field(init=False)
     b_alternative: float = field(init=False)
     b_provenance: str = field(init=False)
-    _chosen_products: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.given.rep.group is not self.reference.rep.group:
@@ -159,16 +162,6 @@ class ComparisonScenario:
             return find_L(scenario)
         except NoAdmissibleL as exc:
             raise HapPreconditionUnmet(str(exc)) from exc
-
-    def chosen_product(self, K: CompactSet) -> CompactSet | None:
-        """K.L for the chosen L, built once per K; None when it escapes a
-        truncated carrier, which makes every (y, K) cell boundary."""
-        if K not in self._chosen_products:
-            try:
-                self._chosen_products[K] = product_set(K, self.hap_choice.chosen_L)
-            except OutOfCarrier:
-                self._chosen_products[K] = None
-        return self._chosen_products[K]
 
 
 @dataclass
@@ -219,27 +212,32 @@ class ComparisonCertificate:
 
 
 def comparison_certificate(
-    scenario: ComparisonScenario, y, K: CompactSet, k_label
+    scenario: ComparisonScenario, yp: int, k_positions: np.ndarray,
+    kl_positions: np.ndarray | None, k_label
 ) -> ComparisonCertificate:
-    """Build and verify the full counting chain for one (y, K) cell; the
-    certificate reports the cell under ``k_label``, K's label in the family."""
-    l_label = scenario.hap_choice.chosen_l_label
-    cell = dict(y=y, k_label=k_label, l_label=l_label, epsilon=scenario.epsilon,
+    """Build and verify the full counting chain for the (y, K) cell at carrier
+    position ``yp``, from the positions of K and of K.L for the chosen L (None
+    when K.L escapes); it reports the cell under ``k_label``, K's label."""
+    group = scenario.given.rep.group
+    cell = dict(y=group.carrier[yp], k_label=k_label,
+                l_label=scenario.hap_choice.chosen_l_label, epsilon=scenario.epsilon,
                 b_used=scenario.b_used, b_provenance=scenario.b_provenance,
                 b_alternative=scenario.b_alternative)
-    kl = scenario.chosen_product(K)
-    if kl is None:
+    if kl_positions is None:
         return ComparisonCertificate(**cell)
-    try:
-        yk = translate_set(y, K)
-        # The duals of the points in y.K.L, in frame-index order.
-        P = local_subspace(scenario.given_analysis.canonical_dual, scenario.given.points, y, kl)
-    except OutOfCarrier:
+    yk, yk_kept = group.multiply_masked(yp, k_positions)
+    ykl, ykl_kept = group.multiply_masked(yp, kl_positions)
+    # Both masks: L need not contain e, so y.K may escape while y.K.L stays.
+    if not (yk_kept.all() and ykl_kept.all()):
         return ComparisonCertificate(**cell)
 
-    sel_y = np.flatnonzero(yk.indicator[scenario.reference.points.positions()])
-    ref_atoms = scenario.reference.synthesis[:, sel_y]
-    Q = span_projector(ref_atoms, dim=scenario.given.rep.dim)
+    # The duals of the points in y.K.L and the reference atoms of the points
+    # in y.K, each in frame-index order.
+    dim = scenario.given.rep.dim
+    duals = scenario.given_analysis.canonical_dual
+    P = span_projector(duals[:, np.sort(scenario.given.points.indices_at(ykl))], dim=dim)
+    ref_atoms = scenario.reference.synthesis[:, np.sort(scenario.reference.points.indices_at(yk))]
+    Q = span_projector(ref_atoms, dim=dim)
     T = qpq_operator(P, Q)
 
     trace_check = trace_bounds_check(
@@ -249,7 +247,7 @@ def comparison_certificate(
         scenario.reference_analysis.B,
     )
     card_x = P.generators.shape[1]
-    card_y = len(sel_y)
+    card_y = ref_atoms.shape[1]
     h_sq = scenario.h_norm_sq
     b_used = scenario.b_used
     lhs = h_sq * (1.0 - scenario.epsilon) * card_y / b_used
@@ -286,25 +284,18 @@ def comparison_certificate(
 
 def comparison_run(scenario: ComparisonScenario) -> list[ComparisonCertificate]:
     """Certificates for every (y, K) cell, in carrier-by-family order."""
+    chosen_L = scenario.hap_choice.chosen_L
     certificates = []
-    for ik, K in enumerate(scenario.K_family):
-        for y in scenario.given.rep.group.carrier:
-            certificates.append(
-                comparison_certificate(scenario, y, K, k_label=scenario.k_labels[ik])
-            )
+    for K, k_label in zip(scenario.K_family, scenario.k_labels):
+        try:
+            kl_positions = product_set(K, chosen_L).positions()
+        except OutOfCarrier:
+            kl_positions = None
+        certificates += [
+            comparison_certificate(scenario, yp, K.positions(), kl_positions, k_label)
+            for yp in range(scenario.given.rep.group.order)
+        ]
     return certificates
-
-
-@dataclass(frozen=True)
-class DensityRow:
-    """One row of DensityReport.rows, the per-cell view of its columns."""
-
-    y: object
-    k_label: object
-    count: int | None
-    measure: float
-    ratio: float | None
-    boundary: bool
 
 
 @dataclass(frozen=True)
@@ -332,18 +323,6 @@ class DensityReport:
     inside: np.ndarray  # (|K family|, len(y_sample)), bool
 
     @property
-    def rows(self) -> list[DensityRow]:
-        """One DensityRow per cell in (K, y) order, built from the columns on
-        each access; a boundary row's count and ratio are None."""
-        return [
-            DensityRow(y, k_label, count, vol, count / vol, False)
-            if interior else DensityRow(y, k_label, None, vol, None, True)
-            for k_label, vol, counts, inside
-            in zip(self.k_labels, self.measures, self.counts.tolist(), self.inside.tolist())
-            for y, count, interior in zip(self.y_sample, counts, inside)
-        ]
-
-    @property
     def summary(self) -> list[DensitySummary]:
         """The smallest and largest ratio per K over its inside cells, or None
         when it has none.  Dividing by a positive measure is monotone and
@@ -364,7 +343,7 @@ def density_report(
     X: PointSet, K_family: list[CompactSet], y_sample=None, k_labels=None
 ) -> DensityReport:
     """Counting ratios card{x_j in yK} / |K| per (y, K), as columns, with the
-    per-K extremes and one row per cell as derived views.
+    per-K extremes as a derived view.
 
     The starting point for density statements: expanding windows whose count
     per unit Haar measure stabilizes reveal the density of the point set.

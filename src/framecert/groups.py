@@ -386,6 +386,25 @@ class PointSet:
         """Multiplicity of every carrier position in the point list."""
         return np.bincount(self._positions, minlength=self.group.order)
 
+    @cached_property
+    def slots(self) -> np.ndarray:
+        """The point-slot table: row p lists the indices of the points at
+        carrier position p in ascending order, then -1 padding up to the
+        largest multiplicity."""
+        positions, counts = self._positions, self.counts()
+        order = np.argsort(positions, kind="stable")
+        rank = np.arange(len(order)) - np.repeat(np.cumsum(counts) - counts, counts)
+        slots = np.full((self.group.order, counts.max(initial=0)), -1, dtype=np.int64)
+        slots[positions[order], rank] = order
+        slots.flags.writeable = False
+        return slots
+
+    def indices_at(self, positions) -> np.ndarray:
+        """Indices of the points at ``positions``: position by position in the
+        given order, each position's indices ascending, duplicates kept."""
+        slots = self.slots[positions].ravel()
+        return slots[slots >= 0]
+
 
 def compact_set(group: GroupModel, members: Iterable) -> CompactSet:
     return CompactSet.of_mask(group, group.mask([group.index(x) for x in members]))

@@ -21,14 +21,15 @@ candidate by monotonicity of the error in L.
 The projector a cell needs depends only on the set yKL, not on which K and L
 produced it, so the scan runs y outermost and builds one projector per
 distinct K.L set at each y; every (K, L) pair with that product reuses it.
-Its generators are the duals of K.L's sorted positions translated by y, in
-that order: the column order fixes the SVD's rounding, and with it every
-table float and the determinism hashes.  Per y, one composition of y with
-the whole carrier gives every yK and yKL, and each window's transported
-test vectors are gathered once.  Each (K, L) pair keeps its own residual
-product: BLAS rounds a column differently in products of different widths
-(by up to ~1e-15 for complex d x d @ d x n, d 4-32), so batching the
-windows of several K would move the hashes.
+Its generators are the duals of the points at K.L's sorted positions
+translated by y, in that order (PointSet.indices_at): the column order fixes
+the SVD's rounding, and with it every table float and the determinism
+hashes.  Per y, one composition of y with the whole carrier gives every yK
+and yKL, and each window's transported test vectors are gathered once.
+Each (K, L) pair keeps its own residual product: BLAS rounds a column
+differently in products of different widths (by up to ~1e-15 for complex
+d x d @ d x n, d 4-32), so batching the windows of several K would move the
+hashes.
 
 Base points are independent, so find_L is three steps: prepare_scan (all
 that does not depend on y), scan_errors over any range of base points, and
@@ -208,27 +209,19 @@ class HapScan:
     """A scenario's cell scan, set up once: what scan_errors needs for any
     range of base points, and the tail bounds that certify reads.
 
-    It holds the group, arrays and small tuples, not the frame, so it
-    pickles cheaply to worker processes.
+    It holds the group, the frame's point set, arrays and small tuples, not
+    the frame, so it pickles cheaply to worker processes.
     """
 
     group: GroupModel
     duals: np.ndarray
     transported: np.ndarray  # pi(x) f for every carrier position x, as columns
-    # Row p: the frame indices of the points at carrier position p, ascending,
-    # then -1 padding up to the largest multiplicity.
-    point_slots: np.ndarray
+    points: PointSet  # the frame's points, with their slot table built
     k_positions: tuple[np.ndarray, ...]
     kl_positions: tuple[np.ndarray, ...]  # the distinct K.L sets
     pairs: tuple[tuple[int, int, int | None], ...]  # (K, L, K.L set) per table row
     bounds: tuple[float | None, ...]
     separation: int
-
-    def columns(self, positions: np.ndarray) -> np.ndarray:
-        """Frame indices of the points at ``positions``: position by position
-        in the given order, each position's indices ascending, duplicates kept."""
-        slots = self.point_slots[positions].ravel()
-        return slots[slots >= 0]
 
 
 def prepare_scan(scenario: HapScenario) -> HapScan:
@@ -237,11 +230,7 @@ def prepare_scan(scenario: HapScenario) -> HapScan:
     group = frame.rep.group
 
     transported = carrier_orbit(frame.rep, scenario.f).T
-    points = frame.points.positions()
-    order = np.argsort(points, kind="stable")
-    counts = np.bincount(points, minlength=group.order)
-    point_slots = np.full((group.order, counts.max(initial=0)), -1, dtype=np.int64)
-    point_slots[points[order], np.arange(len(order)) - np.repeat(np.cumsum(counts) - counts, counts)] = order
+    frame.points.slots  # built here, so the scan pickles it to workers with the points
 
     c0 = separation_constant(frame.points, scenario.U)
     try:
@@ -270,7 +259,7 @@ def prepare_scan(scenario: HapScenario) -> HapScan:
         group=group,
         duals=scenario.duals,
         transported=transported,
-        point_slots=point_slots,
+        points=frame.points,
         k_positions=tuple(K.positions() for K in scenario.K_family),
         kl_positions=tuple(kl.positions() for kl in kl_index),
         pairs=tuple(pairs),
@@ -311,7 +300,8 @@ def scan_errors(scan: HapScan, start: int, stop: int) -> tuple[np.ndarray, np.nd
                 # one; the column order fixes the SVD's rounding, hence the
                 # hashes.
                 projectors[s] = (
-                    span_projector(scan.duals[:, scan.columns(translated[kl])], dim=dim).matrix
+                    span_projector(scan.duals[:, scan.points.indices_at(translated[kl])],
+                                   dim=dim).matrix
                     if kept[kl].all()
                     else None
                 )

@@ -21,10 +21,11 @@ field and never abort the batch; any other exception is a bug and aborts it.
 The HAP error table and the density counts are written straight from the
 certificates' column arrays, with no object per cell: the base points are
 listed once per scenario, and labels, measures and density ratios are
-formatted once each.  Those rows carry the keys that _row gives the
-per-cell views (HapCell, DensityRow).  Every other row comes from a
-certificate dataclass through _row: every field becomes a key, renamed
-where _REPORT_NAMES says so, and every value is canonicalized as it is read.
+formatted once each.  HAP rows carry the keys that _row gives HapCell.
+Every other row comes from a certificate dataclass through _row: every
+field becomes a key, renamed where _REPORT_NAMES says so, and every value
+is canonicalized as it is read, except a box sampling trial whose windows
+escape: it has no certificate, and its row is boundary with nulls.
 canonical_json() and determinism_sha256() canonicalize arbitrary input from
 scratch and stay the slow reference for the sealed text.
 """
@@ -229,8 +230,15 @@ def _run_sampling_bound(spec: dict, seed: int) -> dict:
         X = PointSet(group, positions=rng.integers(0, group.order, size))
         u_radius = int(rng.integers(0, max_radius + 1))
         k_radius = int(rng.integers(0, max_radius + 1))
-        check = sampling_bound_check(f, X, group.ball(k_radius), group.ball(u_radius))
-        rows.append(_row(check, instance=t, points=size, u_radius=u_radius, k_radius=k_radius))
+        try:
+            row = _row(sampling_bound_check(f, X, group.ball(k_radius), group.ball(u_radius)))
+        except OutOfCarrier:
+            # A window xU escapes the box carrier, so the bound is unknown:
+            # the trial is boundary, not a failure.
+            row = {"lhs": None, "rhs": None, "C": None, "C0": None, "holds": False,
+                   "boundary": True}
+        row.update(instance=t, points=size, u_radius=u_radius, k_radius=k_radius)
+        rows.append(row)
     return {
         "table": rows,
         "summary": _summary(rows, "holds"),
@@ -387,9 +395,8 @@ def _run_density(spec: dict, seed: int) -> dict:
     if y_sample is not None:
         y_sample = [tuple(y) if isinstance(y, list) else y for y in y_sample]
     report = density_report(X, K_family, y_sample=y_sample, k_labels=list(spec["k_radii"]))
-    # Rows straight from the report's columns, under the keys _row gives
-    # DensityRow; the measure is formatted once per K, the ratio once per
-    # distinct count, and rows share the y lists.
+    # Rows straight from the report's columns: the measure is formatted once
+    # per K, the ratio once per distinct count, and rows share the y lists.
     ys = _carrier_column(group) if y_sample is None else _canon(y_sample)
     rows = []
     for k_label, vol, counts, inside in zip(

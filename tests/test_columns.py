@@ -1,5 +1,6 @@
 """Report rows written straight from certificate columns: byte-identical to the
-rows of the per-cell views, and no per-cell object on the runner's path."""
+rows of the HAP cell views and of a cell-by-cell density reference, and no
+per-cell object on the runner's path."""
 
 import json
 import os
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import framecert.runner as runner
-from framecert.comparison import DensityRow, density_report
+from framecert.comparison import density_report
 from framecert.frames import analyze_frame, coherent_frame
 from framecert.groups import GroupModel, OutOfCarrier, full_point_set, point_set
 from framecert.hap import HapCell, HapScenario, find_L
@@ -111,6 +112,21 @@ def _density_view(spec):
                           y_sample=y_sample, k_labels=list(spec["k_radii"]))
 
 
+def _density_rows(report) -> list[dict]:
+    """A density report's rows cell by cell from its columns, in (K, y)
+    order: a boundary row's count and ratio are None."""
+    return [
+        {"y": y, "K_radius": k_label, "count": count, "measure": vol, "ratio": count / vol,
+         "boundary": False}
+        if interior else
+        {"y": y, "K_radius": k_label, "count": None, "measure": vol, "ratio": None,
+         "boundary": True}
+        for k_label, vol, counts, inside
+        in zip(report.k_labels, report.measures, report.counts.tolist(), report.inside.tolist())
+        for y, count, interior in zip(report.y_sample, counts, inside)
+    ]
+
+
 @pytest.mark.parametrize("parallelism", [1, 2])
 def test_rows_from_columns_equal_the_views_across_the_pool(tmp_path, monkeypatch, parallelism):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)  # the pool path at parallelism 2
@@ -127,7 +143,7 @@ def test_rows_from_columns_equal_the_views_across_the_pool(tmp_path, monkeypatch
             _assert_hap_payload_matches_the_views(report, cert)
             continue
         view = _density_view(scenario.spec)
-        rows = [_row(row) for row in view.rows]
+        rows = _density_rows(view)
         assert runner._dumps(report["table"]) == canonical_json(rows)
         assert report["ratio_summary"] == [_row(s) for s in view.summary]
         assert report["summary"] == _summary(rows)
@@ -154,11 +170,9 @@ def test_ratio_extremes_from_counts_equal_min_and_max_of_the_row_ratios():
     # one of its windows escapes and it has no interior row.
     y_sample = [(1, 1), (-1, 0), (2, 3), (0, 1), (9, 9)]
     report = density_report(X, K_family, y_sample=y_sample)
-    rows = report.rows
-    for summary, vol in zip(report.summary, report.measures):
-        ratios = [row.ratio for row in rows if row.k_label == summary.k_label and not row.boundary]
-        assert all(row.ratio == row.count / vol for row in rows
-                   if row.k_label == summary.k_label and not row.boundary)
+    for summary, vol, counts, inside in zip(report.summary, report.measures, report.counts,
+                                            report.inside):
+        ratios = [count / vol for count in counts[inside].tolist()]
         if ratios:
             assert (summary.min_ratio, summary.max_ratio) == (min(ratios), max(ratios))
             assert type(summary.min_ratio) is float and type(summary.max_ratio) is float
@@ -176,9 +190,9 @@ def test_ratio_extremes_over_a_whole_cyclic_carrier():
     rng = np.random.default_rng(1)
     X = point_set(group, [tuple(p) for p in rng.integers(0, 24, size=(64, 2))])
     report = density_report(X, [group.ball(r) for r in (1, 2, 4)])
-    rows = report.rows
-    for summary in report.summary:
-        ratios = [row.ratio for row in rows if row.k_label == summary.k_label]
+    assert report.inside.all()
+    for summary, vol, counts in zip(report.summary, report.measures, report.counts):
+        ratios = [count / vol for count in counts.tolist()]
         assert len(set(ratios)) > 2
         assert (summary.min_ratio, summary.max_ratio) == (min(ratios), max(ratios))
 
@@ -190,11 +204,8 @@ def _refuse(*args, **kwargs):
 @pytest.mark.parametrize("parallelism", [1, 2])
 def test_the_runner_builds_no_per_cell_objects(monkeypatch, parallelism):
     monkeypatch.setattr(HapCell, "__init__", _refuse)
-    monkeypatch.setattr(DensityRow, "__init__", _refuse)
     with pytest.raises(AssertionError, match="per-cell view"):
         HapCell(0, 0, 0, None, True)
-    with pytest.raises(AssertionError, match="per-cell view"):
-        DensityRow(0, 0, None, 1.0, None, True)
 
     reports = run(load_scenarios(SUITE), parallelism=parallelism)
     encoded = emit(reports, "json")

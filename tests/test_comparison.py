@@ -13,13 +13,24 @@ from framecert.comparison import (
     trace_bounds_check,
 )
 from framecert.frames import FrameSystem, analyze_frame, coherent_frame, span_projector
-from framecert.groups import GroupModel, compact_set, full_point_set, point_set, product_set
+from framecert.groups import (
+    GroupModel,
+    OutOfCarrier,
+    compact_set,
+    full_point_set,
+    point_set,
+    product_set,
+    translate_set,
+)
+from framecert.hap import local_subspace
 from framecert.representations import (
     GaborRep,
+    Representation,
     TranslationRep,
     dirac_vector,
     periodized_gaussian,
 )
+from framecert.scenarios import build_points
 
 
 def _scenario(given, reference, epsilon, k_radii=(0, 1, 2), l_radii=(0, 1, 2, 3, 4), **kw):
@@ -168,7 +179,9 @@ def test_comparison_b_convention_alternative():
     onb = coherent_frame(rep, dirac_vector(8), full_point_set(rep.group))
     scenario = _scenario(onb, onb, epsilon=0.5, k_radii=(1,), l_radii=(0, 1),
                          b_convention="dual_of_given")
-    cert = comparison_certificate(scenario, 0, rep.group.ball(1), k_label=1)
+    K = rep.group.ball(1)
+    kl = product_set(K, scenario.hap_choice.chosen_L)
+    cert = comparison_certificate(scenario, 0, K.positions(), kl.positions(), k_label=1)
     assert cert.b_provenance == "upper bound of dual of E_g"
     assert cert.b_used == pytest.approx(1.0)
     assert cert.b_alternative == pytest.approx(1.0)
@@ -179,12 +192,11 @@ def test_comparison_b_convention_alternative():
 def test_density_examples():
     z8 = GroupModel.cyclic([8])
     full = density_report(full_point_set(z8), [z8.ball(1), z8.ball(2)])
-    assert all(row.ratio == pytest.approx(1.0) for row in full.rows)
+    assert full.inside.all()
+    assert full.counts.tolist() == [[3] * 8, [5] * 8]  # ratio 1 everywhere
+    assert [(s.min_ratio, s.max_ratio) for s in full.summary] == [(1.0, 1.0), (1.0, 1.0)]
     evens = density_report(point_set(z8, [0, 2, 4, 6]), [z8.ball(1)])
-    assert sorted({round(row.ratio, 6) for row in evens.rows}) == [
-        pytest.approx(1 / 3),
-        pytest.approx(2 / 3),
-    ]
+    assert evens.counts.tolist() == [[1, 2] * 4]
     assert evens.summary[0].min_ratio == pytest.approx(1 / 3)
     assert evens.summary[0].max_ratio == pytest.approx(2 / 3)
 
@@ -196,34 +208,164 @@ def test_density_lattice_z16():
     )
     report = density_report(lattice, [group.ball(8)], y_sample=[(0, 0), (1, 1), (3, 7)])
     # ball(8) is the whole carrier: the ratio is exactly 1/(2*2)
-    assert all(row.ratio == pytest.approx(0.25) for row in report.rows)
+    assert report.inside.all() and report.counts.tolist() == [[64] * 3]
+    assert report.measures == [256.0]
+    assert (report.summary[0].min_ratio, report.summary[0].max_ratio) == (0.25, 0.25)
 
 
 def test_density_boundary_rows_on_box():
     box = GroupModel.box([2])
     X = full_point_set(box)
     report = density_report(X, [box.ball(1)])
-    assert any(row.boundary for row in report.rows)
-    assert any(not row.boundary for row in report.rows)
-    interior = [row.ratio for row in report.rows if not row.boundary]
-    assert all(r == pytest.approx(1.0) for r in interior)
+    # y.K escapes [-2, 2] at both ends
+    assert report.inside.tolist() == [[False, True, True, True, False]]
+    assert report.counts[report.inside].tolist() == [3, 3, 3]  # ratio 1
+    assert (report.summary[0].min_ratio, report.summary[0].max_ratio) == (1.0, 1.0)
 
 
 def test_comparison_run_builds_each_chosen_product_once(monkeypatch):
+    """comparison_run works on carrier positions: one product_set per K and no
+    per-cell translate_set or local_subspace, in any framecert namespace."""
     import framecert.comparison
+    import framecert.groups
+    import framecert.hap
 
     rep = GaborRep(8)
     group = rep.group
     given = coherent_frame(rep, periodized_gaussian(8), full_point_set(group))
     reference = coherent_frame(rep, dirac_vector(8), point_set(group, [(k, 0) for k in range(8)]))
     scenario = _scenario(given, reference, epsilon=0.5, k_radii=(0, 1), l_radii=(0, 1, 2, 3, 4))
-    built = []
+    chosen_L = scenario.hap_choice.chosen_L  # the HAP scan's own set algebra, before counting
+    calls = {"product_set": [], "translate_set": 0, "local_subspace": 0}
 
-    def counting(K, L):
-        built.append((K, L))
+    def counting_product(K, L):
+        calls["product_set"].append((K, L))
         return product_set(K, L)
 
-    monkeypatch.setattr(framecert.comparison, "product_set", counting)
+    def counter(name, original):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(framecert.comparison, "product_set", counting_product)
+    for module in (framecert.groups, framecert.hap, framecert.comparison):
+        for name, original in (("translate_set", translate_set),
+                               ("local_subspace", local_subspace)):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counter(name, original))
+    # the counters are live: the reference oracle goes through both
+    framecert.hap.local_subspace(scenario.given_analysis.canonical_dual, given.points, (1, 2),
+                                 group.ball(1))
+    assert (calls["translate_set"], calls["local_subspace"]) == (1, 1)
+    calls.update(translate_set=0, local_subspace=0)
+
     certs = comparison_run(scenario)
     assert len(certs) == 2 * group.order
-    assert built == [(K, scenario.hap_choice.chosen_L) for K in scenario.K_family]
+    assert calls["product_set"] == [(K, chosen_L) for K in scenario.K_family]
+    assert (calls["translate_set"], calls["local_subspace"]) == (0, 0)
+
+
+class _ModRollRep(Representation):
+    """Rolls of C^3 indexed by the box [-3, 3]: a box group whose frames span
+    with three points, so a window L without the identity can certify the
+    HAP, and a cell's y.K can escape while its y.K.L stays."""
+
+    def __init__(self):
+        self.kind = "roll"
+        self.group = GroupModel.box([3])
+        self.dim = 3
+
+    def apply(self, x, v):
+        return np.roll(v, self.group.canon(x), axis=-1)
+
+
+def _comparison(given, reference, epsilon, K_family, L_family):
+    return ComparisonScenario(
+        given=given,
+        given_analysis=analyze_frame(given),
+        reference=reference,
+        reference_analysis=analyze_frame(reference),
+        epsilon=epsilon,
+        U=given.rep.group.ball(1),
+        K_family=K_family,
+        L_family=L_family,
+    )
+
+
+def _box_comparison():
+    rep = _ModRollRep()
+    group = rep.group
+    window = np.random.default_rng(3).standard_normal(3) + 0j
+    # every carrier point once, and 0 and 2 twice
+    given = coherent_frame(rep, window, point_set(group, list(group.carrier) + [0, 2]))
+    reference = coherent_frame(rep, dirac_vector(3), point_set(group, [0, 1, 2]))
+    return _comparison(given, reference, 0.5, [group.ball(1), group.ball(2)],
+                       [compact_set(group, [2])])
+
+
+def _lattice_comparison():
+    rep = GaborRep(6)
+    group = rep.group
+    # every carrier point once, and (0, 0) and (1, 2) twice
+    points = point_set(group, list(group.carrier) + [(0, 0), (1, 2)])
+    given = coherent_frame(rep, periodized_gaussian(6), points)
+    reference = coherent_frame(rep, dirac_vector(6),
+                               build_points({"lattice": {"steps": [1, 6]}}, group))
+    return _comparison(given, reference, 0.5, [group.ball(0), group.ball(1)],
+                       [group.ball(r) for r in (0, 1, 2, 3)])
+
+
+@pytest.mark.parametrize("make", [_box_comparison, _lattice_comparison], ids=["box", "lattice"])
+def test_comparison_cells_match_the_set_oracles(make):
+    """Every (y, K) cell against the element-set reference: translate_set,
+    local_subspace and cardinality_count, and the trace of QPQ from the
+    reference projectors, bit for bit."""
+    scenario = make()
+    given, reference = scenario.given, scenario.reference
+    group = given.rep.group
+    chosen_L = scenario.hap_choice.chosen_L
+    certs = comparison_run(scenario)
+    cells = [(K, y) for K in scenario.K_family for y in group.carrier]
+    assert [cert.y for cert in certs] == [y for _, y in cells]
+    inside = 0
+    for cert, (K, y) in zip(certs, cells):
+        try:
+            KL = product_set(K, chosen_L)
+            yk, ykl = translate_set(y, K), translate_set(y, KL)
+        except OutOfCarrier:
+            assert cert.boundary and cert.rank_P is None
+            continue
+        assert not cert.boundary
+        inside += 1
+        P = local_subspace(scenario.given_analysis.canonical_dual, given.points, y, KL)
+        Q = span_projector(
+            reference.synthesis[:, np.flatnonzero(yk.indicator[reference.points.positions()])],
+            dim=given.rep.dim,
+        )
+        assert cert.rank_P == P.rank
+        assert cert.card_x_in_ykl == cardinality_count(given.points, ykl)
+        assert cert.card_y_in_yk == cardinality_count(reference.points, yk)
+        assert cert.trace_T == trace_bounds_check(
+            qpq_operator(P, Q), reference.synthesis, scenario.reference_analysis.A,
+            scenario.reference_analysis.B,
+        ).trace
+        assert cert.ok
+    assert 0 < inside
+    assert any(cert.card_x_in_ykl > len(translate_set(cert.y, product_set(K, chosen_L)))
+               for cert, (K, _) in zip(certs, cells) if not cert.boundary)  # duplicates count
+
+
+def test_a_cell_whose_window_escapes_while_its_product_stays_is_boundary():
+    scenario = _box_comparison()
+    group = scenario.given.rep.group
+    K = group.ball(1)
+    KL = product_set(K, scenario.hap_choice.chosen_L)
+    assert KL.sorted_members() == [1, 2, 3]  # L = {2} does not contain e
+    assert translate_set(-3, KL).sorted_members() == [-2, -1, 0]
+    with pytest.raises(OutOfCarrier):
+        translate_set(-3, K)
+    cert = comparison_certificate(scenario, group.index(-3), K.positions(), KL.positions(), 1)
+    assert cert.y == -3 and cert.boundary
+    inner = comparison_certificate(scenario, group.index(-1), K.positions(), KL.positions(), 1)
+    assert not inner.boundary and inner.ok

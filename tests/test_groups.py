@@ -424,3 +424,37 @@ def test_multiply_masked_matches_compose_and_index(case):
     else:
         with pytest.raises(OutOfCarrier):
             group.multiply(p, q)
+
+
+def test_point_slots_list_each_positions_indices_ascending(z4x4):
+    # (1, 2) three times, (0, 0) twice, (3, 3) once
+    X = point_set(z4x4, [(1, 2), (0, 0), (1, 2), (3, 3), (0, 0), (1, 2)])
+    slots = X.slots
+    assert slots.shape == (z4x4.order, 3) and not slots.flags.writeable
+    assert slots[z4x4.index((1, 2))].tolist() == [0, 2, 5]
+    assert slots[z4x4.index((0, 0))].tolist() == [1, 4, -1]
+    assert slots[z4x4.index((3, 3))].tolist() == [3, -1, -1]
+    assert (slots[z4x4.index((2, 2))] == -1).all()
+    assert X.slots is slots  # built once
+    # position by position in the given order, duplicates kept
+    at = z4x4.index(np.array([(3, 3), (2, 2), (1, 2), (0, 0)]))
+    assert X.indices_at(at).tolist() == [3, 0, 2, 5, 1, 4]
+    assert X.indices_at(at[::-1]).tolist() == [1, 4, 0, 2, 5, 3]
+    assert X.indices_at(np.array([], dtype=np.int64)).tolist() == []
+
+
+def test_point_slots_of_full_and_empty_point_sets(z8):
+    full = full_point_set(z8)
+    assert full.slots.tolist() == [[j] for j in range(8)]
+    assert full.indices_at(np.array([5, 1, 5])).tolist() == [5, 1, 5]
+    empty = point_set(z8, [])
+    assert empty.slots.shape == (8, 0)
+    assert empty.indices_at(z8.all_positions).tolist() == []
+
+
+@_PROPERTY_SETTINGS
+@given(st.lists(st.integers(0, 7), max_size=20), st.lists(st.integers(0, 7), max_size=10))
+def test_indices_at_matches_a_scan_of_the_point_list(points, at):
+    X = point_set(GroupModel.cyclic([8]), points)
+    expected = [j for p in at for j, x in enumerate(points) if x == p]
+    assert X.indices_at(np.array(at, dtype=np.int64)).tolist() == expected

@@ -11,7 +11,7 @@ import framecert.runner as runner
 from framecert.cli import main
 from framecert.comparison import ComparisonCertificate, ComparisonScenario, comparison_run
 from framecert.frames import analyze_frame, coherent_frame
-from framecert.groups import GroupModel, full_point_set
+from framecert.groups import GroupModel, OutOfCarrier, full_point_set, product_set
 from framecert.representations import Representation
 from framecert.runner import run
 from framecert.scenarios import is_seed, load_scenarios
@@ -198,7 +198,8 @@ def test_a_window_whose_chosen_product_escapes_has_only_boundary_cells():
         l_labels=[1],
     )
     assert scenario.hap_choice.chosen_l_label == 1
-    assert scenario.chosen_product(group.ball(2)) is None  # K.L escapes [-2, 2]
+    with pytest.raises(OutOfCarrier):  # K.L escapes [-2, 2]
+        product_set(group.ball(2), scenario.hap_choice.chosen_L)
     certificates = comparison_run(scenario)
     escaped = [c for c in certificates if c.k_label == 2]
     assert escaped == [

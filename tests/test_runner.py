@@ -318,9 +318,10 @@ def test_programming_errors_in_a_hap_slice_escape_run(tmp_path, monkeypatch):
 
 _GAUSS_Z6 = {"rep": {"kind": "gabor", "n": 6}, "window": "gauss", "points": "full"}
 
-# Every kind, both error kinds the runner captures most often, box-group
-# density with boundary rows (whole-carrier and sampled base points), a
-# tensor representation and the dual_of_given convention.
+# Every kind, the three error kinds the runner captures most often, box-group
+# density with boundary rows (whole-carrier and sampled base points), box
+# sampling with a boundary trial, a tensor representation and the
+# dual_of_given convention.
 _EDGE_SCENARIOS = [
     {"id": "box-density", "kind": "density", "group": {"kind": "box", "halfwidths": [3, 2]},
      "points": [[0, 0], [1, -1], [3, 2], [-2, 1], [1, -1]], "k_radii": [0, 1, 2]},
@@ -330,6 +331,8 @@ _EDGE_SCENARIOS = [
      "group": {"kind": "cyclic", "moduli": [5, 3]}, "trials": 4, "max_radius": 1, "seed": 9},
     {"id": "box-sampling", "kind": "sampling_bound", "group": {"kind": "box", "halfwidths": [2]},
      "trials": 3, "max_radius": 1, "seed": 5},
+    {"id": "box-density-escaped-point", "kind": "density",
+     "group": {"kind": "box", "halfwidths": [2]}, "points": [0, 3], "k_radii": [0]},
     {"id": "not-a-frame", "kind": "frame_analysis",
      "frame": {"rep": {"kind": "gabor", "n": 4}, "window": "flat",
                "points": {"lattice": {"steps": [1, 4]}}}},
@@ -367,6 +370,18 @@ def test_each_report_is_encoded_once_as_canonical_json(tmp_path, monkeypatch, pa
     errors = {r["error"]["type"] for r in reports if r["error"] is not None}
     assert {"NotAFrame", "NoAdmissibleL", "OutOfCarrier"} <= errors
     assert any(row["boundary"] for r in reports if r["kind"] == "density" for row in r["table"])
+    # Trial 0's U = ball(1) has windows that escape [-2, 2]: a boundary row,
+    # and the other trials keep theirs.
+    box_sampling = next(r for r in reports if r["scenario_id"] == "box-sampling")
+    assert box_sampling["error"] is None
+    assert box_sampling["summary"] == {"cell_count": 3, "pass_total": 2, "fail_total": 0,
+                                       "boundary_total": 1}
+    edge, *inner = box_sampling["table"]
+    assert edge == {"instance": 0, "points": 1, "u_radius": 1, "k_radius": 0, "lhs": None,
+                    "rhs": None, "C": None, "C0": None, "holds": False, "boundary": True}
+    assert [(row["instance"], row["u_radius"], row["holds"]) for row in inner] == [
+        (1, 0, True), (2, 0, True)]
+    assert all("boundary" not in row for row in inner)
     assert all(isinstance(r, runner._Sealed) for r in reports)  # each carries its text
 
     encoded = emit(reports, "json")
