@@ -388,9 +388,8 @@ class PointSet:
 
     @cached_property
     def slots(self) -> np.ndarray:
-        """The point-slot table: row p lists the indices of the points at
-        carrier position p in ascending order, then -1 padding up to the
-        largest multiplicity."""
+        """Point-slot table: row p lists the indices of the points at carrier
+        position p ascending, padded with -1 to the largest multiplicity."""
         positions, counts = self._positions, self.counts()
         order = np.argsort(positions, kind="stable")
         rank = np.arange(len(order)) - np.repeat(np.cumsum(counts) - counts, counts)

@@ -21,11 +21,10 @@ field and never abort the batch; any other exception is a bug and aborts it.
 The HAP error table and the density counts are written straight from the
 certificates' column arrays, with no object per cell: the base points are
 listed once per scenario, and labels, measures and density ratios are
-formatted once each.  HAP rows carry the keys that _row gives HapCell.
-Every other row comes from a certificate dataclass through _row: every
-field becomes a key, renamed where _REPORT_NAMES says so, and every value
-is canonicalized as it is read, except a box sampling trial whose windows
-escape: it has no certificate, and its row is boundary with nulls.
+formatted once each.  HAP rows carry the keys that _row gives HapCell;
+other rows come from certificate dataclasses through _row (an escaping box
+sampling trial takes only the keys): every field becomes a key, renamed
+where _REPORT_NAMES says so, and every value is canonicalized as it is read.
 canonical_json() and determinism_sha256() canonicalize arbitrary input from
 scratch and stay the slow reference for the sealed text.
 """
@@ -45,7 +44,12 @@ from datetime import datetime, timezone
 import numpy as np
 
 from framecert import __version__
-from framecert.amalgam import TAIL_INTEGRAND_CONVENTION, GroupFunction, sampling_bound_check
+from framecert.amalgam import (
+    TAIL_INTEGRAND_CONVENTION,
+    GroupFunction,
+    SamplingBoundCheck,
+    sampling_bound_check,
+)
 from framecert.comparison import (
     ComparisonScenario,
     HapPreconditionUnmet,
@@ -235,8 +239,8 @@ def _run_sampling_bound(spec: dict, seed: int) -> dict:
         except OutOfCarrier:
             # A window xU escapes the box carrier, so the bound is unknown:
             # the trial is boundary, not a failure.
-            row = {"lhs": None, "rhs": None, "C": None, "C0": None, "holds": False,
-                   "boundary": True}
+            row = {**dict.fromkeys(f.name for f in dataclasses.fields(SamplingBoundCheck)),
+                   "holds": False, "boundary": True}
         row.update(instance=t, points=size, u_radius=u_radius, k_radius=k_radius)
         rows.append(row)
     return {
