@@ -1,10 +1,11 @@
 """Two-frame comparison: trace sandwich, QPQ operators, and counting certificates.
 
-Setup: a given coherent frame E_g = {pi(x_j) g} with dual family {h_j}, and a
-reference frame E_h = {pi(y_k) h} on the same group, ideally an orthonormal
-basis.  For a base point y, a window K, and the inflation set L chosen so
-that the dual spans of E_g approximate transported copies of h to within
-epsilon * ||h||, let
+Setup: a given coherent frame E_g = {pi(x_j) g} with canonical dual {h_j},
+and a reference frame E_h = {pi(y_k) h} on the same group, ideally an
+orthonormal basis; both frames' bounds and the dual come from
+FrameSystem.analysis.  For a base point y, a window K, and the inflation set
+L chosen so that the dual spans of E_g approximate transported copies of h
+to within epsilon * ||h||, let
 
     P = projector onto span{h_j      : x_j in yKL},
     Q = projector onto span{pi(y_k)h : y_k in yK},
@@ -36,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from framecert.frames import FrameAnalysis, FrameSystem, SpanProjector, span_projector
+from framecert.frames import FrameSystem, SpanProjector, span_projector
 from framecert.groups import (
     CompactSet,
     OutOfCarrier,
@@ -45,7 +46,7 @@ from framecert.groups import (
     product_set,
     window_reduce,
 )
-from framecert.hap import HapCertificate, HapScenario, NoAdmissibleL, find_L
+from framecert.hap import HapCertificate, HapScenario, NoAdmissibleL, family_labels, find_L
 
 _REL_SLACK = 1e-9
 
@@ -101,9 +102,7 @@ class ComparisonScenario:
     """Given frame, reference frame, tolerance, and the window/inflation families."""
 
     given: FrameSystem
-    given_analysis: FrameAnalysis
     reference: FrameSystem
-    reference_analysis: FrameAnalysis
     epsilon: float
     U: CompactSet
     K_family: list[CompactSet]
@@ -114,13 +113,14 @@ class ComparisonScenario:
     b_used: float = field(init=False)
     b_alternative: float = field(init=False)
     b_provenance: str = field(init=False)
+    h_norm_sq: float = field(init=False)
 
     def __post_init__(self) -> None:
         if self.given.rep.group is not self.reference.rep.group:
             raise ValueError("both frames must live on the same group")
         if not 0 < self.epsilon < 1:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        reference_b, dual_b = self.reference_analysis.B, 1.0 / self.given_analysis.A
+        dual_b, reference_b = 1.0 / self.given.analysis.A, self.reference.analysis.B
         if self.b_convention == "reference":
             self.b_used, self.b_alternative = reference_b, dual_b
             self.b_provenance = "upper bound of reference frame"
@@ -129,14 +129,9 @@ class ComparisonScenario:
             self.b_provenance = "upper bound of dual of E_g"
         else:
             raise ValueError(f"unknown b_convention {self.b_convention!r}")
-        if self.k_labels is None:
-            self.k_labels = list(range(len(self.K_family)))
-        if self.l_labels is None:
-            self.l_labels = list(range(len(self.L_family)))
-
-    @property
-    def h_norm_sq(self) -> float:
-        return float(np.linalg.norm(self.reference.window) ** 2)
+        self.h_norm_sq = float(np.linalg.norm(self.reference.window) ** 2)
+        self.k_labels = family_labels(self.k_labels, self.K_family, "k_labels")
+        self.l_labels = family_labels(self.l_labels, self.L_family, "l_labels")
 
     @cached_property
     def hap_choice(self) -> HapCertificate:
@@ -148,8 +143,6 @@ class ComparisonScenario:
         threshold = self.epsilon * float(np.linalg.norm(self.reference.window))
         scenario = HapScenario(
             frame=self.given,
-            duals=self.given_analysis.canonical_dual,
-            lower_bound=self.given_analysis.A,
             f=self.reference.window,
             epsilon=threshold,
             U=self.U,
@@ -234,18 +227,14 @@ def comparison_certificate(
     # The duals of the points in y.K.L and the reference atoms of the points
     # in y.K, each in frame-index order.
     dim = scenario.given.rep.dim
-    duals = scenario.given_analysis.canonical_dual
+    duals = scenario.given.analysis.canonical_dual
     P = span_projector(duals[:, np.sort(scenario.given.points.indices_at(ykl))], dim=dim)
     ref_atoms = scenario.reference.synthesis[:, np.sort(scenario.reference.points.indices_at(yk))]
     Q = span_projector(ref_atoms, dim=dim)
     T = qpq_operator(P, Q)
 
-    trace_check = trace_bounds_check(
-        T,
-        scenario.reference.synthesis,
-        scenario.reference_analysis.A,
-        scenario.reference_analysis.B,
-    )
+    reference = scenario.reference.analysis
+    trace_check = trace_bounds_check(T, scenario.reference.synthesis, reference.A, reference.B)
     card_x = P.generators.shape[1]
     card_y = ref_atoms.shape[1]
     h_sq = scenario.h_norm_sq
@@ -356,8 +345,7 @@ def density_report(
         y_positions, y_inside = group.all_positions, np.ones(group.order, dtype=bool)
     else:
         y_positions, y_inside = _sample_positions(group, y_sample)
-    if k_labels is None:
-        k_labels = list(range(len(K_family)))
+    k_labels = family_labels(k_labels, K_family, "k_labels")
     point_counts = X.counts()
     counts = np.zeros((len(K_family), len(y_positions)), dtype=point_counts.dtype)
     inside = np.zeros((len(K_family), len(y_positions)), dtype=bool)

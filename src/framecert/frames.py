@@ -3,7 +3,8 @@
 A coherent frame is the family {pi(x_j) g : j in J} for a window g and a
 point set X = {x_j}.  The frame operator S f = sum_j inner(f, pi(x_j) g)
 pi(x_j) g is assembled as a d x d matrix and eigendecomposed; its extreme
-eigenvalues are the optimal frame bounds.  Orthogonal projectors onto spans
+eigenvalues are the optimal frame bounds, which FrameSystem.analysis computes
+once per frame with the canonical dual.  Orthogonal projectors onto spans
 of listed generators are built from a singular value decomposition with a
 fixed relative rank tolerance, because downstream counting arguments compare
 projector ranks against integer cardinalities and need stable rank decisions.
@@ -12,11 +13,12 @@ projector ranks against integer cardinalities and need stable rank decisions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from framecert.groups import PointSet
-from framecert.representations import Representation, apply_rep
+from framecert.representations import Representation, carrier_orbit
 
 # Relative singular-value threshold for rank decisions and frame viability.
 RANK_TOLERANCE = 1e-10
@@ -43,13 +45,19 @@ class FrameSystem:
     def size(self) -> int:
         return self.synthesis.shape[1]
 
+    @cached_property
+    def analysis(self) -> FrameAnalysis:
+        """Bounds and canonical dual, on first access; NotAFrame if none."""
+        return analyze_frame(self)
+
 
 def coherent_frame(rep: Representation, window, points: PointSet) -> FrameSystem:
     if points.group is not rep.group:
         raise ValueError("point set must live on the representation's group")
     window = np.asarray(window, dtype=complex)
-    columns = [apply_rep(rep, x, window) for x in points.points]
-    atoms = np.column_stack(columns) if columns else np.zeros((rep.dim, 0), dtype=complex)
+    # Orbit row p is pi(x_p) g bit for bit.  C order: BLAS may round a product
+    # differently by operand layout, and the determinism hashes pin rounding.
+    atoms = np.ascontiguousarray(carrier_orbit(rep, window)[points.positions()].T)
     return FrameSystem(rep=rep, window=window, points=points, synthesis=atoms)
 
 

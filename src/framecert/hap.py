@@ -1,6 +1,6 @@
 """Uniform local approximation certificates for coherent frames.
 
-Given a frame {pi(x_j) g} with dual family {h_j}, a test vector f, and a
+Given a frame {pi(x_j) g} with canonical dual {h_j}, a test vector f, and a
 tolerance epsilon, the task is to find a compact set L such that for every
 group element y and every window K of a configured ball family,
 
@@ -13,10 +13,10 @@ bound
 
     ( (C0 / |U|) * tail_mass(V_g f, U, L) / A )^(1/2)
 
-that dominates every cell error whenever the dual family's Bessel constant is
-at most 1/A (true for the canonical dual).  The candidate list for L is
-scanned smallest-first, so the first success is also the minimal admissible
-candidate by monotonicity of the error in L.
+that dominates every cell error, since the canonical dual's Bessel constant
+is at most 1/A.  The candidate list for L is scanned smallest-first, so the
+first success is also the minimal admissible candidate by monotonicity of
+the error in L.
 
 The projector a cell needs depends only on the set yKL, not on which K and L
 produced it, so the scan runs y outermost and builds one projector per
@@ -43,7 +43,7 @@ on access for library callers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -115,11 +115,10 @@ def _tail_bound(sharp: GroupFunction, U: CompactSet, L: CompactSet, C0: int,
 
 @dataclass
 class HapScenario:
-    """One approximation question: frame with duals, test vector, tolerance, families."""
+    """One approximation question: frame, test vector, tolerance, families;
+    the duals and the lower bound A are ``frame.analysis``'s."""
 
     frame: FrameSystem
-    duals: np.ndarray
-    lower_bound: float
     f: np.ndarray
     epsilon: float
     U: CompactSet
@@ -127,9 +126,12 @@ class HapScenario:
     L_family: list[CompactSet]
     k_labels: list | None = None
     l_labels: list | None = None
-    dual_label: str = "canonical"
+    duals: np.ndarray = field(init=False)
+    lower_bound: float = field(init=False)
 
     def __post_init__(self) -> None:
+        analysis = self.frame.analysis
+        self.duals, self.lower_bound = analysis.canonical_dual, analysis.A
         if self.epsilon <= 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if not self.K_family:
@@ -139,12 +141,19 @@ class HapScenario:
         for smaller, larger in zip(self.L_family, self.L_family[1:]):
             if not smaller.issubset(larger):
                 raise ValueError("L_family must be nested increasing")
-        if self.k_labels is None:
-            self.k_labels = list(range(len(self.K_family)))
-        if self.l_labels is None:
-            self.l_labels = list(range(len(self.L_family)))
-        self.duals = np.asarray(self.duals, dtype=complex)
+        self.k_labels = family_labels(self.k_labels, self.K_family, "k_labels")
+        self.l_labels = family_labels(self.l_labels, self.L_family, "l_labels")
         self.f = np.asarray(self.f, dtype=complex)
+
+
+def family_labels(labels, family, name: str) -> list:
+    """One label per member of ``family``: its indices by default, else
+    ``labels``, which must have the family's length."""
+    if labels is None:
+        return list(range(len(family)))
+    if len(labels) != len(family):
+        raise ValueError(f"{name} has {len(labels)} labels for {len(family)} sets")
+    return labels
 
 
 @dataclass(frozen=True)
@@ -184,9 +193,7 @@ class HapCertificate:
     theoretical_bound: float | None
     epsilon: float
     separation: int
-    passed: bool
     candidates: list[HapCandidate]
-    dual_label: str
     group: GroupModel
     pair_labels: list[tuple[object, object]]
     errors: np.ndarray  # (pairs, |G|)
@@ -354,9 +361,7 @@ def certify(
         theoretical_bound=scan.bounds[chosen_index],
         epsilon=scenario.epsilon,
         separation=scan.separation,
-        passed=True,
         candidates=candidates,
-        dual_label=scenario.dual_label,
         group=scan.group,
         pair_labels=[(scenario.k_labels[ik], scenario.l_labels[il]) for ik, il, _ in scan.pairs],
         errors=errors,

@@ -61,7 +61,6 @@ from framecert.frames import (
     LengthMismatch,
     NotAFrame,
     analysis_coefficients,
-    analyze_frame,
     bessel_bound_check,
     verify_dual,
 )
@@ -251,7 +250,7 @@ def _run_sampling_bound(spec: dict, seed: int) -> dict:
 
 def _run_frame_analysis(spec: dict, seed: int) -> dict:
     frame = build_frame(spec["frame"])
-    analysis = analyze_frame(frame)
+    analysis = frame.analysis
     u_radius = spec.get("u_radius", 1)
     c0 = separation_constant(frame.points, frame.rep.group.ball(u_radius))
 
@@ -291,14 +290,11 @@ def _radius_families(group, spec):
 
 def _hap_scenario(spec: dict) -> HapScenario:
     frame = build_frame(spec["frame"])
-    analysis = analyze_frame(frame)
-    group = frame.rep.group
+    frame.analysis  # NotAFrame is reported before any error in f
     f = build_vector(spec["f"], frame.rep.dim)
-    U, K_family, L_family = _radius_families(group, spec)
+    U, K_family, L_family = _radius_families(frame.rep.group, spec)
     return HapScenario(
         frame=frame,
-        duals=analysis.canonical_dual,
-        lower_bound=analysis.A,
         f=f,
         epsilon=spec["epsilon"],
         U=U,
@@ -342,7 +338,7 @@ def _hap_payload(cert: HapCertificate) -> dict:
         "epsilon": cert.epsilon,
         "theoretical_bound": cert.theoretical_bound,
         "C0": cert.separation,
-        "dual": cert.dual_label,
+        "dual": "canonical",
         "eq42_convention": TAIL_INTEGRAND_CONVENTION,
     })
     certificate["candidates"] = [_row(cand) for cand in cert.candidates]
@@ -359,16 +355,12 @@ def _run_hap(spec: dict, seed: int) -> dict:
 
 def _run_comparison(spec: dict, seed: int) -> dict:
     frame = build_frame(spec["frame"])
-    given_analysis = analyze_frame(frame)
+    frame.analysis  # NotAFrame is reported before any error in the reference
     reference = build_reference(spec["reference"], frame.rep)
-    reference_analysis = analyze_frame(reference)
-    group = frame.rep.group
-    U, K_family, L_family = _radius_families(group, spec)
+    U, K_family, L_family = _radius_families(frame.rep.group, spec)
     scenario = ComparisonScenario(
         given=frame,
-        given_analysis=given_analysis,
         reference=reference,
-        reference_analysis=reference_analysis,
         epsilon=spec["epsilon"],
         U=U,
         K_family=K_family,

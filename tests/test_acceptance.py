@@ -172,13 +172,11 @@ def test_criterion_5_trace_sandwich():
     _record(5, "trace sandwich on 1000 operator/frame pairs + ONB equality", ok)
 
 
-def _hap_scenario(frame, analysis, f, epsilon):
+def _hap_scenario(frame, f, epsilon):
     group = frame.rep.group
     k_radii, l_radii = [0, 1, 2], list(range(9))
     return HapScenario(
         frame=frame,
-        duals=analysis.canonical_dual,
-        lower_bound=analysis.A,
         f=f,
         epsilon=epsilon,
         U=group.ball(1),
@@ -192,7 +190,6 @@ def _hap_scenario(frame, analysis, f, epsilon):
 def test_criterion_6_homogeneous_approximation():
     """find_L certifies uniformly over all 256 base points and the window family."""
     frame = full_gabor(16)
-    analysis = analyze_frame(frame)
     vectors = {
         "dirac0": dirac_vector(16),
         "dirac0+dirac1": dirac_vector(16) + dirac_vector(16, 1),
@@ -207,8 +204,8 @@ def test_criterion_6_homogeneous_approximation():
     chosen = []
     for epsilon in (0.2, 0.05):
         for name, f in vectors.items():
-            cert = find_L(_hap_scenario(frame, analysis, f, epsilon))
-            ok &= cert.passed and cert.worst_error < epsilon
+            cert = find_L(_hap_scenario(frame, f, epsilon))
+            ok &= cert.worst_error < epsilon
             ok &= len(cert.table) == 3 * 9 * 256
             ok &= cert.chosen_l_label == expected_radius[(epsilon, name)]
             bounds = {c.l_label: c.theoretical_bound for c in cert.candidates}
@@ -230,28 +227,24 @@ def test_criterion_6_homogeneous_approximation():
 def test_criterion_7_comparison_theorem():
     """Counting chain and final inequality over all base points and windows."""
     gabor = full_gabor(8)
-    gabor_analysis = analyze_frame(gabor)
     gabor_group = gabor.rep.group
     dirac_line = coherent_frame(
         gabor.rep, dirac_vector(8), point_set(gabor_group, [(k, 0) for k in range(8)])
     )
     onb = dirac_onb_z8()
-    onb_analysis = analyze_frame(onb)
     pairs = [
-        ("gabor-vs-dirac", gabor, gabor_analysis, dirac_line),
-        ("gabor-vs-gabor", gabor, gabor_analysis, gabor),
-        ("dirac-vs-dirac", onb, onb_analysis, onb),
+        ("gabor-vs-dirac", gabor, dirac_line),
+        ("gabor-vs-gabor", gabor, gabor),
+        ("dirac-vs-dirac", onb, onb),
     ]
     ok = True
     total = 0
-    for name, given, given_analysis, reference in pairs:
+    for name, given, reference in pairs:
         group = given.rep.group
         for epsilon in (0.5, 0.1):
             scenario = ComparisonScenario(
                 given=given,
-                given_analysis=given_analysis,
                 reference=reference,
-                reference_analysis=analyze_frame(reference),
                 epsilon=epsilon,
                 U=group.ball(1),
                 K_family=[group.ball(r) for r in (0, 1, 2)],

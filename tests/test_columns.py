@@ -11,7 +11,7 @@ import pytest
 
 import framecert.runner as runner
 from framecert.comparison import density_report
-from framecert.frames import analyze_frame, coherent_frame
+from framecert.frames import coherent_frame
 from framecert.groups import GroupModel, OutOfCarrier, full_point_set, point_set
 from framecert.hap import HapCell, HapScenario, find_L
 from framecert.representations import Representation
@@ -42,11 +42,8 @@ def _box_hap_certificate():
     rng = np.random.default_rng(5)
     window, f = rng.standard_normal((2, rep.dim)) + 1j * rng.standard_normal((2, rep.dim))
     frame = coherent_frame(rep, window, full_point_set(group))
-    analysis = analyze_frame(frame)
     return find_L(HapScenario(
         frame=frame,
-        duals=analysis.canonical_dual,
-        lower_bound=analysis.A,
         f=f,
         epsilon=10.0,
         U=group.ball(1),

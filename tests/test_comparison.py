@@ -12,7 +12,7 @@ from framecert.comparison import (
     qpq_operator,
     trace_bounds_check,
 )
-from framecert.frames import FrameSystem, analyze_frame, coherent_frame, span_projector
+from framecert.frames import FrameSystem, coherent_frame, span_projector
 from framecert.groups import (
     GroupModel,
     OutOfCarrier,
@@ -37,9 +37,7 @@ def _scenario(given, reference, epsilon, k_radii=(0, 1, 2), l_radii=(0, 1, 2, 3,
     group = given.rep.group
     return ComparisonScenario(
         given=given,
-        given_analysis=analyze_frame(given),
         reference=reference,
-        reference_analysis=analyze_frame(reference),
         epsilon=epsilon,
         U=group.ball(1),
         K_family=[group.ball(r) for r in k_radii],
@@ -136,7 +134,7 @@ def test_comparison_gabor_vs_dirac_line():
     given = coherent_frame(rep, periodized_gaussian(8), full_point_set(group))
     reference = coherent_frame(rep, dirac_vector(8), point_set(group, [(k, 0) for k in range(8)]))
     scenario = _scenario(given, reference, epsilon=0.5, k_radii=(0, 1), l_radii=(0, 1, 2, 3, 4))
-    ref_analysis = scenario.reference_analysis
+    ref_analysis = scenario.reference.analysis
     assert ref_analysis.A == pytest.approx(1.0) and ref_analysis.B == pytest.approx(1.0)
     certs = comparison_run(scenario)
     assert all(c.ok for c in certs)
@@ -223,6 +221,27 @@ def test_density_boundary_rows_on_box():
     assert (report.summary[0].min_ratio, report.summary[0].max_ratio) == (1.0, 1.0)
 
 
+@pytest.mark.parametrize("k_labels", [[1], [0, 1, 2]])
+def test_density_rejects_labels_that_do_not_match_the_windows(k_labels):
+    # A shorter list used to keep both windows' counts but drop K1's summary.
+    z8 = GroupModel.cyclic([8])
+    with pytest.raises(ValueError, match="k_labels"):
+        density_report(full_point_set(z8), [z8.ball(0), z8.ball(1)], k_labels=k_labels)
+
+
+@pytest.mark.parametrize("k_labels, l_labels", [([0], None), ([0, 1, 2], None), (None, [0])])
+def test_comparison_rejects_labels_that_do_not_match_their_family(k_labels, l_labels):
+    rep = GaborRep(4)
+    group = rep.group
+    frame = coherent_frame(rep, periodized_gaussian(4), full_point_set(group))
+    with pytest.raises(ValueError, match="labels"):
+        ComparisonScenario(
+            given=frame, reference=frame, epsilon=0.5, U=group.ball(1),
+            K_family=[group.ball(0), group.ball(1)], L_family=[group.ball(0), group.ball(1)],
+            k_labels=k_labels, l_labels=l_labels,
+        )
+
+
 def test_comparison_run_builds_each_chosen_product_once(monkeypatch):
     """comparison_run works on carrier positions: one product_set per K and no
     per-cell translate_set or local_subspace, in any framecert namespace."""
@@ -255,7 +274,7 @@ def test_comparison_run_builds_each_chosen_product_once(monkeypatch):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counter(name, original))
     # the counters are live: the reference oracle goes through both
-    framecert.hap.local_subspace(scenario.given_analysis.canonical_dual, given.points, (1, 2),
+    framecert.hap.local_subspace(scenario.given.analysis.canonical_dual, given.points, (1, 2),
                                  group.ball(1))
     assert (calls["translate_set"], calls["local_subspace"]) == (1, 1)
     calls.update(translate_set=0, local_subspace=0)
@@ -283,9 +302,7 @@ class _ModRollRep(Representation):
 def _comparison(given, reference, epsilon, K_family, L_family):
     return ComparisonScenario(
         given=given,
-        given_analysis=analyze_frame(given),
         reference=reference,
-        reference_analysis=analyze_frame(reference),
         epsilon=epsilon,
         U=given.rep.group.ball(1),
         K_family=K_family,
@@ -338,7 +355,7 @@ def test_comparison_cells_match_the_set_oracles(make):
             continue
         assert not cert.boundary
         inside += 1
-        P = local_subspace(scenario.given_analysis.canonical_dual, given.points, y, KL)
+        P = local_subspace(scenario.given.analysis.canonical_dual, given.points, y, KL)
         Q = span_projector(
             reference.synthesis[:, np.flatnonzero(yk.indicator[reference.points.positions()])],
             dim=given.rep.dim,
@@ -347,8 +364,8 @@ def test_comparison_cells_match_the_set_oracles(make):
         assert cert.card_x_in_ykl == cardinality_count(given.points, ykl)
         assert cert.card_y_in_yk == cardinality_count(reference.points, yk)
         assert cert.trace_T == trace_bounds_check(
-            qpq_operator(P, Q), reference.synthesis, scenario.reference_analysis.A,
-            scenario.reference_analysis.B,
+            qpq_operator(P, Q), reference.synthesis, scenario.reference.analysis.A,
+            scenario.reference.analysis.B,
         ).trace
         assert cert.ok
     assert 0 < inside

@@ -19,7 +19,9 @@ from framecert.frames import (
 from framecert.groups import full_point_set, point_set
 from framecert.representations import (
     GaborRep,
+    TensorRep,
     TranslationRep,
+    apply_rep,
     dirac_vector,
     flat_vector,
     periodized_gaussian,
@@ -98,6 +100,44 @@ def test_not_a_frame_when_span_degenerates():
     # time shifts of a dirac, by contrast, form the standard basis
     shifts_of_dirac = coherent_frame(rep, dirac_vector(4), points)
     assert frame_bounds(shifts_of_dirac) == pytest.approx((1.0, 1.0))
+
+
+@pytest.mark.parametrize("case", ["gabor-full", "gabor-lattice", "translation", "tensor", "box",
+                                  "duplicates", "empty"])
+def test_coherent_frame_atoms_equal_per_point_apply_rep_bit_for_bit(case):
+    from test_columns import _RollRep
+
+    gabor, translation = GaborRep(6), TranslationRep(5)
+    tensor, box = TensorRep(TranslationRep(2), GaborRep(3)), _RollRep(3)
+    rep, points = {
+        "gabor-full": (gabor, full_point_set(gabor.group)),
+        "gabor-lattice": (gabor, point_set(gabor.group, [(k, l) for k in range(0, 6, 2)
+                                                         for l in range(0, 6, 3)])),
+        "translation": (translation, point_set(translation.group, [4, 1, 3])),
+        "tensor": (tensor, full_point_set(tensor.group)),
+        "box": (box, full_point_set(box.group)),
+        "duplicates": (gabor, point_set(gabor.group, [(1, 2), (0, 0), (1, 2), (5, 5), (0, 0)])),
+        "empty": (gabor, point_set(gabor.group, [])),
+    }[case]
+    rng = np.random.default_rng(11)
+    window = rng.standard_normal(rep.dim) + 1j * rng.standard_normal(rep.dim)
+    frame = coherent_frame(rep, window, points)
+    assert frame.synthesis.shape == (rep.dim, len(points.points))
+    for j, x in enumerate(points.points):
+        assert np.array_equal(frame.synthesis[:, j], apply_rep(rep, x, window))
+
+
+def test_frame_analysis_is_computed_once_and_matches_analyze_frame():
+    frame = full_gabor(4, periodized_gaussian(4))
+    analysis = frame.analysis
+    assert frame.analysis is analysis
+    direct = analyze_frame(frame)
+    assert (analysis.A, analysis.B) == (direct.A, direct.B)
+    assert np.array_equal(analysis.canonical_dual, direct.canonical_dual)
+    rep = GaborRep(4)
+    empty = coherent_frame(rep, dirac_vector(4), point_set(rep.group, []))
+    with pytest.raises(NotAFrame):
+        empty.analysis
 
 
 def test_canonical_dual_examples():

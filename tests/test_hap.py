@@ -51,12 +51,10 @@ def gabor_gauss(n=8):
     return frame, analyze_frame(frame)
 
 
-def ball_scenario(frame, analysis, f, epsilon, u=1, k_radii=(0, 1, 2), l_radii=(0, 1, 2, 3, 4)):
+def ball_scenario(frame, f, epsilon, u=1, k_radii=(0, 1, 2), l_radii=(0, 1, 2, 3, 4)):
     group = frame.rep.group
     return HapScenario(
         frame=frame,
-        duals=analysis.canonical_dual,
-        lower_bound=analysis.A,
         f=np.asarray(f, dtype=complex),
         epsilon=epsilon,
         U=group.ball(u),
@@ -108,18 +106,17 @@ def test_hap_error_monotone_between_two_radii():
 
 
 def test_find_L_trivial_dirac():
-    frame, analysis = dirac_onb(8)
-    cert = find_L(ball_scenario(frame, analysis, dirac_vector(8), epsilon=0.1))
+    frame, _ = dirac_onb(8)
+    cert = find_L(ball_scenario(frame, dirac_vector(8), epsilon=0.1))
     assert cert.chosen_l_label == 0
     assert cert.worst_error == pytest.approx(0.0, abs=1e-12)
-    assert cert.passed
 
 
 def test_find_L_epsilon_above_norm_picks_smallest():
     # projection is a contraction, so error <= ||f|| < epsilon at every cell
-    frame, analysis = gabor_gauss(8)
+    frame, _ = gabor_gauss(8)
     f = dirac_vector(8)
-    cert = find_L(ball_scenario(frame, analysis, f, epsilon=1.1))
+    cert = find_L(ball_scenario(frame, f, epsilon=1.1))
     assert cert.chosen_l_label == 0
 
 
@@ -142,9 +139,9 @@ def test_theoretical_bound_examples():
 
 
 def test_certificate_domination_and_tables():
-    frame, analysis = gabor_gauss(8)
-    cert = find_L(ball_scenario(frame, analysis, dirac_vector(8), epsilon=0.2))
-    assert cert.passed and cert.worst_error < 0.2
+    frame, _ = gabor_gauss(8)
+    cert = find_L(ball_scenario(frame, dirac_vector(8), epsilon=0.2))
+    assert cert.worst_error < 0.2
     assert cert.theoretical_bound is not None
     assert cert.worst_error <= cert.theoretical_bound + 1e-9
     assert all(c.domination_ok for c in cert.candidates)
@@ -158,8 +155,8 @@ def test_certificate_domination_and_tables():
 
 
 def test_monotonicity_in_L_per_cell():
-    frame, analysis = gabor_gauss(8)
-    cert = find_L(ball_scenario(frame, analysis, dirac_vector(8), epsilon=0.2))
+    frame, _ = gabor_gauss(8)
+    cert = find_L(ball_scenario(frame, dirac_vector(8), epsilon=0.2))
     per_cell = {}
     for cell in cert.table:
         per_cell.setdefault((cell.y, cell.k_label), []).append((cell.l_label, cell.error))
@@ -181,29 +178,42 @@ def test_translation_rep_errors_independent_of_y():
 
 
 def test_zero_vector_gives_zero_errors():
-    frame, analysis = gabor_gauss(8)
-    cert = find_L(ball_scenario(frame, analysis, np.zeros(8), epsilon=0.05))
+    frame, _ = gabor_gauss(8)
+    cert = find_L(ball_scenario(frame, np.zeros(8), epsilon=0.05))
     assert cert.chosen_l_label == 0
     assert cert.worst_error == 0.0
 
 
 def test_no_admissible_L():
-    frame, analysis = gabor_gauss(8)
+    frame, _ = gabor_gauss(8)
     with pytest.raises(NoAdmissibleL):
-        find_L(ball_scenario(frame, analysis, dirac_vector(8), epsilon=0.01, l_radii=(0,)))
+        find_L(ball_scenario(frame, dirac_vector(8), epsilon=0.01, l_radii=(0,)))
 
 
 def test_scenario_validation():
-    frame, analysis = dirac_onb(8)
+    frame, _ = dirac_onb(8)
     group = frame.rep.group
     with pytest.raises(ValueError):
-        ball_scenario(frame, analysis, dirac_vector(8), epsilon=-1.0)
+        ball_scenario(frame, dirac_vector(8), epsilon=-1.0)
     with pytest.raises(ValueError):
         HapScenario(
-            frame=frame, duals=analysis.canonical_dual, lower_bound=analysis.A,
-            f=dirac_vector(8), epsilon=0.1, U=group.ball(1),
+            frame=frame, f=dirac_vector(8), epsilon=0.1, U=group.ball(1),
             K_family=[group.ball(1)],
             L_family=[group.ball(2), group.ball(1)],  # not nested increasing
+        )
+
+
+@pytest.mark.parametrize("k_labels, l_labels", [([0], None), ([0, 1, 2], None), (None, [0])])
+def test_scenario_rejects_labels_that_do_not_match_their_family(k_labels, l_labels):
+    # Fewer K labels used to end in an IndexError inside certify; extra ones
+    # were ignored.
+    frame, _ = dirac_onb(8)
+    group = frame.rep.group
+    with pytest.raises(ValueError, match="labels"):
+        HapScenario(
+            frame=frame, f=dirac_vector(8), epsilon=0.1, U=group.ball(1),
+            K_family=[group.ball(0), group.ball(1)], L_family=[group.ball(0), group.ball(1)],
+            k_labels=k_labels, l_labels=l_labels,
         )
 
 
@@ -228,8 +238,6 @@ def test_boundary_cells_on_truncated_group():
     analysis = analyze_frame(frame)
     scenario = HapScenario(
         frame=frame,
-        duals=analysis.canonical_dual,
-        lower_bound=analysis.A,
         f=window,
         epsilon=0.5,
         U=group.ball(1),
@@ -289,8 +297,8 @@ def _random_vector(dim, seed):
 
 
 def test_find_L_table_equals_per_cell_reference_exactly():
-    frame, analysis = gabor_gauss(8)
-    scenario = ball_scenario(frame, analysis, _random_vector(8, 3), epsilon=2.0)
+    frame, _ = gabor_gauss(8)
+    scenario = ball_scenario(frame, _random_vector(8, 3), epsilon=2.0)
     cert = find_L(scenario)
     assert cert.table == _reference_table(scenario)  # floats compared with ==
     assert all(not cell.boundary for cell in cert.table)
@@ -301,11 +309,8 @@ def test_find_L_boundary_cells_equal_per_cell_reference_exactly():
     group = rep.group
     window = _random_vector(rep.dim, 5)
     frame = coherent_frame(rep, window, full_point_set(group))
-    analysis = analyze_frame(frame)
     scenario = HapScenario(
         frame=frame,
-        duals=analysis.canonical_dual,
-        lower_bound=analysis.A,
         f=_random_vector(rep.dim, 6),
         epsilon=10.0,
         U=group.ball(1),
@@ -334,9 +339,9 @@ def test_find_L_boundary_cells_equal_per_cell_reference_exactly():
 
 
 def test_find_L_builds_one_projector_per_y_and_distinct_kl_set(monkeypatch):
-    frame, analysis = gabor_gauss(8)
+    frame, _ = gabor_gauss(8)
     group = frame.rep.group
-    scenario = ball_scenario(frame, analysis, _random_vector(8, 3), epsilon=2.0)
+    scenario = ball_scenario(frame, _random_vector(8, 3), epsilon=2.0)
     builds = []
 
     def counting(vectors, dim=None):
@@ -357,11 +362,8 @@ def _box_scenario():
     rep = _RollRep(3)
     group = rep.group
     frame = coherent_frame(rep, _random_vector(rep.dim, 5), full_point_set(group))
-    analysis = analyze_frame(frame)
     return HapScenario(
         frame=frame,
-        duals=analysis.canonical_dual,
-        lower_bound=analysis.A,
         f=_random_vector(rep.dim, 6),
         epsilon=10.0,
         U=group.ball(1),
@@ -373,8 +375,8 @@ def _box_scenario():
 
 
 def _gabor_scenario():
-    frame, analysis = gabor_gauss(8)
-    return ball_scenario(frame, analysis, _random_vector(8, 3), epsilon=2.0)
+    frame, _ = gabor_gauss(8)
+    return ball_scenario(frame, _random_vector(8, 3), epsilon=2.0)
 
 
 def _sliced_certificate(scenario, slices, mapper):
@@ -418,14 +420,15 @@ def test_sliced_scan_through_a_fork_pool_equals_serial_find_L(make):
 def test_a_tail_bound_below_a_cell_error_fails_domination():
     # A lower bound 10^6 times too large shrinks every tail bound by 10^3:
     # L = 0 leaves an error of 0.707 against a bound of 0.0014.
-    frame, analysis = gabor_gauss(8)
+    frame, _ = gabor_gauss(8)
     group = frame.rep.group
-    cert = find_L(HapScenario(
-        frame=frame, duals=analysis.canonical_dual, lower_bound=1e6 * analysis.A,
-        f=dirac_vector(8), epsilon=0.2, U=group.ball(1),
+    scenario = HapScenario(
+        frame=frame, f=dirac_vector(8), epsilon=0.2, U=group.ball(1),
         K_family=[group.ball(0), group.ball(1)], L_family=[group.ball(r) for r in range(4)],
         k_labels=[0, 1], l_labels=[0, 1, 2, 3],
-    ))
+    )
+    scenario.lower_bound *= 1e6
+    cert = find_L(scenario)
     first = cert.candidates[0]
     assert not first.passed and not first.domination_ok
     assert first.worst_error == pytest.approx(0.7071, abs=1e-4)

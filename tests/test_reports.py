@@ -10,7 +10,7 @@ import pytest
 import framecert.runner as runner
 from framecert.cli import main
 from framecert.comparison import ComparisonCertificate, ComparisonScenario, comparison_run
-from framecert.frames import analyze_frame, coherent_frame
+from framecert.frames import coherent_frame
 from framecert.groups import GroupModel, OutOfCarrier, full_point_set, product_set
 from framecert.representations import Representation
 from framecert.runner import run
@@ -60,9 +60,7 @@ def test_boundary_comparison_certificates_and_rows(monkeypatch):
     group = rep.group
     scenario = ComparisonScenario(
         given=frame,
-        given_analysis=analyze_frame(frame),
         reference=reference,
-        reference_analysis=analyze_frame(reference),
         epsilon=0.5,
         U=group.ball(1),
         K_family=[group.ball(1)],
@@ -187,9 +185,7 @@ def test_a_window_whose_chosen_product_escapes_has_only_boundary_cells():
     group = rep.group
     scenario = ComparisonScenario(
         given=frame,
-        given_analysis=analyze_frame(frame),
         reference=reference,
-        reference_analysis=analyze_frame(reference),
         epsilon=0.5,
         U=group.ball(1),
         K_family=[group.ball(0), group.ball(2)],

@@ -320,8 +320,10 @@ _GAUSS_Z6 = {"rep": {"kind": "gabor", "n": 6}, "window": "gauss", "points": "ful
 
 # Every kind, the three error kinds the runner captures most often, box-group
 # density with boundary rows (whole-carrier and sampled base points), box
-# sampling with a boundary trial, a tensor representation and the
-# dual_of_given convention.
+# sampling with a boundary trial, a tensor representation, the
+# dual_of_given convention, and a comparison and a HAP scenario that each
+# fail twice (a given frame that is not a frame, then a reference lattice or
+# an f that cannot be built), whose reports name the frame's error.
 _EDGE_SCENARIOS = [
     {"id": "box-density", "kind": "density", "group": {"kind": "box", "halfwidths": [3, 2]},
      "points": [[0, 0], [1, -1], [3, 2], [-2, 1], [1, -1]], "k_radii": [0, 1, 2]},
@@ -351,6 +353,14 @@ _EDGE_SCENARIOS = [
      "reference": {"window": "dirac0", "points": {"lattice": {"steps": [1, 4]}}},
      "epsilon": 0.5, "u_radius": 1, "k_radii": [0, 1], "l_radii": [0, 1, 2],
      "b_convention": "dual_of_given"},
+    {"id": "compare-malformed-twice", "kind": "comparison",
+     "frame": {"rep": {"kind": "gabor", "n": 4}, "window": "gauss", "points": []},
+     "reference": {"window": "dirac0", "points": {"lattice": {"steps": [1, 3]}}},
+     "epsilon": 0.5, "u_radius": 1, "k_radii": [0], "l_radii": [0]},
+    {"id": "hap-malformed-twice", "kind": "hap",
+     "frame": {"rep": {"kind": "gabor", "n": 4}, "window": "flat",
+               "points": {"lattice": {"steps": [1, 4]}}},
+     "f": [[1, 0], [0, 0]], "epsilon": 0.2, "u_radius": 1, "k_radii": [0], "l_radii": [0]},
 ]
 
 
@@ -370,6 +380,9 @@ def test_each_report_is_encoded_once_as_canonical_json(tmp_path, monkeypatch, pa
     errors = {r["error"]["type"] for r in reports if r["error"] is not None}
     assert {"NotAFrame", "NoAdmissibleL", "OutOfCarrier"} <= errors
     assert any(row["boundary"] for r in reports if r["kind"] == "density" for row in r["table"])
+    for scenario_id in ("compare-malformed-twice", "hap-malformed-twice"):
+        malformed = next(r for r in reports if r["scenario_id"] == scenario_id)
+        assert malformed["error"]["type"] == "NotAFrame"
     # Trial 0's U = ball(1) has windows that escape [-2, 2]: a boundary row,
     # and the other trials keep theirs.
     box_sampling = next(r for r in reports if r["scenario_id"] == "box-sampling")
@@ -415,6 +428,32 @@ _NESTED_AND_LATTICE = [
     {"id": "density-lattice-rank1", "kind": "density", "group": {"kind": "cyclic", "moduli": [12]},
      "points": {"lattice": {"steps": [3]}}, "k_radii": [0, 1, 2], "y_sample": [0, 5, 11]},
 ]
+
+
+@pytest.mark.parametrize("scenario, analyses", [
+    ({"id": "f", "kind": "frame_analysis", "frame": _GAUSS_Z6}, 1),
+    ({"id": "h", "kind": "hap", "frame": _GAUSS_Z6, "f": "dirac0", "epsilon": 0.2,
+      "u_radius": 1, "k_radii": [0, 1], "l_radii": [0, 1, 2]}, 1),
+    ({"id": "c", "kind": "comparison", "frame": _GAUSS_Z6,
+      "reference": {"window": "dirac0", "points": {"lattice": {"steps": [1, 6]}}},
+      "epsilon": 0.5, "u_radius": 1, "k_radii": [0, 1], "l_radii": [0, 1, 2]}, 2),
+])
+def test_each_frame_is_analyzed_once_per_scenario(tmp_path, monkeypatch, scenario, analyses):
+    import framecert.frames
+
+    calls = []
+    analyze = framecert.frames.analyze_frame
+
+    def counting(frame):
+        calls.append(frame)
+        return analyze(frame)
+
+    monkeypatch.setattr(framecert.frames, "analyze_frame", counting)
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps([scenario]))
+    [report] = run(load_scenarios(path))
+    assert report["error"] is None and report["ok"]
+    assert len(calls) == analyses and len({id(frame) for frame in calls}) == analyses
 
 
 def test_nested_tensor_hap_and_lattice_comparisons_agree_across_the_pool(tmp_path, monkeypatch):
