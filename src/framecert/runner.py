@@ -18,15 +18,19 @@ Individual scenario failures (a system that is not a frame, a malformed
 candidate family, an escaping carrier) are captured in the report's "error"
 field and never abort the batch; any other exception is a bug and aborts it.
 
-The HAP error table and the density counts are written straight from the
-certificates' column arrays, with no object per cell: the base points are
-listed once per scenario, and labels, measures and density ratios are
-formatted once each.  HAP rows carry the keys that _row gives HapCell;
-other rows come from certificate dataclasses through _row (an escaping box
+The HAP error table and the density counts are _Table objects built from the
+certificates' column arrays, one block per (K, L) pair or per K, with no
+object per cell.  Sealing takes a table's text, which is written column by
+column: the base points once per scenario, labels and measures once per
+block, each error once and each density ratio once per distinct count, and
+each row from one of two templates.  Rows are built only when something
+reads them (CSV, tests, checks), under the keys that _row gives HapCell.
+Other rows come from certificate dataclasses through _row (an escaping box
 sampling trial takes only the keys): every field becomes a key, renamed
 where _REPORT_NAMES says so, and every value is canonicalized as it is read.
 canonical_json() and determinism_sha256() canonicalize arbitrary input from
-scratch and stay the slow reference for the sealed text.
+scratch, tables as lists of their rows, and stay the slow reference for the
+sealed text.
 """
 
 from __future__ import annotations
@@ -37,8 +41,10 @@ import functools
 import hashlib
 import io
 import json
+import math
 import os
 import sys
+from collections.abc import Sequence
 from datetime import datetime, timezone
 
 import numpy as np
@@ -100,7 +106,7 @@ def _canon(obj):
         return float(f"{obj:.12g}")
     if isinstance(obj, dict):
         return {str(k): v if type(v) in _AS_IS else _canon(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, (list, tuple, _Table)):
         return [x if type(x) in _AS_IS else _canon(x) for x in obj]
     if kind in _AS_IS:
         return obj
@@ -116,8 +122,16 @@ def _canon(obj):
     return obj
 
 
+def _as_list(obj) -> list:
+    """How json encodes a table: as the list of its rows."""
+    if isinstance(obj, _Table):
+        return list(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _dumps(canonical) -> str:
-    return json.dumps(canonical, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    return json.dumps(canonical, sort_keys=True, separators=(",", ":"), allow_nan=False,
+                      default=_as_list)
 
 
 def canonical_json(obj) -> str:
@@ -161,10 +175,121 @@ def _row(certificate, **extra) -> dict:
     return row
 
 
+class _Table(Sequence):
+    """A report table as column blocks, read-only: the rows of a HAP error
+    table or of density counts, and their canonical JSON.
+
+    A block is the rows of one (K, L) pair or one K over the base points
+    ``ys``: ``(constants, columns, inside)``, the entries its rows share, a
+    column of finite ints or floats, one per base point, for each of its
+    other entries, and the mask of its interior rows.  A boundary row takes
+    None for its column entries.  Every value is canonical.  Rows are dicts
+    with the keys ``row_keys``, built when first read.  ``text`` is encoded
+    column by column when first read: the y texts once per table, the
+    constants once per block, and each row from its block's interior or
+    boundary template, whose keys are in the order _dumps sorts them.  A
+    table holds only data, so it pickles.
+    """
+
+    __slots__ = ("row_keys", "ys", "blocks", "_rows", "_text")
+
+    def __init__(self, row_keys: tuple[str, ...], ys: list,
+                 blocks: list[tuple[dict, dict, list]]):
+        self.row_keys, self.ys, self.blocks = row_keys, ys, blocks
+        self._rows = self._text = None
+
+    def __len__(self) -> int:
+        return len(self.blocks) * len(self.ys)
+
+    def __getitem__(self, index):
+        return self.rows[index]
+
+    def __iter__(self):
+        return iter(self.rows)
+
+    def __eq__(self, other):
+        if isinstance(other, (list, _Table)):
+            return self.rows == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    @property
+    def rows(self) -> list[dict]:
+        """Every row, in block order: built when first read and kept, so a
+        row read twice is the same dict."""
+        if self._rows is None:
+            self._rows = [self._row(*block, position)
+                          for block in self.blocks for position in range(len(self.ys))]
+        return self._rows
+
+    def _row(self, constants: dict, columns: dict, inside: list, position: int) -> dict:
+        row = dict.fromkeys(self.row_keys)
+        row["y"] = self.ys[position]
+        row.update(constants)
+        interior = inside[position]
+        if interior:
+            for key, column in columns.items():
+                row[key] = column[position]
+        row["boundary"] = not interior
+        return row
+
+    def _templates(self, constants: dict, columns: dict) -> tuple[str, str]:
+        """A block's interior and boundary row texts, with ``%s`` for each
+        value that varies by row: the interior takes the columns and y in
+        key order, the boundary y alone."""
+        interior, boundary = [], []
+        for key in sorted(self.row_keys):
+            name = _dumps(key)
+            if key in constants:
+                shared = f"{name}:{_dumps(constants[key])}".replace("%", "%%")
+                interior.append(shared)
+                boundary.append(shared)
+            elif key == "boundary":
+                interior.append(f"{name}:false")
+                boundary.append(f"{name}:true")
+            else:
+                interior.append(f"{name}:%s")
+                boundary.append(f"{name}:%s" if key == "y" else f"{name}:null")
+        return "{" + ",".join(interior) + "}", "{" + ",".join(boundary) + "}"
+
+    @property
+    def text(self) -> str:
+        """The table's canonical JSON, as _dumps would write its rows."""
+        if self._text is None:
+            # ints and lists of ints, as _carrier_column and scenario files give
+            # them: their Python text is their JSON text, spaces aside
+            ys = [str(y).replace(" ", "") for y in self.ys]
+            rows = []
+            for constants, columns, inside in self.blocks:
+                interior, boundary = self._templates(constants, columns)
+                values = [ys if key == "y" else _number_texts(columns[key])
+                          for key in sorted((*columns, "y"))]
+                rows += [interior % args if inner else boundary % y
+                         for args, y, inner in zip(zip(*values), ys, inside)]
+            self._text = "[" + ",".join(rows) + "]"
+        return self._text
+
+
+def _number_texts(column: list) -> list[str]:
+    """The JSON text of each value of ``column``, all ints or all floats, as
+    _dumps writes it: a float as float.__repr__ does, and one that is not
+    finite raises ValueError.  Equal values have equal texts, so each
+    distinct value is encoded once, except zeros: 0.0 == -0.0."""
+    if not all(map(math.isfinite, column)):
+        raise ValueError("Out of range float values are not JSON compliant")
+    texts = {value: repr(value) for value in set(column)}
+    return [texts[value] if value else repr(value) for value in column]
+
+
 def _summary(rows: list[dict], flag: str | None = None) -> dict:
     """Counts over a report's rows: a row passes when ``row[flag]`` is true or,
-    with no flag, when it is not boundary; boundary rows neither pass nor fail."""
-    boundary = sum(1 for row in rows if row.get("boundary"))
+    with no flag, when it is not boundary; boundary rows neither pass nor fail.
+    A table's boundary rows are counted from its masks."""
+    if isinstance(rows, _Table):
+        boundary = sum(inside.count(False) for _, _, inside in rows.blocks)
+    else:
+        boundary = sum(1 for row in rows if row.get("boundary"))
     passes = len(rows) - boundary if flag is None else sum(1 for row in rows if row[flag])
     return {
         "cell_count": len(rows),
@@ -197,18 +322,29 @@ def _object_parts(entries: dict[str, bytes]) -> list[bytes]:
     return parts
 
 
+def _encoded(value) -> bytes:
+    """``value``'s canonical JSON as UTF-8: a table's own text, a dict that
+    holds a table from its entries' texts, anything else through _dumps."""
+    if isinstance(value, _Table):
+        return value.text.encode("utf-8")
+    if isinstance(value, dict) and any(isinstance(v, _Table) for v in value.values()):
+        return b"".join(_object_parts({key: _encoded(v) for key, v in value.items()}))
+    return _dumps(value).encode("utf-8")
+
+
 def _seal(report: dict) -> _Sealed:
     """The finished report: ``ok`` set, hashed, and encoded.
 
     Every value in ``report`` must already be canonical (rows from _row,
-    hand-built dicts through _canon).  Each entry is encoded once: the
-    non-volatile entries are hashed piece by piece, so the hashed text is
-    never joined into a copy of its own, and the full text adds the
-    timestamp and the hash to them.
+    tables, hand-built dicts through _canon).  Each entry is encoded once:
+    the non-volatile entries are hashed piece by piece, so the hashed text
+    is never joined into a copy of its own, and the full text adds the
+    timestamp and the hash to them.  A table, also one level down in the
+    HAP certificate, is its own text.
     """
     report["ok"] = report["error"] is None and report["summary"]["fail_total"] == 0
     sealed = _Sealed(report)
-    entries = {key: _dumps(value).encode("utf-8") for key, value in sealed.items()
+    entries = {key: _encoded(value) for key, value in sealed.items()
                if key not in _VOLATILE_KEYS}
     digest = hashlib.sha256()
     for part in _object_parts(entries):
@@ -313,25 +449,19 @@ def _carrier_column(group) -> list:
 
 
 def _hap_payload(cert: HapCertificate) -> dict:
-    # Rows straight from the certificate's columns, under the keys _row gives
-    # HapCell; each error is formatted once, and rows share the y lists.
+    # The table straight from the certificate's columns, one block per (K, L)
+    # pair; each error is formatted once.
+    blocks = [
+        ({"K_radius": _canon(k_label), "L_radius": _canon(l_label)},
+         {"error": [float(f"{error:.12g}") for error in errors]}, inside)
+        for (k_label, l_label), errors, inside in zip(
+            cert.pair_labels, cert.errors.tolist(), cert.inside.tolist())
+    ]
+    keys = ("y", "K_radius", "L_radius", "error", "boundary")
     ys = _carrier_column(cert.group)
-    table, chosen = [], []
-    for (k_label, l_label), errors, inside in zip(
-        cert.pair_labels, cert.errors.tolist(), cert.inside.tolist()
-    ):
-        k, l = _canon(k_label), _canon(l_label)
-        rows = [
-            {"y": y, "K_radius": k, "L_radius": l, "error": float(f"{error:.12g}"),
-             "boundary": False}
-            if interior else
-            {"y": y, "K_radius": k, "L_radius": l, "error": None, "boundary": True}
-            for y, error, interior in zip(ys, errors, inside)
-        ]
-        table += rows
-        # certify chose this L for its worst interior error: each interior row passes.
-        if l_label == cert.chosen_l_label:
-            chosen += rows
+    # certify chose this L for its worst interior error: each interior row passes.
+    chosen = _Table(keys, ys, [block for (_, l_label), block in zip(cert.pair_labels, blocks)
+                               if l_label == cert.chosen_l_label])
     certificate = _canon({
         "chosen_L_radius": cert.chosen_l_label,
         "worst_error": cert.worst_error,
@@ -342,7 +472,7 @@ def _hap_payload(cert: HapCertificate) -> dict:
         "eq42_convention": TAIL_INTEGRAND_CONVENTION,
     })
     certificate["candidates"] = [_row(cand) for cand in cert.candidates]
-    certificate["table"] = table
+    certificate["table"] = _Table(keys, ys, blocks)
     return {
         "certificate": certificate,
         "summary": _summary(chosen),
@@ -391,27 +521,22 @@ def _run_density(spec: dict, seed: int) -> dict:
     if y_sample is not None:
         y_sample = [tuple(y) if isinstance(y, list) else y for y in y_sample]
     report = density_report(X, K_family, y_sample=y_sample, k_labels=list(spec["k_radii"]))
-    # Rows straight from the report's columns: the measure is formatted once
-    # per K, the ratio once per distinct count, and rows share the y lists.
-    ys = _carrier_column(group) if y_sample is None else _canon(y_sample)
-    rows = []
+    # The table straight from the report's columns, one block per K: the
+    # measure is formatted once per K and the ratio once per distinct count.
+    blocks = []
     for k_label, vol, counts, inside in zip(
         report.k_labels, report.measures, report.counts.tolist(), report.inside.tolist()
     ):
-        k, measure = _canon(k_label), _canon(vol)
         ratios = {count: _canon(count / vol) for count in set(counts)}
-        rows += [
-            {"y": y, "K_radius": k, "count": count, "measure": measure,
-             "ratio": ratios[count], "boundary": False}
-            if interior else
-            {"y": y, "K_radius": k, "count": None, "measure": measure, "ratio": None,
-             "boundary": True}
-            for y, count, interior in zip(ys, counts, inside)
-        ]
+        blocks.append(({"K_radius": _canon(k_label), "measure": _canon(vol)},
+                       {"count": counts, "ratio": [ratios[count] for count in counts]},
+                       inside))
+    ys = _carrier_column(group) if y_sample is None else _canon(y_sample)
+    table = _Table(("y", "K_radius", "count", "measure", "ratio", "boundary"), ys, blocks)
     return {
-        "table": rows,
+        "table": table,
         "ratio_summary": [_row(s) for s in report.summary],
-        "summary": _summary(rows),
+        "summary": _summary(table),
     }
 
 

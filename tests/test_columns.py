@@ -2,6 +2,7 @@
 rows of the HAP cell views and of a cell-by-cell density reference, and no
 per-cell object on the runner's path."""
 
+import dataclasses
 import json
 import os
 from pathlib import Path
@@ -15,7 +16,7 @@ from framecert.frames import coherent_frame
 from framecert.groups import GroupModel, OutOfCarrier, full_point_set, point_set
 from framecert.hap import HapCell, HapScenario, find_L
 from framecert.representations import Representation
-from framecert.runner import _row, _summary, canonical_json, emit, run
+from framecert.runner import _row, _summary, _Table, canonical_json, emit, run
 from framecert.scenarios import build_group, build_points, load_scenarios
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -57,8 +58,9 @@ def _box_hap_certificate():
 def _assert_hap_payload_matches_the_views(payload, cert):
     table = payload["certificate"]["table"]
     view = [_row(cell) for cell in cert.table]
-    # the rows are canonical as built: encoding them as they stand is the same text
-    assert runner._dumps(table) == canonical_json(view)
+    # the text written from the columns, and the rows read through the table
+    assert table.text == canonical_json(view)
+    assert canonical_json(list(table)) == canonical_json(view)
     chosen = [row for cell, row in zip(cert.table, view) if cell.l_label == cert.chosen_l_label]
     assert payload["summary"] == _summary(chosen)
 
@@ -141,7 +143,8 @@ def test_rows_from_columns_equal_the_views_across_the_pool(tmp_path, monkeypatch
             continue
         view = _density_view(scenario.spec)
         rows = _density_rows(view)
-        assert runner._dumps(report["table"]) == canonical_json(rows)
+        assert report["table"].text == canonical_json(rows)
+        assert canonical_json(list(report["table"])) == canonical_json(rows)
         assert report["ratio_summary"] == [_row(s) for s in view.summary]
         assert report["summary"] == _summary(rows)
         assert emit([report], "json") == canonical_json([report]).encode("utf-8")
@@ -209,3 +212,69 @@ def test_the_runner_builds_no_per_cell_objects(monkeypatch, parallelism):
     pinned = json.loads(PINNED_HASHES.read_text(encoding="utf-8"))
     assert {r["scenario_id"]: r["determinism_sha256"] for r in json.loads(encoded)} == pinned
     assert all(r["error"] is None for r in reports)
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_the_runner_builds_no_table_rows(monkeypatch, parallelism):
+    monkeypatch.setattr(_Table, "_row", _refuse)
+    reports = run(load_scenarios(SUITE), parallelism=parallelism)
+    encoded = emit(reports, "json")
+    pinned = json.loads(PINNED_HASHES.read_text(encoding="utf-8"))
+    assert {r["scenario_id"]: r["determinism_sha256"] for r in json.loads(encoded)} == pinned
+    assert all(r["error"] is None for r in reports)
+    with pytest.raises(AssertionError, match="per-cell view"):
+        list(next(r for r in reports if r["kind"] == "density")["table"])
+
+
+def _scenario_file(tmp_path, name):
+    if name == "acceptance":
+        return SUITE
+    path = tmp_path / "columns.json"
+    path.write_text(json.dumps(_SCENARIOS))
+    return path
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+@pytest.mark.parametrize("name", ["acceptance", "columns"])
+def test_csv_rows_equal_the_rows_of_the_json_text(tmp_path, monkeypatch, name, parallelism):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # the pool path at parallelism 2
+    reports = run(load_scenarios(_scenario_file(tmp_path, name)), parallelism=parallelism)
+    assert any(isinstance(r.get("table"), _Table) for r in reports)
+    assert emit(reports, "csv") == emit(json.loads(emit(reports, "json")), "csv")
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_a_non_finite_interior_hap_error_aborts_the_run(tmp_path, monkeypatch, parallelism,
+                                                         value):
+    def spoiled(certificate):
+        errors = certificate.errors.copy()
+        errors[tuple(np.argwhere(certificate.inside)[-1])] = value
+        return dataclasses.replace(certificate, errors=errors)
+
+    find_L, certify = runner.find_L, runner.certify
+    monkeypatch.setattr(runner, "find_L", lambda scenario: spoiled(find_L(scenario)))
+    monkeypatch.setattr(runner, "certify", lambda *args: spoiled(certify(*args)))
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # the pool path at parallelism 2
+    path = tmp_path / "hap.json"
+    path.write_text(json.dumps(_SCENARIOS[:1]))
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        run(load_scenarios(path), parallelism=parallelism)
+
+
+def test_table_text_equals_the_encoded_rows():
+    # zeros of both signs in one column, where equal values have unequal texts;
+    # a boundary row; y as an int and as a list
+    blocks = [
+        ({"K_radius": 1, "L_radius": 2}, {"error": [0.0, -0.0, 1e-05, -0.0]},
+         [True, True, True, False]),
+        ({"K_radius": 1, "L_radius": 3}, {"error": [2.5, 0.0, 1e+16, 0.0]},
+         [True, True, True, True]),
+    ]
+    table = _Table(("y", "K_radius", "L_radius", "error", "boundary"), [0, [1, -2], 3, 4],
+                   blocks)
+    assert len(table) == 8
+    assert table.text == runner._dumps(list(table))
+    assert [row["error"] for row in table][:4] == [0.0, -0.0, 1e-05, None]
+    assert table.text.count('"error":-0.0') == 1 and table == list(table)
+    assert table[5] is table[5]  # a row read twice is the same dict
