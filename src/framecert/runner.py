@@ -184,19 +184,20 @@ class _Table(Sequence):
     column of finite ints or floats, one per base point, for each of its
     other entries, and the mask of its interior rows.  A boundary row takes
     None for its column entries.  Every value is canonical.  Rows are dicts
-    with the keys ``row_keys``, built when first read.  ``text`` is encoded
-    column by column when first read: the y texts once per table, the
-    constants once per block, and each row from its block's interior or
-    boundary template, whose keys are in the order _dumps sorts them.  A
-    table holds only data, so it pickles.
+    with the keys ``row_keys``, built when first read.  text() encodes the
+    table column by column: the y texts once, the constants once per block,
+    and each row from its block's interior or boundary template, whose keys
+    are in the order _dumps sorts them.  The text is not kept: sealing reads
+    it once, and the sealed report holds it.  A table holds only data, so
+    it pickles.
     """
 
-    __slots__ = ("row_keys", "ys", "blocks", "_rows", "_text")
+    __slots__ = ("row_keys", "ys", "blocks", "_rows")
 
     def __init__(self, row_keys: tuple[str, ...], ys: list,
                  blocks: list[tuple[dict, dict, list]]):
         self.row_keys, self.ys, self.blocks = row_keys, ys, blocks
-        self._rows = self._text = None
+        self._rows = None
 
     def __len__(self) -> int:
         return len(self.blocks) * len(self.ys)
@@ -253,22 +254,19 @@ class _Table(Sequence):
                 boundary.append(f"{name}:%s" if key == "y" else f"{name}:null")
         return "{" + ",".join(interior) + "}", "{" + ",".join(boundary) + "}"
 
-    @property
     def text(self) -> str:
         """The table's canonical JSON, as _dumps would write its rows."""
-        if self._text is None:
-            # ints and lists of ints, as _carrier_column and scenario files give
-            # them: their Python text is their JSON text, spaces aside
-            ys = [str(y).replace(" ", "") for y in self.ys]
-            rows = []
-            for constants, columns, inside in self.blocks:
-                interior, boundary = self._templates(constants, columns)
-                values = [ys if key == "y" else _number_texts(columns[key])
-                          for key in sorted((*columns, "y"))]
-                rows += [interior % args if inner else boundary % y
-                         for args, y, inner in zip(zip(*values), ys, inside)]
-            self._text = "[" + ",".join(rows) + "]"
-        return self._text
+        # ints and lists of ints, as _carrier_column and scenario files give
+        # them: their Python text is their JSON text, spaces aside
+        ys = [str(y).replace(" ", "") for y in self.ys]
+        rows = []
+        for constants, columns, inside in self.blocks:
+            interior, boundary = self._templates(constants, columns)
+            values = [ys if key == "y" else _number_texts(columns[key])
+                      for key in sorted((*columns, "y"))]
+            rows += [interior % args if inner else boundary % y
+                     for args, y, inner in zip(zip(*values), ys, inside)]
+        return "[" + ",".join(rows) + "]"
 
 
 def _number_texts(column: list) -> list[str]:
@@ -326,7 +324,7 @@ def _encoded(value) -> bytes:
     """``value``'s canonical JSON as UTF-8: a table's own text, a dict that
     holds a table from its entries' texts, anything else through _dumps."""
     if isinstance(value, _Table):
-        return value.text.encode("utf-8")
+        return value.text().encode("utf-8")
     if isinstance(value, dict) and any(isinstance(v, _Table) for v in value.values()):
         return b"".join(_object_parts({key: _encoded(v) for key, v in value.items()}))
     return _dumps(value).encode("utf-8")

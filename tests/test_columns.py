@@ -59,7 +59,7 @@ def _assert_hap_payload_matches_the_views(payload, cert):
     table = payload["certificate"]["table"]
     view = [_row(cell) for cell in cert.table]
     # the text written from the columns, and the rows read through the table
-    assert table.text == canonical_json(view)
+    assert table.text() == canonical_json(view)
     assert canonical_json(list(table)) == canonical_json(view)
     chosen = [row for cell, row in zip(cert.table, view) if cell.l_label == cert.chosen_l_label]
     assert payload["summary"] == _summary(chosen)
@@ -143,7 +143,7 @@ def test_rows_from_columns_equal_the_views_across_the_pool(tmp_path, monkeypatch
             continue
         view = _density_view(scenario.spec)
         rows = _density_rows(view)
-        assert report["table"].text == canonical_json(rows)
+        assert report["table"].text() == canonical_json(rows)
         assert canonical_json(list(report["table"])) == canonical_json(rows)
         assert report["ratio_summary"] == [_row(s) for s in view.summary]
         assert report["summary"] == _summary(rows)
@@ -274,7 +274,7 @@ def test_table_text_equals_the_encoded_rows():
     table = _Table(("y", "K_radius", "L_radius", "error", "boundary"), [0, [1, -2], 3, 4],
                    blocks)
     assert len(table) == 8
-    assert table.text == runner._dumps(list(table))
+    assert table.text() == runner._dumps(list(table))
     assert [row["error"] for row in table][:4] == [0.0, -0.0, 1e-05, None]
-    assert table.text.count('"error":-0.0') == 1 and table == list(table)
+    assert table.text().count('"error":-0.0') == 1 and table == list(table)
     assert table[5] is table[5]  # a row read twice is the same dict
