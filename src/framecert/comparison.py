@@ -226,11 +226,10 @@ def comparison_certificate(
 
     # The duals of the points in y.K.L and the reference atoms of the points
     # in y.K, each in frame-index order.
-    dim = scenario.given.rep.dim
     duals = scenario.given.analysis.canonical_dual
-    P = span_projector(duals[:, np.sort(scenario.given.points.indices_at(ykl))], dim=dim)
+    P = span_projector(duals[:, np.sort(scenario.given.points.indices_at(ykl))])
     ref_atoms = scenario.reference.synthesis[:, np.sort(scenario.reference.points.indices_at(yk))]
-    Q = span_projector(ref_atoms, dim=dim)
+    Q = span_projector(ref_atoms)
     T = qpq_operator(P, Q)
 
     reference = scenario.reference.analysis

@@ -5,7 +5,7 @@ point set X = {x_j}.  The frame operator S f = sum_j inner(f, pi(x_j) g)
 pi(x_j) g is assembled as a d x d matrix and eigendecomposed; its extreme
 eigenvalues are the optimal frame bounds, which FrameSystem.analysis computes
 once per frame with the canonical dual.  Orthogonal projectors onto spans
-of listed generators are built from a singular value decomposition with a
+of generator columns are built from a singular value decomposition with a
 fixed relative rank tolerance, because downstream counting arguments compare
 projector ranks against integer cardinalities and need stable rank decisions.
 """
@@ -159,25 +159,17 @@ class SpanProjector:
         return self.matrix @ v
 
 
-def span_projector(vectors, dim: int | None = None) -> SpanProjector:
-    """Projector basis @ basis^* onto span(vectors), the basis orthonormal.
+def span_projector(generators: np.ndarray) -> SpanProjector:
+    """Projector basis @ basis^* onto the span of the columns of the (dim, m)
+    array ``generators``, the basis orthonormal.
 
-    ``vectors`` may be a (dim, m) matrix or an iterable of vectors.  Rank is
-    the number of singular values above RANK_TOLERANCE times the largest, so
-    empty or all-zero generators give an empty basis: the zero projector.
+    Rank is the number of singular values above RANK_TOLERANCE times the
+    largest, so no columns or all-zero ones give an empty basis: the zero
+    projector.  Anything but a 2-D array raises TypeError.
     """
-    if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
-        gen = np.asarray(vectors, dtype=complex)
-        if dim is not None and gen.shape[0] != dim:
-            raise ValueError(f"generators have dimension {gen.shape[0]}, expected {dim}")
-    else:
-        cols = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
-        if cols:
-            gen = np.column_stack(cols)
-        elif dim is None:
-            raise ValueError("an empty generator list needs an explicit dim")
-        else:
-            gen = np.zeros((dim, 0), dtype=complex)
+    if not (isinstance(generators, np.ndarray) and generators.ndim == 2):
+        raise TypeError("span_projector takes the generators as the columns of a 2-D array")
+    gen = np.asarray(generators, dtype=complex)
     if gen.shape[1] == 0:
         basis, rank = gen, 0
     else:

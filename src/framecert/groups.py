@@ -114,9 +114,6 @@ class GroupModel:
         sizes = self.moduli if self.kind == "cyclic" else self.halfwidths
         return f"GroupModel({self.kind}, {sizes})"
 
-    def __len__(self) -> int:
-        return len(self.carrier)
-
     @property
     def order(self) -> int:
         return len(self.carrier)

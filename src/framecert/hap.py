@@ -76,7 +76,7 @@ def local_subspace(duals, X: PointSet, y, S: CompactSet) -> SpanProjector:
     """Projector onto span{h_j : x_j in yS}; empty selection gives the zero map."""
     duals = np.asarray(duals, dtype=complex)
     selected = np.flatnonzero(translate_set(y, S).indicator[X.positions()])
-    return span_projector(duals[:, selected], dim=duals.shape[0])
+    return span_projector(duals[:, selected])
 
 
 def hap_error(frame: FrameSystem, duals, f, y, K: CompactSet, L: CompactSet) -> float:
@@ -285,7 +285,6 @@ def scan_errors(scan: HapScan, start: int, stop: int) -> tuple[np.ndarray, np.nd
     carrier into ranges gives the same columns.
     """
     group = scan.group
-    dim = scan.duals.shape[0]
     errors = np.zeros((len(scan.pairs), stop - start))
     inside = np.zeros((len(scan.pairs), stop - start), dtype=bool)
     for column, yp in enumerate(range(start, stop)):
@@ -307,8 +306,7 @@ def scan_errors(scan: HapScan, start: int, stop: int) -> tuple[np.ndarray, np.nd
                 # one; the column order fixes the SVD's rounding, hence the
                 # hashes.
                 projectors[s] = (
-                    span_projector(scan.duals[:, scan.points.indices_at(translated[kl])],
-                                   dim=dim).matrix
+                    span_projector(scan.duals[:, scan.points.indices_at(translated[kl])]).matrix
                     if kept[kl].all()
                     else None
                 )

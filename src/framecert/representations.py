@@ -141,12 +141,7 @@ def carrier_orbit(rep: Representation, v) -> np.ndarray:
 
 def voice_transform(rep: Representation, g, f) -> GroupFunction:
     """V_g f(x) = inner(f, pi(x) g) for every carrier element x."""
-    g = np.asarray(g, dtype=complex)
-    f = np.asarray(f, dtype=complex)
-    if g.shape != (rep.dim,) or f.shape != (rep.dim,):
-        raise DimensionMismatch(
-            f"window/source must have dimension {rep.dim}, got {g.shape} and {f.shape}"
-        )
+    g, f = _vector(rep, g), _vector(rep, f)
     if np.linalg.norm(g) == 0.0:
         raise ZeroWindow("the analyzing window must be nonzero")
     values = np.array([inner(f, atom) for atom in rep.orbit(g)])
@@ -159,9 +154,7 @@ def mollify_window(rep: Representation, g0, kernel: Mapping) -> np.ndarray:
     Raises ZeroResult when the output norm falls below 1e-12 (a destructive
     kernel), since the result could not serve as a window.
     """
-    g0 = np.asarray(g0, dtype=complex)
-    if g0.shape != (rep.dim,):
-        raise DimensionMismatch(f"expected a vector of dimension {rep.dim}, got {g0.shape}")
+    g0 = _vector(rep, g0)
     out = np.zeros(rep.dim, dtype=complex)
     for x, weight in kernel.items():
         xc = rep.group.canon(x)
@@ -171,7 +164,8 @@ def mollify_window(rep: Representation, g0, kernel: Mapping) -> np.ndarray:
     return out
 
 
-_DIRAC_RE = re.compile(r"dirac(\d+)$")
+# The names vector_preset takes, whole: "dirac<k>", "flat" and "gauss".
+PRESET_RE = re.compile(r"dirac(\d+)|flat|gauss")
 
 
 def dirac_vector(dim: int, index: int = 0) -> np.ndarray:
@@ -195,11 +189,9 @@ def periodized_gaussian(dim: int) -> np.ndarray:
 
 def vector_preset(name: str, dim: int) -> np.ndarray:
     """Named vectors: "dirac<k>", "flat", or "gauss"."""
-    match = _DIRAC_RE.match(name)
-    if match:
-        return dirac_vector(dim, int(match.group(1)))
-    if name == "flat":
-        return flat_vector(dim)
-    if name == "gauss":
-        return periodized_gaussian(dim)
-    raise ValueError(f"unknown vector preset {name!r}")
+    match = PRESET_RE.fullmatch(name)
+    if match is None:
+        raise ValueError(f"unknown vector preset {name!r}")
+    if match[1] is not None:
+        return dirac_vector(dim, int(match[1]))
+    return flat_vector(dim) if name == "flat" else periodized_gaussian(dim)

@@ -24,7 +24,7 @@ object per cell.  Sealing takes a table's text, which is written column by
 column: the base points once per scenario, labels and measures once per
 block, each error once and each density ratio once per distinct count, and
 each row from one of two templates.  Rows are built only when something
-reads them (CSV, tests, checks), under the keys that _row gives HapCell.
+reads them (CSV, tests, checks), as dicts under the table's row keys.
 Other rows come from certificate dataclasses through _row (an escaping box
 sampling trial takes only the keys): every field becomes a key, renamed
 where _REPORT_NAMES says so, and every value is canonicalized as it is read.
@@ -110,15 +110,12 @@ def _canon(obj):
         return [x if type(x) in _AS_IS else _canon(x) for x in obj]
     if kind in _AS_IS:
         return obj
-    # numpy scalars and arrays, subclasses of int and float
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
+    # subclasses of int and float; anything else, numpy values included, is
+    # left as it is, for _dumps to reject
+    if isinstance(obj, int):
         return int(obj)
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, float):
         return float(f"{float(obj):.12g}")
-    if isinstance(obj, np.ndarray):
-        return [_canon(x) for x in obj.tolist()]
     return obj
 
 
@@ -415,28 +412,24 @@ def _run_frame_analysis(spec: dict, seed: int) -> dict:
     }
 
 
-def _radius_families(group, spec):
-    U = group.ball(spec["u_radius"])
-    K_family = [group.ball(r) for r in spec["k_radii"]]
-    L_family = [group.ball(r) for r in spec["l_radii"]]
-    return U, K_family, L_family
+def _families(spec: dict, group) -> dict:
+    """The tolerance, U, and the K and L families with their radii as labels:
+    the keyword arguments a HAP and a comparison scenario share."""
+    return {
+        "epsilon": spec["epsilon"],
+        "U": group.ball(spec["u_radius"]),
+        "K_family": [group.ball(r) for r in spec["k_radii"]],
+        "L_family": [group.ball(r) for r in spec["l_radii"]],
+        "k_labels": list(spec["k_radii"]),
+        "l_labels": list(spec["l_radii"]),
+    }
 
 
 def _hap_scenario(spec: dict) -> HapScenario:
     frame = build_frame(spec["frame"])
     frame.analysis  # NotAFrame is reported before any error in f
     f = build_vector(spec["f"], frame.rep.dim)
-    U, K_family, L_family = _radius_families(frame.rep.group, spec)
-    return HapScenario(
-        frame=frame,
-        f=f,
-        epsilon=spec["epsilon"],
-        U=U,
-        K_family=K_family,
-        L_family=L_family,
-        k_labels=list(spec["k_radii"]),
-        l_labels=list(spec["l_radii"]),
-    )
+    return HapScenario(frame=frame, f=f, **_families(spec, frame.rep.group))
 
 
 def _carrier_column(group) -> list:
@@ -485,18 +478,9 @@ def _run_comparison(spec: dict, seed: int) -> dict:
     frame = build_frame(spec["frame"])
     frame.analysis  # NotAFrame is reported before any error in the reference
     reference = build_reference(spec["reference"], frame.rep)
-    U, K_family, L_family = _radius_families(frame.rep.group, spec)
-    scenario = ComparisonScenario(
-        given=frame,
-        reference=reference,
-        epsilon=spec["epsilon"],
-        U=U,
-        K_family=K_family,
-        L_family=L_family,
-        k_labels=list(spec["k_radii"]),
-        l_labels=list(spec["l_radii"]),
-        b_convention=spec.get("b_convention", "reference"),
-    )
+    scenario = ComparisonScenario(given=frame, reference=reference,
+                                  b_convention=spec.get("b_convention", "reference"),
+                                  **_families(spec, frame.rep.group))
     certificates = comparison_run(scenario)
     hap = scenario.hap_choice
     rows = [_row(cert, ok=cert.ok) for cert in certificates]
@@ -516,8 +500,6 @@ def _run_density(spec: dict, seed: int) -> dict:
     X = build_points(spec["points"], group)
     K_family = [group.ball(r) for r in spec["k_radii"]]
     y_sample = spec.get("y_sample")
-    if y_sample is not None:
-        y_sample = [tuple(y) if isinstance(y, list) else y for y in y_sample]
     report = density_report(X, K_family, y_sample=y_sample, k_labels=list(spec["k_radii"]))
     # The table straight from the report's columns, one block per K: the
     # measure is formatted once per K and the ratio once per distinct count.

@@ -34,7 +34,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -43,6 +42,7 @@ import numpy as np
 from framecert.frames import FrameSystem, coherent_frame
 from framecert.groups import GroupModel, PointSet, full_point_set, point_set
 from framecert.representations import (
+    PRESET_RE,
     GaborRep,
     Representation,
     TensorRep,
@@ -65,11 +65,9 @@ _KIND_KEYS = {
     "density": (("group", "points", "k_radii"), ("y_sample",)),
 }
 
-_PRESET_RE = re.compile(r"(dirac\d+|flat|gauss)$")
-
 
 class ParseError(Exception):
-    """The scenario file is not valid JSON (or not a JSON array)."""
+    """The scenario file is not UTF-8, not valid JSON, or not a JSON array."""
 
     def __init__(self, message: str, line: int | None = None, column: int | None = None):
         self.line = line
@@ -97,9 +95,10 @@ class Scenario:
 
 def load_scenarios(path) -> list[Scenario]:
     """Parse and validate a scenario file; unknown keys are rejected."""
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        data = json.loads(text)
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"scenario file is not UTF-8: {exc.reason} at byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, exc.lineno, exc.colno) from exc
     if not isinstance(data, list):
@@ -276,7 +275,7 @@ def _validate_rep(desc, where: str) -> None:
 
 def _validate_vector(desc, where: str) -> None:
     if isinstance(desc, str):
-        if not _PRESET_RE.match(desc):
+        if not PRESET_RE.fullmatch(desc):
             _fail(_leaf(where), f"{where}: unknown vector preset {desc!r}")
         return
     if isinstance(desc, list):

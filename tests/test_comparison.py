@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -30,7 +32,8 @@ from framecert.representations import (
     dirac_vector,
     periodized_gaussian,
 )
-from framecert.scenarios import build_points
+from framecert.runner import run
+from framecert.scenarios import build_frame, build_points, build_reference, load_scenarios
 
 
 def _scenario(given, reference, epsilon, k_radii=(0, 1, 2), l_radii=(0, 1, 2, 3, 4), **kw):
@@ -82,11 +85,11 @@ def test_qpq_examples():
     identity4 = span_projector(np.eye(4, dtype=complex))
     T = qpq_operator(identity4, identity4)
     assert np.trace(T).real == pytest.approx(4.0)
-    P = span_projector([np.eye(2, dtype=complex)[0]])
-    Q_orth = span_projector([np.eye(2, dtype=complex)[1]])
+    P = span_projector(np.eye(2, dtype=complex)[:, :1])
+    Q_orth = span_projector(np.eye(2, dtype=complex)[:, 1:])
     assert np.allclose(qpq_operator(P, Q_orth), 0)
     # hand-computed 2x2: Q onto (e1+e2)/sqrt2, P onto e1, trace QPQ = 1/2
-    Q = span_projector([np.array([1.0, 1.0]) / np.sqrt(2)])
+    Q = span_projector(np.array([[1.0], [1.0]]) / np.sqrt(2))
     T = qpq_operator(P, Q)
     assert np.trace(T).real == pytest.approx(0.5)
     assert np.allclose(T, 0.25 * np.ones((2, 2)))
@@ -357,8 +360,7 @@ def test_comparison_cells_match_the_set_oracles(make):
         inside += 1
         P = local_subspace(scenario.given.analysis.canonical_dual, given.points, y, KL)
         Q = span_projector(
-            reference.synthesis[:, np.flatnonzero(yk.indicator[reference.points.positions()])],
-            dim=given.rep.dim,
+            reference.synthesis[:, np.flatnonzero(yk.indicator[reference.points.positions()])]
         )
         assert cert.rank_P == P.rank
         assert cert.card_x_in_ykl == cardinality_count(given.points, ykl)
@@ -386,3 +388,65 @@ def test_a_cell_whose_window_escapes_while_its_product_stays_is_boundary():
     assert cert.y == -3 and cert.boundary
     inner = comparison_certificate(scenario, group.index(-1), K.positions(), KL.positions(), 1)
     assert not inner.boundary and inner.ok
+
+
+# -- rejections ------------------------------------------------------------------
+
+
+def _dirac_onb(n=4):
+    rep = TranslationRep(n)
+    return coherent_frame(rep, dirac_vector(n), full_point_set(rep.group))
+
+
+_ONB = _dirac_onb()
+_COMPARISON_REJECTIONS = {
+    "frames-on-two-groups": (_dirac_onb(), {}),
+    "epsilon-zero": (_ONB, {"epsilon": 0.0}),
+    "epsilon-one": (_ONB, {"epsilon": 1.0}),
+    "b-convention": (_ONB, {"b_convention": "given"}),
+}
+
+
+@pytest.mark.parametrize("reference, changes", _COMPARISON_REJECTIONS.values(),
+                         ids=_COMPARISON_REJECTIONS.keys())
+def test_invalid_comparison_scenarios_raise_value_error(reference, changes):
+    kwargs = {"epsilon": 0.5, "k_radii": (0,), "l_radii": (0, 1), **changes}
+    with pytest.raises(ValueError):
+        _scenario(_ONB, reference, **kwargs)
+
+
+# -- counting identities on the shipped comparisons ------------------------------
+
+SUITE = Path(__file__).resolve().parent.parent / "scenarios" / "acceptance.json"
+
+
+def test_comparison_counts_obey_the_counting_identities():
+    """Each x_j lies in yKL for |KL| base points y and each reference point
+    in yK for |K| of them, so on a cyclic carrier the column sums are
+    |X| |KL| and |Y| |K|; and each cell's counts are the density counts of
+    X over KL and of Y over K at its y, read off the windows, not the
+    point-slot table."""
+    scenarios = sorted((s for s in load_scenarios(SUITE) if s.kind == "comparison"),
+                       key=lambda s: s.id)  # run() orders its reports by id
+    assert len(scenarios) == 3
+    sums = {}
+    for scenario, report in zip(scenarios, run(scenarios)):
+        assert report["scenario_id"] == scenario.id and report["error"] is None
+        frame = build_frame(scenario.spec["frame"])
+        X, Y = frame.points, build_reference(scenario.spec["reference"], frame.rep).points
+        group = frame.rep.group
+        L = group.ball(report["hap_precondition"]["chosen_L_radius"])
+        ys = [list(y) if isinstance(y, tuple) else y for y in group.carrier]
+        for radius in scenario.spec["k_radii"]:
+            K = group.ball(radius)
+            KL = product_set(K, L)
+            cells = [c for c in report["certificates"] if c["K_radius"] == radius]
+            assert [c["y"] for c in cells] == ys and not any(c["boundary"] for c in cells)
+            card_x = [c["card_X"] for c in cells]
+            card_y = [c["card_Y"] for c in cells]
+            assert sum(card_x) == len(X) * len(KL)
+            assert sum(card_y) == len(Y) * len(K)
+            assert card_x == density_report(X, [KL]).counts[0].tolist()
+            assert card_y == density_report(Y, [K]).counts[0].tolist()
+            sums[scenario.id, radius] = (sum(card_x), sum(card_y))
+    assert sums["compare-gabor-vs-dirac-z8", 1] == (1600, 72)  # 64 * 25 and 8 * 9

@@ -206,13 +206,12 @@ def test_tightness_scaling():
 
 
 def test_span_projector_examples():
-    e1, e2 = np.eye(3)[0], np.eye(3)[1]
-    P = span_projector([e1, e1, e2])
+    P = span_projector(np.eye(3)[:, [0, 0, 1]])
     assert P.rank == 2
     assert np.allclose(P.matrix, np.diag([1.0, 1.0, 0.0]))
-    empty = span_projector([], dim=4)
-    assert empty.rank == 0 and np.allclose(empty.matrix, 0)
-    half = span_projector([np.array([1.0, 1.0]) / np.sqrt(2)])
+    empty = span_projector(np.zeros((4, 0)))
+    assert empty.rank == 0 and np.allclose(empty.matrix, 0) and empty.matrix.shape == (4, 4)
+    half = span_projector(np.array([[1.0], [1.0]]) / np.sqrt(2))
     assert half.rank == 1
     assert np.allclose(half.matrix, 0.5 * np.ones((2, 2)))
 
@@ -234,14 +233,25 @@ def test_span_projector_laws():
 
 
 def test_span_projector_zero_vectors_only():
-    P = span_projector([np.zeros(3), np.zeros(3)])
+    P = span_projector(np.zeros((3, 2)))
     assert P.rank == 0 and np.allclose(P.matrix, 0)
+
+
+@pytest.mark.parametrize("generators", [
+    [np.eye(3)[0], np.eye(3)[1]],  # a list of vectors is not read as rows or columns
+    np.eye(3)[0],  # one vector: a 1-D array
+    [[1.0, 0.0], [0.0, 1.0]],
+    np.zeros((2, 2, 2)),
+], ids=["vector-list", "1-d", "nested-list", "3-d"])
+def test_span_projector_takes_a_matrix_only(generators):
+    with pytest.raises(TypeError):
+        span_projector(generators)
 
 
 def test_best_approx_check():
     rng = np.random.default_rng(19)
     e1 = np.eye(4, dtype=complex)[0]
-    P = span_projector([e1])
+    P = span_projector(e1[:, None])
     inside = best_approx_check(P, 2.5 * e1, trials=100, rng=rng)
     assert inside.proj_error == pytest.approx(0.0, abs=1e-12) and inside.ok
     orth = best_approx_check(P, np.eye(4, dtype=complex)[2], trials=100, rng=rng)
@@ -251,3 +261,27 @@ def test_best_approx_check():
     h = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     check = best_approx_check(span_projector(gens), h, trials=1000, rng=rng)
     assert check.ok
+
+
+# -- rejections ------------------------------------------------------------------
+
+
+def _dirac_frame(points=None):
+    rep = TranslationRep(4)
+    return coherent_frame(rep, dirac_vector(4), points or full_point_set(rep.group))
+
+
+_FRAME_REJECTIONS = {
+    "points-on-another-group": (
+        lambda: _dirac_frame(full_point_set(TranslationRep(4).group)), ValueError),
+    "dual-of-wrong-shape": (lambda: verify_dual(_dirac_frame(), np.zeros((4, 3))),
+                            LengthMismatch),
+    "projector-of-a-vector-list": (lambda: span_projector([dirac_vector(4)]), TypeError),
+}
+
+
+@pytest.mark.parametrize("build, error", _FRAME_REJECTIONS.values(),
+                         ids=_FRAME_REJECTIONS.keys())
+def test_invalid_frame_arguments_raise(build, error):
+    with pytest.raises(error):
+        build()

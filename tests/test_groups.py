@@ -458,3 +458,23 @@ def test_indices_at_matches_a_scan_of_the_point_list(points, at):
     X = point_set(GroupModel.cyclic([8]), points)
     expected = [j for p in at for j, x in enumerate(points) if x == p]
     assert X.indices_at(np.array(at, dtype=np.int64)).tolist() == expected
+
+
+# -- rejections ------------------------------------------------------------------
+
+_Z4, _OTHER_Z4 = GroupModel.cyclic([4]), GroupModel.cyclic([4])
+_GROUP_REJECTIONS = {
+    "no-coordinates": lambda: GroupModel("cyclic", []),
+    "cyclic-modulus-zero": lambda: GroupModel.cyclic([4, 0]),
+    "box-halfwidth-negative": lambda: GroupModel.box([2, -1]),
+    "unknown-kind": lambda: GroupModel("torus", [4]),
+    "ball-radius-negative": lambda: _Z4.ball(-1),
+    "product-across-groups": lambda: product_set(_Z4.ball(1), _OTHER_Z4.ball(1)),
+    "coordinates-of-another-rank": lambda: _Z4.index(np.zeros((3, 2), dtype=np.int64)),
+}
+
+
+@pytest.mark.parametrize("build", _GROUP_REJECTIONS.values(), ids=_GROUP_REJECTIONS.keys())
+def test_invalid_group_arguments_raise_value_error(build):
+    with pytest.raises(ValueError):
+        build()

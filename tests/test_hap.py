@@ -283,7 +283,7 @@ def _reference_table(scenario):
                     table.append(HapCell(y, k_label, l_label, None, True))
                     continue
                 selected = [j for p in ykl.tolist() for j in by_position[p]]
-                projector = span_projector(scenario.duals[:, selected], dim=frame.rep.dim)
+                projector = span_projector(scenario.duals[:, selected])
                 targets = transported[:, yk]
                 residual = targets - projector.matrix @ targets
                 error = float(np.max(np.linalg.norm(residual, axis=0)))
@@ -344,9 +344,9 @@ def test_find_L_builds_one_projector_per_y_and_distinct_kl_set(monkeypatch):
     scenario = ball_scenario(frame, _random_vector(8, 3), epsilon=2.0)
     builds = []
 
-    def counting(vectors, dim=None):
-        builds.append(vectors.shape[1])
-        return span_projector(vectors, dim=dim)
+    def counting(generators):
+        builds.append(generators.shape[1])
+        return span_projector(generators)
 
     monkeypatch.setattr(framecert.hap, "span_projector", counting)
     find_L(scenario)
@@ -435,3 +435,24 @@ def test_a_tail_bound_below_a_cell_error_fails_domination():
     assert first.theoretical_bound == pytest.approx(0.0014, abs=1e-4)
     assert all(c.domination_ok for c in cert.candidates[1:])
     assert cert.chosen_l_label == 1
+
+
+# -- rejections ------------------------------------------------------------------
+
+_ONB, _ = dirac_onb(4)
+_BALLS = [_ONB.rep.group.ball(r) for r in range(3)]
+_HAP_REJECTIONS = {
+    "epsilon-zero": {"epsilon": 0.0},
+    "K-family-empty": {"K_family": []},
+    "L-family-empty": {"L_family": []},
+    "L-family-not-nested": {"L_family": [_BALLS[2], _BALLS[1]]},
+    "l-labels-short": {"l_labels": [0]},
+}
+
+
+@pytest.mark.parametrize("changes", _HAP_REJECTIONS.values(), ids=_HAP_REJECTIONS.keys())
+def test_invalid_hap_scenarios_raise_value_error(changes):
+    kwargs = {"frame": _ONB, "f": dirac_vector(4), "epsilon": 0.5, "U": _BALLS[1],
+              "K_family": _BALLS[:1], "L_family": _BALLS[:2], **changes}
+    with pytest.raises(ValueError):
+        HapScenario(**kwargs)

@@ -281,3 +281,34 @@ def test_carrier_orbit_checks_the_dimension():
         carrier_orbit(GaborRep(4), np.ones(5))
     with pytest.raises(DimensionMismatch):
         carrier_orbit(TranslationRep(3), np.ones((3, 3)))
+
+
+# -- rejections ------------------------------------------------------------------
+
+
+class _BoxRep:
+    """Stands in for a representation over a box-truncated group."""
+
+    group = GroupModel.box([2])
+
+
+_REP_REJECTIONS = {
+    "tensor-left-box": (lambda: TensorRep(_BoxRep(), TranslationRep(2)), ValueError),
+    "tensor-right-box": (lambda: TensorRep(TranslationRep(2), _BoxRep()), ValueError),
+    "preset-unknown": (lambda: vector_preset("dirac", 4), ValueError),
+    "apply-wrong-dimension": (lambda: apply_rep(TranslationRep(4), 1, np.ones(3)),
+                              DimensionMismatch),
+    "voice-window-wrong-dimension": (
+        lambda: voice_transform(TranslationRep(4), np.ones(3), np.ones(4)), DimensionMismatch),
+    "voice-source-wrong-dimension": (
+        lambda: voice_transform(TranslationRep(4), np.ones(4), np.ones((4, 1))),
+        DimensionMismatch),
+    "mollify-wrong-dimension": (
+        lambda: mollify_window(TranslationRep(4), np.ones(5), {0: 1.0}), DimensionMismatch),
+}
+
+
+@pytest.mark.parametrize("build, error", _REP_REJECTIONS.values(), ids=_REP_REJECTIONS.keys())
+def test_invalid_representation_arguments_raise(build, error):
+    with pytest.raises(error):
+        build()

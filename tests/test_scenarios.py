@@ -17,6 +17,7 @@ from framecert.scenarios import (
     build_vector,
     load_scenarios,
 )
+from framecert.representations import dirac_vector, flat_vector, periodized_gaussian, vector_preset
 
 SUITE = Path(__file__).resolve().parent.parent / "scenarios" / "acceptance.json"
 
@@ -431,3 +432,148 @@ def test_a_reference_without_points_is_not_a_frame(tmp_path):
                 "u_radius": 1, "k_radii": [0], "l_radii": [0, 1]}]
     report = run(load_scenarios(write(tmp_path, payload)))[0]
     assert report["error"] == _NO_POINTS_ERROR
+
+
+# -- rejections: every check of a scenario file, by field and JSON path --------
+
+
+def _comparison(**changes):
+    return dict({"id": "c", "kind": "comparison", "frame": MINIMAL[0]["frame"],
+                 "reference": {"window": "dirac0", "points": "full"}, "epsilon": 0.5,
+                 "u_radius": 1, "k_radii": [0], "l_radii": [0, 1]}, **changes)
+
+
+def _sampling(**changes):
+    return dict({"id": "s", "kind": "sampling_bound", "group": {"kind": "cyclic", "moduli": [4]},
+                 "trials": 3, "max_radius": 1}, **changes)
+
+
+def _rep(rep):
+    return [dict(MINIMAL[0], frame=dict(MINIMAL[0]["frame"], rep=rep))]
+
+
+def _points(points):
+    return [_density(points=points)]
+
+
+# name -> (file contents, ValidationError.field, JSON path the message names)
+_REJECTED_FILES = {
+    "item-not-object": ([3], "scenarios[0]", "scenarios[0] must be an object"),
+    "id-empty": ([dict(MINIMAL[0], id="")], "id", "scenarios[0].id"),
+    "id-not-string": ([dict(MINIMAL[0], id=7)], "id", "scenarios[0].id"),
+    "epsilon-string": ([_hap(epsilon="0.5")], "epsilon", "scenarios[0].epsilon"),
+    "epsilon-bool": ([_hap(epsilon=True)], "epsilon", "scenarios[0].epsilon"),
+    "epsilon-beyond-float": ([_hap(epsilon=10**400)], "epsilon", "scenarios[0].epsilon"),
+    "comparison-epsilon-1": ([_comparison(epsilon=1)], "epsilon", "scenarios[0].epsilon"),
+    "trials-zero": ([_sampling(trials=0)], "trials", "scenarios[0].trials"),
+    "b-convention": ([_comparison(b_convention="given")], "b_convention",
+                     "scenarios[0].b_convention"),
+    "k-radii-empty": ([_hap(k_radii=[])], "k_radii", "scenarios[0].k_radii"),
+    "l-radii-not-list": ([_hap(l_radii=2)], "l_radii", "scenarios[0].l_radii"),
+    "group-not-object": ([_density(group="Z4")], "group", "scenarios[0].group"),
+    "cyclic-keys": ([_density(group={"kind": "cyclic", "moduli": [4], "n": 4})], "group",
+                    "scenarios[0].group"),
+    "moduli-zero": ([_density(group={"kind": "cyclic", "moduli": [4, 0]})], "moduli",
+                    "scenarios[0].group.moduli"),
+    "moduli-empty": ([_density(group={"kind": "cyclic", "moduli": []})], "moduli",
+                     "scenarios[0].group.moduli"),
+    "box-keys": ([_density(group={"kind": "box", "moduli": [2]})], "group",
+                 "scenarios[0].group"),
+    "halfwidths-negative": ([_density(group={"kind": "box", "halfwidths": [-1]})],
+                            "halfwidths", "scenarios[0].group.halfwidths"),
+    "group-kind": ([_density(group={"kind": "torus", "moduli": [4]})], "group",
+                   "scenarios[0].group.kind"),
+    "rep-not-object": (_rep("gabor"), "rep", "scenarios[0].frame.rep"),
+    "rep-keys": (_rep({"kind": "gabor", "n": 4, "m": 4}), "rep", "scenarios[0].frame.rep"),
+    "rep-n-zero": (_rep({"kind": "translation", "n": 0}), "n", "scenarios[0].frame.rep.n"),
+    "tensor-keys": (_rep({"kind": "tensor"}), "rep", "scenarios[0].frame.rep"),
+    "tensor-one-factor": (_rep({"kind": "tensor", "factors": [{"kind": "gabor", "n": 2}]}),
+                          "factors", "scenarios[0].frame.rep.factors"),
+    "tensor-factor-kind": (_rep({"kind": "tensor", "factors": [
+        {"kind": "gabor", "n": 2}, {"kind": "fourier", "n": 2}]}), "rep",
+        "scenarios[0].frame.rep.factors[1].kind"),
+    "rep-kind": (_rep({"kind": "fourier", "n": 4}), "rep", "scenarios[0].frame.rep.kind"),
+    "vector-number": ([_hap(f=3)], "f", "scenarios[0].f"),
+    "vector-sum-not-list": ([_hap(f={"sum": "flat"})], "f", "scenarios[0].f"),
+    "window-object": ([dict(MINIMAL[0], frame=dict(MINIMAL[0]["frame"], window={"flat": 1}))],
+                      "window", "scenarios[0].frame.window"),
+    "lattice-keys": (_points({"lattice": {"steps": [2, 2], "offset": [0, 0]}}), "points",
+                     "scenarios[0].points.lattice"),
+    "lattice-steps-zero": (_points({"lattice": {"steps": [2, 0]}}), "steps",
+                           "scenarios[0].points.lattice.steps"),
+    "lattice-steps-empty": (_points({"lattice": {"steps": []}}), "steps",
+                            "scenarios[0].points.lattice.steps"),
+    "frame-keys": ([dict(MINIMAL[0], frame={"rep": {"kind": "gabor", "n": 4},
+                                            "window": "flat"})],
+                   "frame", "scenarios[0].frame"),
+    "reference-keys": ([_comparison(reference={"window": "flat", "points": "full",
+                                               "rep": {"kind": "gabor", "n": 4}})],
+                       "reference", "scenarios[0].reference"),
+    "reference-window": ([_comparison(reference={"window": "flat\n", "points": "full"})],
+                         "window", "scenarios[0].reference.window"),
+}
+# The preset names match whole: "$" would also match before a final newline.
+for _preset in ("flat\n", "dirac0\n", "dirac"):
+    _REJECTED_FILES[f"window-{_preset!r}"] = (
+        [dict(MINIMAL[0], frame=dict(MINIMAL[0]["frame"], window=_preset))], "window",
+        "scenarios[0].frame.window")
+    _REJECTED_FILES[f"f-{_preset!r}"] = ([_hap(f=_preset)], "f", "scenarios[0].f")
+
+
+@pytest.mark.parametrize("payload, field, where", _REJECTED_FILES.values(),
+                         ids=_REJECTED_FILES.keys())
+def test_a_rejected_file_names_its_field_and_path(tmp_path, payload, field, where):
+    with pytest.raises(ValidationError) as info:
+        load_scenarios(write(tmp_path, payload))
+    assert info.value.field == field
+    assert where in str(info.value)
+
+
+@pytest.mark.parametrize("name", ["flat\n", "dirac0\n", "dirac", " gauss", "dirac-1", "Flat"])
+def test_vector_preset_takes_whole_names_only(name):
+    with pytest.raises(ValueError, match="unknown vector preset"):
+        vector_preset(name, 4)
+
+
+def test_vector_presets_by_name():
+    assert np.array_equal(vector_preset("dirac10", 4), dirac_vector(4, 2))
+    assert np.array_equal(vector_preset("flat", 4), flat_vector(4))
+    assert np.array_equal(vector_preset("gauss", 4), periodized_gaussian(4))
+
+
+_UNREADABLE_FILES = {
+    "not-an-array": (b'{"id": "x"}', "must contain a JSON array"),
+    "not-utf-8": (b'[{"id": "\xff"}]', "not UTF-8"),
+}
+
+
+@pytest.mark.parametrize("content, message", _UNREADABLE_FILES.values(),
+                         ids=_UNREADABLE_FILES.keys())
+def test_cli_reports_an_unreadable_file_in_one_line(tmp_path, capsys, content, message):
+    path = tmp_path / "scenarios.json"
+    path.write_bytes(content)
+    with pytest.raises(ParseError, match=message):
+        load_scenarios(path)
+    assert main(["suite", "--scenarios", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("framecert: error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+
+
+_LATTICE_ERRORS = {
+    "box-group": ({"kind": "box", "halfwidths": [4]}, [2], "cyclic-product group"),
+    "wrong-rank": ({"kind": "cyclic", "moduli": [4, 4]}, [2], "needs 2 steps"),
+    "not-dividing": ({"kind": "cyclic", "moduli": [6]}, [4], "does not divide"),
+}
+
+
+@pytest.mark.parametrize("group, steps, message", _LATTICE_ERRORS.values(),
+                         ids=_LATTICE_ERRORS.keys())
+def test_a_lattice_that_does_not_fit_its_group_stays_in_its_report(tmp_path, group, steps,
+                                                                    message):
+    with pytest.raises(ValueError, match=message):
+        build_points({"lattice": {"steps": steps}}, build_group(group))
+    payload = [_density(group=group, points={"lattice": {"steps": steps}})]
+    report = run(load_scenarios(write(tmp_path, payload)))[0]
+    assert report["error"]["type"] == "ValueError" and message in report["error"]["message"]
