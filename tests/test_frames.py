@@ -237,17 +237,6 @@ def test_span_projector_zero_vectors_only():
     assert P.rank == 0 and np.allclose(P.matrix, 0)
 
 
-@pytest.mark.parametrize("generators", [
-    [np.eye(3)[0], np.eye(3)[1]],  # a list of vectors is not read as rows or columns
-    np.eye(3)[0],  # one vector: a 1-D array
-    [[1.0, 0.0], [0.0, 1.0]],
-    np.zeros((2, 2, 2)),
-], ids=["vector-list", "1-d", "nested-list", "3-d"])
-def test_span_projector_takes_a_matrix_only(generators):
-    with pytest.raises(TypeError):
-        span_projector(generators)
-
-
 def test_best_approx_check():
     rng = np.random.default_rng(19)
     e1 = np.eye(4, dtype=complex)[0]
@@ -276,7 +265,12 @@ _FRAME_REJECTIONS = {
         lambda: _dirac_frame(full_point_set(TranslationRep(4).group)), ValueError),
     "dual-of-wrong-shape": (lambda: verify_dual(_dirac_frame(), np.zeros((4, 3))),
                             LengthMismatch),
+    # generators are the columns of a 2-D array; a list of vectors is not
+    # read as its rows
     "projector-of-a-vector-list": (lambda: span_projector([dirac_vector(4)]), TypeError),
+    "projector-of-a-nested-list": (lambda: span_projector([[1.0, 0.0], [0.0, 1.0]]), TypeError),
+    "projector-of-one-vector": (lambda: span_projector(dirac_vector(4)), TypeError),
+    "projector-of-a-3-d-array": (lambda: span_projector(np.zeros((2, 2, 2))), TypeError),
 }
 
 

@@ -440,13 +440,10 @@ def test_a_tail_bound_below_a_cell_error_fails_domination():
 # -- rejections ------------------------------------------------------------------
 
 _ONB, _ = dirac_onb(4)
-_BALLS = [_ONB.rep.group.ball(r) for r in range(3)]
+_BALLS = [_ONB.rep.group.ball(r) for r in range(2)]
 _HAP_REJECTIONS = {
-    "epsilon-zero": {"epsilon": 0.0},
     "K-family-empty": {"K_family": []},
     "L-family-empty": {"L_family": []},
-    "L-family-not-nested": {"L_family": [_BALLS[2], _BALLS[1]]},
-    "l-labels-short": {"l_labels": [0]},
 }
 
 

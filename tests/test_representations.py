@@ -295,11 +295,11 @@ class _BoxRep:
 _REP_REJECTIONS = {
     "tensor-left-box": (lambda: TensorRep(_BoxRep(), TranslationRep(2)), ValueError),
     "tensor-right-box": (lambda: TensorRep(TranslationRep(2), _BoxRep()), ValueError),
-    "preset-unknown": (lambda: vector_preset("dirac", 4), ValueError),
-    "apply-wrong-dimension": (lambda: apply_rep(TranslationRep(4), 1, np.ones(3)),
-                              DimensionMismatch),
-    "voice-window-wrong-dimension": (
-        lambda: voice_transform(TranslationRep(4), np.ones(3), np.ones(4)), DimensionMismatch),
+    # preset names match whole: "$" would also match before a final newline
+    "preset-flat-newline": (lambda: vector_preset("flat\n", 4), ValueError),
+    "preset-dirac0-newline": (lambda: vector_preset("dirac0\n", 4), ValueError),
+    "preset-dirac-without-index": (lambda: vector_preset("dirac", 4), ValueError),
+    "preset-leading-space": (lambda: vector_preset(" gauss", 4), ValueError),
     "voice-source-wrong-dimension": (
         lambda: voice_transform(TranslationRep(4), np.ones(4), np.ones((4, 1))),
         DimensionMismatch),

@@ -17,7 +17,6 @@ from framecert.scenarios import (
     build_vector,
     load_scenarios,
 )
-from framecert.representations import dirac_vector, flat_vector, periodized_gaussian, vector_preset
 
 SUITE = Path(__file__).resolve().parent.parent / "scenarios" / "acceptance.json"
 
@@ -527,18 +526,6 @@ def test_a_rejected_file_names_its_field_and_path(tmp_path, payload, field, wher
         load_scenarios(write(tmp_path, payload))
     assert info.value.field == field
     assert where in str(info.value)
-
-
-@pytest.mark.parametrize("name", ["flat\n", "dirac0\n", "dirac", " gauss", "dirac-1", "Flat"])
-def test_vector_preset_takes_whole_names_only(name):
-    with pytest.raises(ValueError, match="unknown vector preset"):
-        vector_preset(name, 4)
-
-
-def test_vector_presets_by_name():
-    assert np.array_equal(vector_preset("dirac10", 4), dirac_vector(4, 2))
-    assert np.array_equal(vector_preset("flat", 4), flat_vector(4))
-    assert np.array_equal(vector_preset("gauss", 4), periodized_gaussian(4))
 
 
 _UNREADABLE_FILES = {
