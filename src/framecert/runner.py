@@ -23,8 +23,8 @@ certificates' column arrays, one block per (K, L) pair or per K, with no
 object per cell.  Sealing takes a table's text, which is written column by
 column: the base points once per scenario, labels and measures once per
 block, each error once and each density ratio once per distinct count, and
-each row from one of two templates.  Rows are built only when something
-reads them (CSV, tests, checks), as dicts under the table's row keys.
+each row from one of two templates.  Its rows are that text, parsed when
+something first reads them (CSV, tests, checks), so they cannot disagree.
 Other rows come from certificate dataclasses through _row (an escaping box
 sampling trial takes only the keys): every field becomes a key, renamed
 where _REPORT_NAMES says so, and every value is canonicalized as it is read.
@@ -180,20 +180,19 @@ class _Table(Sequence):
     ``ys``: ``(constants, columns, inside)``, the entries its rows share, a
     column of finite ints or floats, one per base point, for each of its
     other entries, and the mask of its interior rows.  A boundary row takes
-    None for its column entries.  Every value is canonical.  Rows are dicts
-    with the keys ``row_keys``, built when first read.  text() encodes the
-    table column by column: the y texts once, the constants once per block,
-    and each row from its block's interior or boundary template, whose keys
-    are in the order _dumps sorts them.  The text is not kept: sealing reads
-    it once, and the sealed report holds it.  A table holds only data, so
-    it pickles.
+    None for its column entries.  Every value is canonical.  text() encodes
+    the table column by column: the y texts once, the constants once per
+    block, and each row from its block's interior or boundary template,
+    whose keys are y, boundary and the block's entries, in the order _dumps
+    sorts them.  The text is not kept: sealing reads it once, and the
+    sealed report holds it.  The rows are the text parsed.  A table holds
+    only data, so it pickles.
     """
 
-    __slots__ = ("row_keys", "ys", "blocks", "_rows")
+    __slots__ = ("ys", "blocks", "_rows")
 
-    def __init__(self, row_keys: tuple[str, ...], ys: list,
-                 blocks: list[tuple[dict, dict, list]]):
-        self.row_keys, self.ys, self.blocks = row_keys, ys, blocks
+    def __init__(self, ys: list, blocks: list[tuple[dict, dict, list]]):
+        self.ys, self.blocks = ys, blocks
         self._rows = None
 
     def __len__(self) -> int:
@@ -214,30 +213,18 @@ class _Table(Sequence):
 
     @property
     def rows(self) -> list[dict]:
-        """Every row, in block order: built when first read and kept, so a
-        row read twice is the same dict."""
+        """Every row, in block order: the table's own text, parsed when
+        first read and kept, so a row read twice is the same dict."""
         if self._rows is None:
-            self._rows = [self._row(*block, position)
-                          for block in self.blocks for position in range(len(self.ys))]
+            self._rows = json.loads(self.text())
         return self._rows
-
-    def _row(self, constants: dict, columns: dict, inside: list, position: int) -> dict:
-        row = dict.fromkeys(self.row_keys)
-        row["y"] = self.ys[position]
-        row.update(constants)
-        interior = inside[position]
-        if interior:
-            for key, column in columns.items():
-                row[key] = column[position]
-        row["boundary"] = not interior
-        return row
 
     def _templates(self, constants: dict, columns: dict) -> tuple[str, str]:
         """A block's interior and boundary row texts, with ``%s`` for each
         value that varies by row: the interior takes the columns and y in
         key order, the boundary y alone."""
         interior, boundary = [], []
-        for key in sorted(self.row_keys):
+        for key in sorted((*constants, *columns, "y", "boundary")):
             name = _dumps(key)
             if key in constants:
                 shared = f"{name}:{_dumps(constants[key])}".replace("%", "%%")
@@ -448,11 +435,10 @@ def _hap_payload(cert: HapCertificate) -> dict:
         for (k_label, l_label), errors, inside in zip(
             cert.pair_labels, cert.errors.tolist(), cert.inside.tolist())
     ]
-    keys = ("y", "K_radius", "L_radius", "error", "boundary")
     ys = _carrier_column(cert.group)
     # certify chose this L for its worst interior error: each interior row passes.
-    chosen = _Table(keys, ys, [block for (_, l_label), block in zip(cert.pair_labels, blocks)
-                               if l_label == cert.chosen_l_label])
+    chosen = _Table(ys, [block for (_, l_label), block in zip(cert.pair_labels, blocks)
+                         if l_label == cert.chosen_l_label])
     certificate = _canon({
         "chosen_L_radius": cert.chosen_l_label,
         "worst_error": cert.worst_error,
@@ -463,7 +449,7 @@ def _hap_payload(cert: HapCertificate) -> dict:
         "eq42_convention": TAIL_INTEGRAND_CONVENTION,
     })
     certificate["candidates"] = [_row(cand) for cand in cert.candidates]
-    certificate["table"] = _Table(keys, ys, blocks)
+    certificate["table"] = _Table(ys, blocks)
     return {
         "certificate": certificate,
         "summary": _summary(chosen),
@@ -512,7 +498,7 @@ def _run_density(spec: dict, seed: int) -> dict:
                        {"count": counts, "ratio": [ratios[count] for count in counts]},
                        inside))
     ys = _carrier_column(group) if y_sample is None else _canon(y_sample)
-    table = _Table(("y", "K_radius", "count", "measure", "ratio", "boundary"), ys, blocks)
+    table = _Table(ys, blocks)
     return {
         "table": table,
         "ratio_summary": [_row(s) for s in report.summary],

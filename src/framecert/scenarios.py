@@ -26,14 +26,17 @@ Descriptors:
     reference  {"window": vecdesc, "points": pointsdesc}   (rep is shared)
 
 Unknown keys are rejected so typos fail loudly instead of silently changing
-what gets certified.
+what gets certified.  Each descriptor kind is written once, in a function
+that checks it and returns its builder: loading checks, running builds.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -50,8 +53,6 @@ from framecert.representations import (
     vector_preset,
 )
 
-KINDS = ("sampling_bound", "frame_analysis", "hap", "comparison", "density")
-
 _COMMON_KEYS = ("id", "kind", "seed")
 # kind -> (required keys, optional keys)
 _KIND_KEYS = {
@@ -64,6 +65,7 @@ _KIND_KEYS = {
     ),
     "density": (("group", "points", "k_radii"), ("y_sample",)),
 }
+KINDS = tuple(_KIND_KEYS)
 
 
 class ParseError(Exception):
@@ -149,49 +151,41 @@ def is_seed(value) -> bool:
     return _int_in(value, 0, 2**64)
 
 
-def _fail(field_name: str, message: str):
-    raise ValidationError(field_name, message)
-
-
-def _leaf(where: str) -> str:
-    """Last path segment of a descriptor location, e.g. 'scenarios[0].f' -> 'f'."""
-    return where.rsplit(".", 1)[-1].split("[", 1)[0]
-
-
 def _validate_scenario(item: dict, where: str) -> Scenario:
     sid = item.get("id")
     if not isinstance(sid, str) or not sid:
-        _fail("id", f"{where}.id must be a nonempty string")
+        raise ValidationError("id", f"{where}.id must be a nonempty string")
     kind = item.get("kind")
     if kind not in KINDS:
-        _fail("kind", f"{where}.kind must be one of {KINDS}, got {kind!r}")
+        raise ValidationError("kind", f"{where}.kind must be one of {KINDS}, got {kind!r}")
     required, optional = _KIND_KEYS[kind]
     for key in item:
         if key not in _COMMON_KEYS + required + optional:
-            _fail(key, f"{where}: unknown key {key!r} for kind {kind!r}")
+            raise ValidationError(key, f"{where}: unknown key {key!r} for kind {kind!r}")
     for key in required:
         if key not in item:
-            _fail(key, f"{where}: kind {kind!r} requires key {key!r}")
+            raise ValidationError(key, f"{where}: kind {kind!r} requires key {key!r}")
     seed = item.get("seed", 0)
     if not is_seed(seed):
-        _fail("seed", f"{where}.seed must be an unsigned 64-bit integer")
+        raise ValidationError("seed", f"{where}.seed must be an unsigned 64-bit integer")
 
+    # each descriptor is checked by the function that builds it; the
+    # builders are dropped here and made again when the scenario runs
     if "group" in item:
-        _validate_group(item["group"], f"{where}.group")
-    if "frame" in item:
-        _validate_frame(item["frame"], f"{where}.frame")
-    if "reference" in item:
-        _validate_reference(item["reference"], f"{where}.reference")
+        _group(item["group"], f"{where}.group")
+    for key in ("frame", "reference"):
+        if key in item:
+            _frame(item[key], f"{where}.{key}", key)
     if "f" in item:
-        _validate_vector(item["f"], f"{where}.f")
+        _vector(item["f"], f"{where}.f", "f")
     if "points" in item:
-        _validate_points(item["points"], f"{where}.points")
+        _points(item["points"], f"{where}.points")
     if "epsilon" in item:
         eps = item["epsilon"]
         if not _finite(eps) or eps <= 0:
-            _fail("epsilon", f"{where}.epsilon must be a finite positive number")
+            raise ValidationError("epsilon", f"{where}.epsilon must be a finite positive number")
         if kind == "comparison" and not eps < 1:
-            _fail("epsilon", f"{where}.epsilon must lie in (0, 1) for comparison")
+            raise ValidationError("epsilon", f"{where}.epsilon must lie in (0, 1) for comparison")
     if "u_radius" in item:
         _validate_radius(item["u_radius"], "u_radius", where)
     for key in ("k_radii", "l_radii"):
@@ -200,11 +194,12 @@ def _validate_scenario(item: dict, where: str) -> Scenario:
     if "trials" in item:
         trials = item["trials"]
         if not _int_in(trials, 1):
-            _fail("trials", f"{where}.trials must be a positive integer")
+            raise ValidationError("trials", f"{where}.trials must be a positive integer")
     if "max_radius" in item:
         _validate_radius(item["max_radius"], "max_radius", where)
     if "b_convention" in item and item["b_convention"] not in ("reference", "dual_of_given"):
-        _fail("b_convention", f"{where}.b_convention must be 'reference' or 'dual_of_given'")
+        raise ValidationError("b_convention",
+                              f"{where}.b_convention must be 'reference' or 'dual_of_given'")
     if "y_sample" in item:
         _validate_elements(item["y_sample"], "y_sample", f"{where}.y_sample")
     return Scenario(id=sid, kind=kind, seed=seed, spec=dict(item))
@@ -212,173 +207,163 @@ def _validate_scenario(item: dict, where: str) -> Scenario:
 
 def _validate_radius(value, name: str, where: str) -> None:
     if not _int_in(value, 0, 2**63):
-        _fail(name, f"{where}.{name} must be an integer in [0, 2^63)")
+        raise ValidationError(name, f"{where}.{name} must be an integer in [0, 2^63)")
 
 
 def _validate_radii(value, name: str, where: str) -> None:
     if not isinstance(value, list) or not value:
-        _fail(name, f"{where}.{name} must be a nonempty list of radii")
+        raise ValidationError(name, f"{where}.{name} must be a nonempty list of radii")
     if not all(_int_in(r, 0, 2**63) for r in value):
-        _fail(name, f"{where}.{name} entries must be integers in [0, 2^63)")
+        raise ValidationError(name, f"{where}.{name} entries must be integers in [0, 2^63)")
     if any(b <= a for a, b in zip(value, value[1:])):
-        _fail(name, f"{where}.{name} must be strictly increasing")
+        raise ValidationError(name, f"{where}.{name} must be strictly increasing")
 
 
 def _validate_elements(value, name: str, where: str) -> None:
     # An element's rank and carrier membership are checked against the group
     # at build time, where a mismatch stays inside its report.
     if not isinstance(value, list) or not all(_is_element(e) for e in value):
-        _fail(name, f"{where} must be a list of elements, each an integer "
-                    "or a list of integers in the signed 64-bit range")
+        raise ValidationError(name, f"{where} must be a list of elements, each an integer "
+                                    "or a list of integers in the signed 64-bit range")
 
 
-def _validate_group(desc, where: str) -> None:
+def _group(desc, where: str) -> Callable[[], GroupModel]:
     if not isinstance(desc, dict):
-        _fail("group", f"{where} must be an object")
+        raise ValidationError("group", f"{where} must be an object")
     kind = desc.get("kind")
     if kind == "cyclic":
         if set(desc) != {"kind", "moduli"}:
-            _fail("group", f"{where} must have exactly keys kind, moduli")
+            raise ValidationError("group", f"{where} must have exactly keys kind, moduli")
         moduli = desc["moduli"]
         if not isinstance(moduli, list) or not moduli or not all(_int_in(n, 1) for n in moduli):
-            _fail("moduli", f"{where}.moduli must be a nonempty list of positive integers")
-    elif kind == "box":
+            raise ValidationError("moduli",
+                                  f"{where}.moduli must be a nonempty list of positive integers")
+        return functools.partial(GroupModel.cyclic, moduli)
+    if kind == "box":
         if set(desc) != {"kind", "halfwidths"}:
-            _fail("group", f"{where} must have exactly keys kind, halfwidths")
+            raise ValidationError("group", f"{where} must have exactly keys kind, halfwidths")
         widths = desc["halfwidths"]
         if not isinstance(widths, list) or not widths or not all(_int_in(m, 0) for m in widths):
-            _fail("halfwidths", f"{where}.halfwidths must be nonnegative integers")
-    else:
-        _fail("group", f"{where}.kind must be 'cyclic' or 'box'")
+            raise ValidationError("halfwidths", f"{where}.halfwidths must be nonnegative integers")
+        return functools.partial(GroupModel.box, widths)
+    raise ValidationError("group", f"{where}.kind must be 'cyclic' or 'box'")
 
 
-def _validate_rep(desc, where: str) -> None:
+def _rep(desc, where: str) -> Callable[[], Representation]:
     if not isinstance(desc, dict):
-        _fail("rep", f"{where} must be an object")
+        raise ValidationError("rep", f"{where} must be an object")
     kind = desc.get("kind")
     if kind in ("translation", "gabor"):
         if set(desc) != {"kind", "n"}:
-            _fail("rep", f"{where} must have exactly keys kind, n")
+            raise ValidationError("rep", f"{where} must have exactly keys kind, n")
         if not _int_in(desc["n"], 1):
-            _fail("n", f"{where}.n must be a positive integer")
-    elif kind == "tensor":
+            raise ValidationError("n", f"{where}.n must be a positive integer")
+        return functools.partial(TranslationRep if kind == "translation" else GaborRep,
+                                 desc["n"])
+    if kind == "tensor":
         if set(desc) != {"kind", "factors"}:
-            _fail("rep", f"{where} must have exactly keys kind, factors")
+            raise ValidationError("rep", f"{where} must have exactly keys kind, factors")
         factors = desc["factors"]
         if not isinstance(factors, list) or len(factors) != 2:
-            _fail("factors", f"{where}.factors must list exactly two representations")
-        for k, sub in enumerate(factors):
-            _validate_rep(sub, f"{where}.factors[{k}]")
-    else:
-        _fail("rep", f"{where}.kind must be 'translation', 'gabor', or 'tensor'")
+            raise ValidationError("factors",
+                                  f"{where}.factors must list exactly two representations")
+        left, right = (_rep(sub, f"{where}.factors[{k}]") for k, sub in enumerate(factors))
+        return lambda: TensorRep(left(), right())
+    raise ValidationError("rep", f"{where}.kind must be 'translation', 'gabor', or 'tensor'")
 
 
-def _validate_vector(desc, where: str) -> None:
+def _vector(desc, where: str, field_name: str) -> Callable[[int], np.ndarray]:
+    """``field_name`` is the scenario or frame key the vector sits under,
+    also for a term of a sum."""
     if isinstance(desc, str):
         if not PRESET_RE.fullmatch(desc):
-            _fail(_leaf(where), f"{where}: unknown vector preset {desc!r}")
-        return
+            raise ValidationError(field_name, f"{where}: unknown vector preset {desc!r}")
+        return functools.partial(vector_preset, desc)
     if isinstance(desc, list):
-        for entry in desc:
-            if (
-                not isinstance(entry, list)
-                or len(entry) != 2
-                or not all(_finite(c) for c in entry)
-            ):
-                _fail(_leaf(where),
-                      f"{where}: inline vectors are [[re, im], ...] arrays of finite numbers")
-        return
+        if not all(isinstance(e, list) and len(e) == 2 and all(map(_finite, e)) for e in desc):
+            raise ValidationError(field_name, f"{where}: inline vectors are "
+                                  "[[re, im], ...] arrays of finite numbers")
+
+        def inline(dim: int) -> np.ndarray:
+            values = np.array([complex(re, im) for re, im in desc])
+            if values.shape != (dim,):
+                raise ValueError(f"inline vector has length {values.size}, expected {dim}")
+            return values
+
+        return inline
     if isinstance(desc, dict) and set(desc) == {"sum"} and isinstance(desc["sum"], list):
-        for k, sub in enumerate(desc["sum"]):
-            _validate_vector(sub, f"{where}.sum[{k}]")
-        return
-    _fail(_leaf(where), f"{where}: not a recognized vector descriptor")
+        terms = [_vector(sub, f"{where}.sum[{k}]", field_name)
+                 for k, sub in enumerate(desc["sum"])]
+        return lambda dim: sum((term(dim) for term in terms), np.zeros(dim, dtype=complex))
+    raise ValidationError(field_name, f"{where}: not a recognized vector descriptor")
 
 
-def _validate_points(desc, where: str) -> None:
+def _points(desc, where: str) -> Callable[[GroupModel], PointSet]:
     if desc == "full":
-        return
+        return full_point_set
     if isinstance(desc, list):
         _validate_elements(desc, "points", where)
-        return
+        return lambda group: point_set(group, desc)
     if isinstance(desc, dict) and set(desc) == {"lattice"}:
         lattice = desc["lattice"]
         if not isinstance(lattice, dict) or set(lattice) != {"steps"}:
-            _fail("points", f"{where}.lattice must have exactly key steps")
+            raise ValidationError("points", f"{where}.lattice must have exactly key steps")
         steps = lattice["steps"]
         if not isinstance(steps, list) or not steps or not all(_int_in(s, 1) for s in steps):
-            _fail("steps", f"{where}.lattice.steps must be positive integers")
-        return
-    _fail("points", f"{where}: not a recognized point-set descriptor")
+            raise ValidationError("steps", f"{where}.lattice.steps must be positive integers")
+
+        def sublattice(group: GroupModel) -> PointSet:
+            if group.moduli is None:
+                raise ValueError("lattice point sets require a cyclic-product group")
+            if len(steps) != group.rank:
+                raise ValueError(f"lattice needs {group.rank} steps, got {len(steps)}")
+            for s, n in zip(steps, group.moduli):
+                if n % s != 0:
+                    raise ValueError(f"lattice step {s} does not divide modulus {n}")
+            axes = [range(0, n, s) for s, n in zip(steps, group.moduli)]
+            return point_set(group, itertools.product(*axes))
+
+        return sublattice
+    raise ValidationError("points", f"{where}: not a recognized point-set descriptor")
 
 
-def _validate_frame(desc, where: str) -> None:
-    if not isinstance(desc, dict) or set(desc) != {"rep", "window", "points"}:
-        _fail("frame", f"{where} must have exactly keys rep, window, points")
-    _validate_rep(desc["rep"], f"{where}.rep")
-    _validate_vector(desc["window"], f"{where}.window")
-    _validate_points(desc["points"], f"{where}.points")
+def _frame(desc, where: str, field_name: str) -> Callable[..., FrameSystem]:
+    """A "frame" names its rep; a "reference" is built on the frame's rep,
+    which its builder takes."""
+    keys = ("rep", "window", "points") if field_name == "frame" else ("window", "points")
+    if not isinstance(desc, dict) or set(desc) != set(keys):
+        raise ValidationError(field_name, f"{where} must have exactly keys {', '.join(keys)}")
+    own_rep = _rep(desc["rep"], f"{where}.rep") if field_name == "frame" else None
+    window = _vector(desc["window"], f"{where}.window", "window")
+    points = _points(desc["points"], f"{where}.points")
 
+    def frame(rep: Representation | None = None) -> FrameSystem:
+        if rep is None:
+            rep = own_rep()
+        return coherent_frame(rep, window(rep.dim), points(rep.group))
 
-def _validate_reference(desc, where: str) -> None:
-    if not isinstance(desc, dict) or set(desc) != {"window", "points"}:
-        _fail("reference", f"{where} must have exactly keys window, points")
-    _validate_vector(desc["window"], f"{where}.window")
-    _validate_points(desc["points"], f"{where}.points")
+    return frame
 
 
 def build_group(desc: dict) -> GroupModel:
-    if desc["kind"] == "cyclic":
-        return GroupModel.cyclic(desc["moduli"])
-    return GroupModel.box(desc["halfwidths"])
+    return _group(desc, "group")()
 
 
 def build_rep(desc: dict) -> Representation:
-    kind = desc["kind"]
-    if kind == "translation":
-        return TranslationRep(desc["n"])
-    if kind == "gabor":
-        return GaborRep(desc["n"])
-    left, right = (build_rep(sub) for sub in desc["factors"])
-    return TensorRep(left, right)
+    return _rep(desc, "rep")()
 
 
 def build_vector(desc, dim: int) -> np.ndarray:
-    if isinstance(desc, str):
-        return vector_preset(desc, dim)
-    if isinstance(desc, dict):
-        total = np.zeros(dim, dtype=complex)
-        for sub in desc["sum"]:
-            total = total + build_vector(sub, dim)
-        return total
-    values = np.array([complex(re, im) for re, im in desc])
-    if values.shape != (dim,):
-        raise ValueError(f"inline vector has length {values.size}, expected {dim}")
-    return values
+    return _vector(desc, "vector", "vector")(dim)
 
 
 def build_points(desc, group: GroupModel) -> PointSet:
-    if desc == "full":
-        return full_point_set(group)
-    if isinstance(desc, dict):
-        steps = desc["lattice"]["steps"]
-        if group.kind != "cyclic" or group.moduli is None:
-            raise ValueError("lattice point sets require a cyclic-product group")
-        if len(steps) != group.rank:
-            raise ValueError(f"lattice needs {group.rank} steps, got {len(steps)}")
-        for s, n in zip(steps, group.moduli):
-            if n % s != 0:
-                raise ValueError(f"lattice step {s} does not divide modulus {n}")
-        axes = [range(0, n, s) for s, n in zip(steps, group.moduli)]
-        return point_set(group, itertools.product(*axes))
-    return point_set(group, [tuple(p) if isinstance(p, list) else p for p in desc])
+    return _points(desc, "points")(group)
 
 
 def build_frame(desc: dict) -> FrameSystem:
-    return build_reference(desc, build_rep(desc["rep"]))
+    return _frame(desc, "frame", "frame")()
 
 
 def build_reference(desc: dict, rep: Representation) -> FrameSystem:
-    window = build_vector(desc["window"], rep.dim)
-    points = build_points(desc["points"], rep.group)
-    return coherent_frame(rep, window, points)
+    return _frame(desc, "reference", "reference")(rep)

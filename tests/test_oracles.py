@@ -1,0 +1,139 @@
+"""Metamorphic oracles over whole acceptance tables: every cell is covariant
+under the translations that map the point sets onto themselves, and a HAP
+error does not grow along the nested L family."""
+
+from collections import defaultdict
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from framecert.runner import run
+from framecert.scenarios import (
+    build_frame,
+    build_group,
+    build_points,
+    build_reference,
+    load_scenarios,
+)
+
+SUITE = Path(__file__).resolve().parent.parent / "scenarios" / "acceptance.json"
+
+# Covariant cells agree up to rounding: the Z16 HAP errors vary over y by at
+# most 5e-12, and the 12-digit canonical floats add at most 1e-11.
+COVARIANCE_TOLERANCE = 1e-10
+# The spans are nested in L, so a projection error can grow only by rounding;
+# certify's "the first L that succeeds is minimal" relies on this.
+MONOTONICITY_TOLERANCE = 1e-12
+
+
+def translation_symmetries(*point_sets) -> np.ndarray:
+    """Λ: the carrier positions λ whose translation maps each point set onto
+    itself, multiplicities included, so that counts[p·λ] = counts[p] for
+    every carrier position p.  Cyclic carriers only: there no translate
+    leaves the carrier."""
+    group = point_sets[0].group
+    assert group.moduli is not None, "translation symmetries need a cyclic carrier"
+    shifted = np.array([group.multiply_masked(group.all_positions, lam)[0]
+                        for lam in range(group.order)])
+    fixed = np.ones(group.order, dtype=bool)
+    for X in point_sets:
+        counts = X.counts()
+        fixed &= (counts[shifted] == counts).all(axis=1)
+    return np.flatnonzero(fixed)
+
+
+def _point_sets(scenario):
+    spec = scenario.spec
+    if scenario.kind == "density":
+        return [build_points(spec["points"], build_group(spec["group"]))]
+    frame = build_frame(spec["frame"])
+    if scenario.kind == "hap":
+        return [frame.points]
+    return [frame.points, build_reference(spec["reference"], frame.rep).points]
+
+
+def _rows(report) -> list[dict]:
+    if report["kind"] == "hap":
+        return report["certificate"]["table"]
+    return report["table"] if report["kind"] == "density" else report["certificates"]
+
+
+_SCENARIOS = {s.id: s for s in load_scenarios(SUITE) if s.kind in ("hap", "comparison",
+                                                                   "density")}
+
+
+@pytest.fixture(scope="module")
+def reports():
+    return {r["scenario_id"]: r for r in run(list(_SCENARIOS.values()))}
+
+
+def _blocks(report, group) -> dict:
+    """Each (K, L) or K block's rows, by the carrier position of their y."""
+    blocks = defaultdict(dict)
+    for row in _rows(report):
+        blocks[row["K_radius"], row.get("L_radius")][group.index(row["y"])] = row
+    return blocks
+
+
+def _moved_cells(block, group, lam) -> list[str]:
+    """The fields that differ between a cell at y and the cell at y·λ."""
+    positions = group.all_positions
+    moved = group.multiply_masked(positions, lam)[0]
+    fields = []
+    for key in block[0].keys() - {"y"}:
+        column = np.array([block[p][key] for p in positions.tolist()])
+        if column.dtype.kind == "f":
+            same = np.allclose(column[moved], column, rtol=0, atol=COVARIANCE_TOLERANCE)
+        else:  # ranks, counts, flags and labels match exactly
+            same = np.array_equal(column[moved], column)
+        if not same:
+            fields.append(key)
+    return fields
+
+
+@pytest.mark.parametrize("scenario_id", _SCENARIOS)
+def test_every_cell_is_covariant_under_the_symmetries_of_its_point_sets(reports,
+                                                                         scenario_id):
+    scenario, report = _SCENARIOS[scenario_id], reports[scenario_id]
+    point_sets = _point_sets(scenario)
+    group = point_sets[0].group
+    symmetries = translation_symmetries(*point_sets)
+    assert len(symmetries) > 1 and symmetries[0] == 0
+    blocks = _blocks(report, group)
+    for block in blocks.values():
+        assert sorted(block) == list(range(group.order))
+        assert not any(row["boundary"] for row in block.values())
+        for lam in symmetries.tolist():
+            assert _moved_cells(block, group, lam) == [], (scenario_id, lam)
+    # the oracle can fail: a translation outside Λ moves some cell
+    others = sorted(set(range(group.order)) - set(symmetries.tolist()))
+    if others:
+        assert any(_moved_cells(block, group, lam) for block in blocks.values()
+                   for lam in others)
+
+
+def test_the_symmetries_of_the_acceptance_point_sets():
+    def symmetries(scenario_id):
+        return translation_symmetries(*_point_sets(_SCENARIOS[scenario_id])).tolist()
+
+    assert symmetries("density-evens-z8") == [0, 2, 4, 6]
+    # Y is the lattice [1, 8], the translations (k, 0): Λ = Z8 x {0}
+    gabor_vs_dirac = symmetries("compare-gabor-vs-dirac-z8")
+    group = _point_sets(_SCENARIOS["compare-gabor-vs-dirac-z8"])[0].group
+    assert [group.carrier[p] for p in gabor_vs_dirac] == [(k, 0) for k in range(8)]
+    assert len(symmetries("hap-gabor-z16-gauss-dirac01")) == 256
+
+
+@pytest.mark.parametrize("scenario_id", [i for i, s in _SCENARIOS.items() if s.kind == "hap"])
+def test_the_hap_error_does_not_grow_along_the_nested_l_family(reports, scenario_id):
+    l_radii = _SCENARIOS[scenario_id].spec["l_radii"]
+    errors = defaultdict(list)  # (K, y) -> interior errors in L-family order
+    table = sorted(reports[scenario_id]["certificate"]["table"],
+                   key=lambda row: l_radii.index(row["L_radius"]))
+    for row in table:
+        if not row["boundary"]:
+            errors[row["K_radius"], str(row["y"])].append(row["error"])
+    assert len(errors) > 0 and all(len(e) == len(l_radii) for e in errors.values())
+    for cell, along_l in errors.items():
+        assert all(b <= a + MONOTONICITY_TOLERANCE for a, b in zip(along_l, along_l[1:])), cell

@@ -13,6 +13,7 @@ from framecert.scenarios import (
     build_frame,
     build_group,
     build_points,
+    build_reference,
     build_rep,
     build_vector,
     load_scenarios,
@@ -510,6 +511,11 @@ _REJECTED_FILES = {
                        "reference", "scenarios[0].reference"),
     "reference-window": ([_comparison(reference={"window": "flat\n", "points": "full"})],
                          "window", "scenarios[0].reference.window"),
+    # a term of a sum is named by the key the sum sits under
+    "f-sum-term": ([_hap(f={"sum": ["flat", 3]})], "f", "scenarios[0].f.sum[1]"),
+    "window-sum-term": ([dict(MINIMAL[0], frame=dict(MINIMAL[0]["frame"], window={
+        "sum": ["dirac0", {"sum": ["flat", "dirac"]}]}))], "window",
+        "scenarios[0].frame.window.sum[1].sum[1]"),
 }
 # The preset names match whole: "$" would also match before a final newline.
 for _preset in ("flat\n", "dirac0\n", "dirac"):
@@ -526,6 +532,28 @@ def test_a_rejected_file_names_its_field_and_path(tmp_path, payload, field, wher
         load_scenarios(write(tmp_path, payload))
     assert info.value.field == field
     assert where in str(info.value)
+
+
+_MALFORMED_BUILDS = {
+    "vector-preset": (lambda: build_vector("flat\n", 4), "vector"),
+    "group-kind": (lambda: build_group({"kind": "torus", "moduli": [4]}), "group"),
+    "tensor-one-factor": (lambda: build_rep({"kind": "tensor",
+                                             "factors": [{"kind": "gabor", "n": 2}]}), "factors"),
+    "lattice-without-steps": (lambda: build_points({"lattice": {}}, build_group(
+        {"kind": "cyclic", "moduli": [4]})), "points"),
+    "frame-without-points": (lambda: build_frame({"rep": {"kind": "gabor", "n": 4},
+                                                  "window": "flat"}), "frame"),
+    "reference-with-rep": (lambda: build_reference(
+        dict(MINIMAL[0]["frame"]), build_rep({"kind": "gabor", "n": 4})), "reference"),
+}
+
+
+@pytest.mark.parametrize("build, field", _MALFORMED_BUILDS.values(),
+                         ids=_MALFORMED_BUILDS.keys())
+def test_a_builder_checks_its_descriptor(build, field):
+    with pytest.raises(ValidationError) as info:
+        build()
+    assert info.value.field == field
 
 
 _UNREADABLE_FILES = {
