@@ -374,11 +374,14 @@ def test_elements_in_the_signed_64_bit_range_load(tmp_path):
 
 
 def test_an_element_of_the_wrong_rank_stays_in_its_report(tmp_path):
-    payload = [_density(points=[5]), dict(MINIMAL[0], id="fine")]
+    payload = [_density(points=[5]), _density(id="e", points=[[1, 2, 3]]),
+               dict(MINIMAL[0], id="fine")]
     reports = run(load_scenarios(write(tmp_path, payload)))
     assert reports[0]["error"] == {"type": "ValueError",
                                    "message": "element 5 has rank 1, expected 2"}
-    assert reports[1]["ok"]
+    # the element as the file writes it, as for y_sample
+    assert reports[1]["error"]["message"] == "element [1, 2, 3] has rank 3, expected 2"
+    assert reports[2]["ok"]
 
 
 # -- radii and empty point sets ------------------------------------------------
