@@ -160,6 +160,7 @@ class ComparisonScenario:
 @dataclass
 class ComparisonCertificate:
     """One (y, K) cell: trace, rank, both counts, and every verified inequality.
+    The chosen L, the tolerance and B belong to the scenario, not the cell.
 
     The defaults describe a boundary cell, one whose window escapes a
     truncated carrier: nothing is computed and no inequality is verified.
@@ -167,11 +168,6 @@ class ComparisonCertificate:
 
     y: object
     k_label: object
-    l_label: object
-    epsilon: float
-    b_used: float
-    b_provenance: str
-    b_alternative: float
     trace_T: float | None = None
     rank_P: int | None = None
     card_x_in_ykl: int | None = None
@@ -212,17 +208,14 @@ def comparison_certificate(
     position ``yp``, from the positions of K and of K.L for the chosen L (None
     when K.L escapes); it reports the cell under ``k_label``, K's label."""
     group = scenario.given.rep.group
-    cell = dict(y=group.carrier[yp], k_label=k_label,
-                l_label=scenario.hap_choice.chosen_l_label, epsilon=scenario.epsilon,
-                b_used=scenario.b_used, b_provenance=scenario.b_provenance,
-                b_alternative=scenario.b_alternative)
+    y = group.carrier[yp]
     if kl_positions is None:
-        return ComparisonCertificate(**cell)
+        return ComparisonCertificate(y, k_label)
     yk, yk_kept = group.multiply_masked(yp, k_positions)
     ykl, ykl_kept = group.multiply_masked(yp, kl_positions)
     # Both masks: L need not contain e, so y.K may escape while y.K.L stays.
     if not (yk_kept.all() and ykl_kept.all()):
-        return ComparisonCertificate(**cell)
+        return ComparisonCertificate(y, k_label)
 
     # The duals of the points in y.K.L and the reference atoms of the points
     # in y.K, each in frame-index order.
@@ -249,7 +242,8 @@ def comparison_certificate(
     chain_ok = trace_check.trace <= P.rank + _REL_SLACK and P.rank <= card_x
     final_ok = lhs <= card_x + _REL_SLACK
     return ComparisonCertificate(
-        **cell,
+        y=y,
+        k_label=k_label,
         trace_T=trace_check.trace,
         rank_P=P.rank,
         card_x_in_ykl=card_x,

@@ -89,11 +89,10 @@ def frame_bounds(frame: FrameSystem) -> tuple[float, float]:
 
 @dataclass
 class FrameAnalysis:
-    """Bounds, operator, and canonical dual of a verified frame."""
+    """Bounds and canonical dual of a verified frame."""
 
     A: float
     B: float
-    frame_operator: np.ndarray
     canonical_dual: np.ndarray  # shape (dim, |J|), column j is S^{-1} pi(x_j) g
 
 
@@ -101,7 +100,7 @@ def analyze_frame(frame: FrameSystem) -> FrameAnalysis:
     S = frame_operator(frame)
     lower, upper = _bounds_of(S)
     duals = np.linalg.solve(S, frame.synthesis)
-    return FrameAnalysis(A=lower, B=upper, frame_operator=S, canonical_dual=duals)
+    return FrameAnalysis(A=lower, B=upper, canonical_dual=duals)
 
 
 def canonical_dual(frame: FrameSystem) -> np.ndarray:

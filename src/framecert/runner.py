@@ -1,13 +1,14 @@
 """Batch scenario execution and canonical report serialization.
 
-Reports are dicts built in canonical form (floats at 12 significant digits,
-lists, plain Python scalars) as they are assembled, so emitting canonical
-JSON and parsing it back reproduces the in-memory report exactly.  Each
-report carries a determinism hash over its canonical JSON with the
-timestamp removed; two runs with the same scenario file and seeds must
-agree hash-for-hash regardless of parallelism.  Sealing a report encodes it
-once: the hash is taken over that encoding, and the sealed report (a dict)
-keeps the full text, which emit() writes as it stands.
+Evaluators build reports from plain values, and sealing a finished report
+canonicalizes it once (floats at 12 significant digits, lists, plain Python
+scalars), so emitting canonical JSON and parsing it back reproduces the
+sealed report exactly.  Each report carries a determinism hash over its
+canonical JSON with the timestamp removed; two runs with the same scenario
+file and seeds must agree hash-for-hash regardless of parallelism.  Sealing
+also encodes the report once: the hash is taken over that encoding, and the
+sealed report (a dict) keeps the full text, which emit() writes as it
+stands; CSV output is that text parsed and flattened.
 Scenarios are independent, and so are a HAP scan's base points, so on Linux
 run() spreads them over forked worker processes when asked for more than
 one: each HAP scan is set up here, its base points are split into one range
@@ -23,21 +24,21 @@ certificates' column arrays, one block per (K, L) pair or per K, with no
 object per cell.  Sealing takes a table's text, which is written column by
 column: the base points once per scenario, labels and measures once per
 block, each error once and each density ratio once per distinct count, and
-each row from one of two templates.  Its rows are that text, parsed when
-something first reads them (CSV, tests, checks), so they cannot disagree.
-Other rows come from certificate dataclasses through _row (an escaping box
-sampling trial takes only the keys): every field becomes a key, renamed
-where _REPORT_NAMES says so, and every value is canonicalized as it is read.
+each row from one of two templates.  A table's values are canonical as they
+are built, and its rows are that text, parsed when something first reads
+them (tests, checks), so they cannot disagree.  Other rows come from
+certificate dataclasses through _row (an escaping box sampling trial takes
+only the keys): every field becomes a key, renamed where _REPORT_NAMES
+says so, and a comparison's rows add the scenario's constants.
 canonical_json() and determinism_sha256() canonicalize arbitrary input from
-scratch, tables as lists of their rows, and stay the slow reference for the
-sealed text.
+scratch, a table as the list of its rows, and stay the slow reference for
+the sealed text.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
-import functools
 import hashlib
 import io
 import json
@@ -94,28 +95,20 @@ from framecert.scenarios import (
 _VOLATILE_KEYS = ("timestamp", "determinism_sha256")
 
 
-# Exact types that are already canonical; checking type(obj) first skips the
-# isinstance chain for almost every value a report is built from.
-_AS_IS = frozenset((int, str, bool, type(None)))
-
-
 def _canon(obj):
-    """Canonical JSON-ready form: sorted-key dicts, lists, %.12g floats."""
-    kind = type(obj)
-    if kind is float:
-        return float(f"{obj:.12g}")
+    """Canonical JSON-ready form: str-keyed dicts, lists, %.12g floats.  A
+    table, canonical as built, and any other value, numpy values included,
+    pass through, for _dumps to encode or reject."""
     if isinstance(obj, dict):
-        return {str(k): v if type(v) in _AS_IS else _canon(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, _Table)):
-        return [x if type(x) in _AS_IS else _canon(x) for x in obj]
-    if kind in _AS_IS:
+        return {str(k): _canon(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_canon(x) for x in obj]
+    if isinstance(obj, bool):
         return obj
-    # subclasses of int and float; anything else, numpy values included, is
-    # left as it is, for _dumps to reject
     if isinstance(obj, int):
         return int(obj)
     if isinstance(obj, float):
-        return float(f"{float(obj):.12g}")
+        return float(f"{obj:.12g}")
     return obj
 
 
@@ -147,29 +140,16 @@ _REPORT_NAMES = {
     "l_label": "L_radius",
     "card_x_in_ykl": "card_X",
     "card_y_in_yk": "card_Y",
-    "b_used": "B_used",
-    "b_provenance": "B_provenance",
-    "b_alternative": "B_alternative",
     "projected_sum_identity_error": "identity_error",
     "empirical_B_dual": "empirical",
 }
 
 
-@functools.cache
-def _row_keys(cls) -> tuple[tuple[str, str], ...]:
-    return tuple((f.name, _REPORT_NAMES.get(f.name, f.name)) for f in dataclasses.fields(cls))
-
-
 def _row(certificate, **extra) -> dict:
-    """A canonical report row: the certificate's dataclass fields under their
-    report names, then ``extra``, each value canonicalized as it is read."""
-    row = {}
-    for name, key in _row_keys(type(certificate)):
-        value = getattr(certificate, name)
-        row[key] = value if type(value) in _AS_IS else _canon(value)
-    if extra:
-        row.update(_canon(extra))
-    return row
+    """A report row: the certificate's dataclass fields under their report
+    names, then ``extra``."""
+    return {_REPORT_NAMES.get(f.name, f.name): getattr(certificate, f.name)
+            for f in dataclasses.fields(certificate)} | extra
 
 
 class _Table(Sequence):
@@ -315,17 +295,18 @@ def _encoded(value) -> bytes:
 
 
 def _seal(report: dict) -> _Sealed:
-    """The finished report: ``ok`` set, hashed, and encoded.
+    """The finished report: ``ok`` set, canonicalized, hashed, and encoded.
 
-    Every value in ``report`` must already be canonical (rows from _row,
-    tables, hand-built dicts through _canon).  Each entry is encoded once:
-    the non-volatile entries are hashed piece by piece, so the hashed text
-    is never joined into a copy of its own, and the full text adds the
-    timestamp and the hash to them.  A table, also one level down in the
-    HAP certificate, is its own text.
+    ``report`` holds plain values (rows from _row, hand-built dicts, tables)
+    and is canonicalized here, once; a table is canonical as it is built
+    and passes through.  Each entry is encoded once: the non-volatile
+    entries are hashed piece by piece, so the hashed text is never joined
+    into a copy of its own, and the full text adds the timestamp and the
+    hash to them.  A table, also one level down in the HAP certificate, is
+    its own text.
     """
     report["ok"] = report["error"] is None and report["summary"]["fail_total"] == 0
-    sealed = _Sealed(report)
+    sealed = _Sealed(_canon(report))
     entries = {key: _encoded(value) for key, value in sealed.items()
                if key not in _VOLATILE_KEYS}
     digest = hashlib.sha256()
@@ -386,12 +367,12 @@ def _run_frame_analysis(spec: dict, seed: int) -> dict:
     dual_check = verify_dual(frame, analysis.canonical_dual)
     bessel = bessel_bound_check(analysis.canonical_dual, analysis.A)
     checks = [
-        _canon({"check": "frame_bounds", "A": analysis.A, "B": analysis.B, "ok": True}),
-        _canon({"check": "frame_inequality", "trials": 20, "max_rel_violation": worst_rel,
-                "ok": worst_rel <= 1e-9}),
+        {"check": "frame_bounds", "A": analysis.A, "B": analysis.B, "ok": True},
+        {"check": "frame_inequality", "trials": 20, "max_rel_violation": worst_rel,
+         "ok": worst_rel <= 1e-9},
         _row(dual_check, check="dual_reconstruction"),
         _row(bessel, check="bessel_dual"),
-        _canon({"check": "separation_constant", "u_radius": u_radius, "C0": c0, "ok": True}),
+        {"check": "separation_constant", "u_radius": u_radius, "C0": c0, "ok": True},
     ]
     return {
         "checks": checks,
@@ -439,19 +420,18 @@ def _hap_payload(cert: HapCertificate) -> dict:
     # certify chose this L for its worst interior error: each interior row passes.
     chosen = _Table(ys, [block for (_, l_label), block in zip(cert.pair_labels, blocks)
                          if l_label == cert.chosen_l_label])
-    certificate = _canon({
-        "chosen_L_radius": cert.chosen_l_label,
-        "worst_error": cert.worst_error,
-        "epsilon": cert.epsilon,
-        "theoretical_bound": cert.theoretical_bound,
-        "C0": cert.separation,
-        "dual": "canonical",
-        "eq42_convention": TAIL_INTEGRAND_CONVENTION,
-    })
-    certificate["candidates"] = [_row(cand) for cand in cert.candidates]
-    certificate["table"] = _Table(ys, blocks)
     return {
-        "certificate": certificate,
+        "certificate": {
+            "chosen_L_radius": cert.chosen_l_label,
+            "worst_error": cert.worst_error,
+            "epsilon": cert.epsilon,
+            "theoretical_bound": cert.theoretical_bound,
+            "C0": cert.separation,
+            "dual": "canonical",
+            "eq42_convention": TAIL_INTEGRAND_CONVENTION,
+            "candidates": [_row(cand) for cand in cert.candidates],
+            "table": _Table(ys, blocks),
+        },
         "summary": _summary(chosen),
     }
 
@@ -469,13 +449,17 @@ def _run_comparison(spec: dict, seed: int) -> dict:
                                   **_families(spec, frame.rep.group))
     certificates = comparison_run(scenario)
     hap = scenario.hap_choice
-    rows = [_row(cert, ok=cert.ok) for cert in certificates]
+    # the scenario's constants, written into every row
+    shared = {"L_radius": hap.chosen_l_label, "epsilon": scenario.epsilon,
+              "B_used": scenario.b_used, "B_provenance": scenario.b_provenance,
+              "B_alternative": scenario.b_alternative}
+    rows = [_row(cert, ok=cert.ok, **shared) for cert in certificates]
     return {
-        "hap_precondition": _canon({
+        "hap_precondition": {
             "chosen_L_radius": hap.chosen_l_label,
             "worst_error": hap.worst_error,
             "threshold": hap.epsilon,
-        }),
+        },
         "certificates": rows,
         "summary": _summary(rows, "ok"),
     }
@@ -542,16 +526,15 @@ def _outcome(compute, *args) -> tuple[object, dict | None]:
 
 
 def _report(scenario: Scenario, seed: int, payload: dict | None, error: dict | None) -> dict:
-    report = _canon({
+    return _seal({
         "scenario_id": scenario.id,
         "kind": scenario.kind,
         "version": __version__,
         "seed": seed,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "error": error,
+        **(payload or {"summary": _summary([])}),
     })
-    report.update(payload or {"summary": _summary([])})
-    return _seal(report)
 
 
 def _seed(scenario: Scenario, seed_override: int | None) -> int:
@@ -697,7 +680,8 @@ def emit(reports: list[dict], format: str = "json") -> bytes:
 
     JSON output joins the texts that sealed reports carry, as run() and
     cli's check filter return them, without encoding them again; a plain
-    dict is encoded as it stands, without canonicalizing it.  Use
+    dict is encoded as it stands, without canonicalizing it.  CSV output
+    flattens that JSON parsed back, so its rows are the JSON rows.  Use
     canonical_json() for arbitrary input."""
     if format == "json":
         texts = (r.json if isinstance(r, _Sealed) else _dumps(r).encode("utf-8")
@@ -705,7 +689,7 @@ def emit(reports: list[dict], format: str = "json") -> bytes:
         # b"[" + joined + b"]" with one copy of the joined texts, not two
         return b",".join(texts).join((b"[", b"]"))
     if format == "csv":
-        return _emit_csv(reports).encode("utf-8")
+        return _emit_csv(json.loads(emit(reports, "json"))).encode("utf-8")
     if format == "text":
         return _emit_text(reports).encode("utf-8")
     raise ValueError(f"unknown format {format!r}")

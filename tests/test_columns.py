@@ -16,7 +16,7 @@ from framecert.frames import coherent_frame
 from framecert.groups import GroupModel, OutOfCarrier, full_point_set, point_set
 from framecert.hap import HapCell, HapScenario, find_L
 from framecert.representations import Representation
-from framecert.runner import _row, _summary, _Table, canonical_json, emit, run
+from framecert.runner import _canon, _row, _summary, _Table, canonical_json, emit, run
 from framecert.scenarios import build_group, build_points, load_scenarios
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -145,7 +145,7 @@ def test_rows_from_columns_equal_the_views_across_the_pool(tmp_path, monkeypatch
         rows = _density_rows(view)
         assert report["table"].text() == canonical_json(rows)
         assert canonical_json(list(report["table"])) == canonical_json(rows)
-        assert report["ratio_summary"] == [_row(s) for s in view.summary]
+        assert report["ratio_summary"] == _canon([_row(s) for s in view.summary])
         assert report["summary"] == _summary(rows)
         assert emit([report], "json") == canonical_json([report]).encode("utf-8")
 
@@ -222,6 +222,7 @@ def test_the_runner_builds_no_table_rows(monkeypatch, parallelism):
     pinned = json.loads(PINNED_HASHES.read_text(encoding="utf-8"))
     assert {r["scenario_id"]: r["determinism_sha256"] for r in json.loads(encoded)} == pinned
     assert all(r["error"] is None for r in reports)
+    assert emit(reports, "csv")  # the JSON text flattened, not the tables' rows
     with pytest.raises(AssertionError, match="per-cell view"):
         list(next(r for r in reports if r["kind"] == "density")["table"])
 

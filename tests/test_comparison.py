@@ -182,10 +182,10 @@ def test_comparison_b_convention_alternative():
                          b_convention="dual_of_given")
     K = rep.group.ball(1)
     kl = product_set(K, scenario.hap_choice.chosen_L)
-    cert = comparison_certificate(scenario, 0, K.positions(), kl.positions(), k_label=1)
-    assert cert.b_provenance == "upper bound of dual of E_g"
-    assert cert.b_used == pytest.approx(1.0)
-    assert cert.b_alternative == pytest.approx(1.0)
+    assert comparison_certificate(scenario, 0, K.positions(), kl.positions(), k_label=1).ok
+    assert scenario.b_provenance == "upper bound of dual of E_g"
+    assert scenario.b_used == pytest.approx(1.0)
+    assert scenario.b_alternative == pytest.approx(1.0)
     reference_first = _scenario(onb, onb, epsilon=0.5, k_radii=(1,), l_radii=(0, 1))
     assert reference_first.b_provenance == "upper bound of reference frame"
 

@@ -188,7 +188,7 @@ def test_frame_inequality_with_attainment():
         energy = float(np.sum(np.abs(analysis_coefficients(frame, f)) ** 2))
         nsq = float(np.linalg.norm(f) ** 2)
         assert analysis.A * nsq * (1 - 1e-9) <= energy <= analysis.B * nsq * (1 + 1e-9)
-    evals, vecs = np.linalg.eigh(analysis.frame_operator)
+    evals, vecs = np.linalg.eigh(frame_operator(frame))
     for idx, bound in ((0, analysis.A), (-1, analysis.B)):
         f = vecs[:, idx]
         energy = float(np.sum(np.abs(analysis_coefficients(frame, f)) ** 2))

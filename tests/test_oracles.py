@@ -1,6 +1,7 @@
 """Metamorphic oracles over whole acceptance tables: every cell is covariant
-under the translations that map the point sets onto themselves, and a HAP
-error does not grow along the nested L family."""
+under the translations that map the point sets onto themselves, a HAP
+error does not grow along the nested L family, and a comparison's counts
+are density counts that sum to |X|·|K·L| and |Y|·|K|."""
 
 from collections import defaultdict
 from pathlib import Path
@@ -8,6 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from framecert.comparison import density_report
+from framecert.groups import product_set
 from framecert.runner import run
 from framecert.scenarios import (
     build_frame,
@@ -137,3 +140,24 @@ def test_the_hap_error_does_not_grow_along_the_nested_l_family(reports, scenario
     assert len(errors) > 0 and all(len(e) == len(l_radii) for e in errors.values())
     for cell, along_l in errors.items():
         assert all(b <= a + MONOTONICITY_TOLERANCE for a, b in zip(along_l, along_l[1:])), cell
+
+
+@pytest.mark.parametrize("scenario_id",
+                         [i for i, s in _SCENARIOS.items() if s.kind == "comparison"])
+def test_the_comparison_counts_are_density_counts(reports, scenario_id):
+    scenario = _SCENARIOS[scenario_id]
+    X, Y = _point_sets(scenario)
+    group = X.group
+    rows = reports[scenario_id]["certificates"]
+    for k_radius in scenario.spec["k_radii"]:
+        block = [row for row in rows if row["K_radius"] == k_radius]
+        assert len(block) == group.order and not any(row["boundary"] for row in block)
+        K = group.ball(k_radius)
+        KL = product_set(K, group.ball(block[0]["L_radius"]))
+        at = [group.index(row["y"]) for row in block]
+        # card_X counts X in y·K·L, card_Y counts Y in y·K
+        assert [row["card_X"] for row in block] == density_report(X, [KL]).counts[0, at].tolist()
+        assert [row["card_Y"] for row in block] == density_report(Y, [K]).counts[0, at].tolist()
+        # on a cyclic carrier each point lies in y·W for exactly |W| base points y
+        assert sum(row["card_X"] for row in block) == len(X) * len(KL)
+        assert sum(row["card_Y"] for row in block) == len(Y) * len(K)

@@ -50,8 +50,8 @@ def _dirac_frame(rep):
 
 _SPEC = {"frame": None, "reference": None, "epsilon": 0.5, "u_radius": 1,
          "k_radii": [1], "l_radii": [0, 1], "b_convention": "dual_of_given"}
-# Fields a boundary certificate takes from its cell and scenario.
-_GIVEN = {"y", "k_label", "l_label", "epsilon", "b_used", "b_provenance", "b_alternative"}
+# Fields a boundary certificate takes from its cell.
+_GIVEN = {"y", "k_label"}
 
 
 def test_boundary_comparison_certificates_and_rows(monkeypatch):
@@ -79,10 +79,9 @@ def test_boundary_comparison_certificates_and_rows(monkeypatch):
                 expected = False if f.type == "bool" else None
                 assert getattr(cert, f.name) is expected, f.name
         assert cert.boundary is True and cert.ok is False
-        assert cert.epsilon == 0.5 and cert.k_label == 1 and cert.l_label == 0
-        assert cert.b_used == scenario.b_used
-        assert cert.b_provenance == scenario.b_provenance == "upper bound of dual of E_g"
-        assert cert.b_alternative == scenario.b_alternative
+        assert cert.k_label == 1
+    assert scenario.hap_choice.chosen_l_label == 0
+    assert scenario.b_provenance == "upper bound of dual of E_g"
 
     # The report rows, through the evaluator, with the box-group frames.
     monkeypatch.setattr(runner, "build_frame", lambda desc: frame)
@@ -97,7 +96,12 @@ def test_boundary_comparison_certificates_and_rows(monkeypatch):
     assert renamed <= set(inner[0])
     for row in edge:
         assert row["ok"] is False and row["trace_T"] is None and row["card_X"] is None
+    # every row carries the scenario's constants
+    for row in rows:
+        assert row["L_radius"] == 0 and row["epsilon"] == 0.5
+        assert row["B_used"] == scenario.b_used
         assert row["B_provenance"] == "upper bound of dual of E_g"
+        assert row["B_alternative"] == scenario.b_alternative
     assert all(row["ok"] for row in inner)
     assert payload["summary"] == {
         "cell_count": 5, "pass_total": 3, "fail_total": 0, "boundary_total": 2
@@ -199,10 +203,7 @@ def test_a_window_whose_chosen_product_escapes_has_only_boundary_cells():
     certificates = comparison_run(scenario)
     escaped = [c for c in certificates if c.k_label == 2]
     assert escaped == [
-        ComparisonCertificate(y=y, k_label=2, l_label=1, epsilon=0.5, b_used=scenario.b_used,
-                              b_provenance=scenario.b_provenance,
-                              b_alternative=scenario.b_alternative)
-        for y in group.carrier
+        ComparisonCertificate(y=y, k_label=2) for y in group.carrier
     ]
     computed = [c for c in certificates if c.k_label == 0]
     assert [c.y for c in computed if not c.boundary] == [-1, 0, 1]
