@@ -28,6 +28,49 @@ def test_acceptance_hashes_match_the_pins(parallelism):
     assert {r["scenario_id"]: r["determinism_sha256"] for r in reports} == pinned
 
 
+# Report paths the acceptance file does not reach: comparisons on a tensor
+# rep, under the dual_of_given B, against a Fourier lattice reference and with
+# duplicate points; density with no samples, no points, samples outside a box
+# carrier and a sample of the wrong rank (an error report); box sampling with
+# a trial that escapes.  Every dimension is at most 8.
+EDGE = Path(__file__).resolve().parent / "edge_scenarios.json"
+EDGE_HASHES = {
+    "edge-compare-dual-of-given-z4":
+        "7297136dbc6c017177e5b9b7555270d937464dfff3268003e98f5ee823733cd3",
+    "edge-compare-duplicates-z5":
+        "1e696714248f9896ccb7004f56a3bcda8a8d81e2dc080b816494b0809c9fb739",
+    "edge-compare-fourier-lattice-z6":
+        "4f01b378d19e074dd5fc2903499e066a358a13986d0998dcf333fb918e68ad36",
+    "edge-compare-tensor-z2xz3":
+        "0ee30edfd58971f9fd22bc249492ace480312c1108f0a6da61cd9ad027bfd13e",
+    "edge-density-box-outside":
+        "e65867cb7ea762a682eb26816cb755798fcd91c4ff270b0a594601fcd040a853",
+    "edge-density-no-points":
+        "5f855b6bbdb424d77ad2383e6e86f50078554bf2e341ba57f27945ff336fa103",
+    "edge-density-no-samples":
+        "ad1b5c64a448b4b8bb39c57591ffd683ea928c3522d34ec6a23329704984109c",
+    "edge-density-wrong-rank":
+        "f36155b96c2c8756401d93a7d7ac813c2bce66b5ee4af502a0e0dd37e50ea39c",
+    "edge-sampling-box":
+        "75ee0e29af31dc8f73e41a2d1b8919ca8e79d5a31b98ea015e868bb17a93f583",
+}
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_edge_hashes_match_the_pins(monkeypatch, parallelism):
+    monkeypatch.setattr(runner.os, "cpu_count", lambda: 2)  # the pool path at parallelism 2
+    reports = run(load_scenarios(EDGE), parallelism=parallelism)
+    assert {r["scenario_id"]: r["determinism_sha256"] for r in reports} == EDGE_HASHES
+    errors = {r["scenario_id"]: r["error"] for r in reports if r["error"] is not None}
+    assert list(errors) == ["edge-density-wrong-rank"]
+    summaries = {r["scenario_id"]: r["summary"] for r in reports}
+    assert summaries["edge-density-no-samples"]["cell_count"] == 0
+    assert summaries["edge-density-box-outside"]["boundary_total"] == 5
+    assert summaries["edge-sampling-box"]["boundary_total"] == 1
+    # B = 1/A of the dual is not what the trace's lower bound uses: it fails there
+    assert summaries["edge-compare-dual-of-given-z4"]["fail_total"] == 16
+
+
 class _RollRep(Representation):
     """Unitary cyclic rolls indexed by a truncated carrier: the only way to
     reach boundary comparison cells, since every shipped representation acts
