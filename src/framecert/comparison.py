@@ -14,8 +14,8 @@ to within epsilon * ||h||, let
 T is positive with eigenvalues in [0, 1], so tr T <= rank P <= card{x_j in
 yKL}.  From below, the trace sandwich against the reference frame and the
 approximation property give tr T >= ||h||^2 (1 - epsilon) card{y_k in yK} /
-B.  Every certificate records the full chain, the signed leftover term, and
-the final counting inequality
+B.  Every cell records the full chain, the signed leftover term, and the
+final counting inequality
 
     ||h||^2 B^{-1} (1 - epsilon) card{k : y_k in yK} <= card{j : x_j in yKL}.
 
@@ -27,6 +27,8 @@ Cells work on carrier positions: K.L is built once per K, each cell
 translates K and K.L with GroupModel.multiply_masked, and the point sets'
 slot tables (PointSet.indices_at) give P's duals and Q's reference atoms,
 both in frame-index order, the order that fixes the SVDs' rounding.
+comparison_run returns one certificate per K with its cells as columns
+under their report names, as the runner writes them.
 """
 
 from __future__ import annotations
@@ -157,65 +159,43 @@ class ComparisonScenario:
             raise HapPreconditionUnmet(str(exc)) from exc
 
 
-@dataclass
+# A boundary cell, whose window escapes a truncated carrier: no value is
+# computed and no inequality verified.
+_BOUNDARY_CELL = {
+    **dict.fromkeys(("trace_T", "rank_P", "card_X", "card_Y", "lhs", "restricted_sum",
+                     "identity_error", "star_signed", "star_bound")),
+    **dict.fromkeys(("chain_ok", "final_ok", "restricted_sum_ok", "identity_ok", "star_ok",
+                     "trace_lemma_ok", "trace_lower_ok", "ok"), False),
+}
+
+
+@dataclass(frozen=True, eq=False)
 class ComparisonCertificate:
-    """One (y, K) cell: trace, rank, both counts, and every verified inequality.
-    The chosen L, the tolerance and B belong to the scenario, not the cell.
+    """The (y, K) cells of one window K as columns, one entry per carrier
+    position under each report name: trace, rank, both counts, every
+    verified inequality, and ``ok``, true where all seven flags are.  A cell
+    not inside is boundary, with None values and false flags.  The chosen
+    L, the tolerance and B belong to the scenario."""
 
-    The defaults describe a boundary cell, one whose window escapes a
-    truncated carrier: nothing is computed and no inequality is verified.
-    """
-
-    y: object
     k_label: object
-    trace_T: float | None = None
-    rank_P: int | None = None
-    card_x_in_ykl: int | None = None
-    card_y_in_yk: int | None = None
-    lhs: float | None = None
-    chain_ok: bool = False
-    final_ok: bool = False
-    restricted_sum: float | None = None
-    restricted_sum_ok: bool = False
-    projected_sum_identity_error: float | None = None
-    identity_ok: bool = False
-    star_signed: float | None = None
-    star_bound: float | None = None
-    star_ok: bool = False
-    trace_lemma_ok: bool = False
-    trace_lower_ok: bool = False
-    boundary: bool = True
-
-    @property
-    def ok(self) -> bool:
-        return (
-            not self.boundary
-            and self.chain_ok
-            and self.final_ok
-            and self.restricted_sum_ok
-            and self.identity_ok
-            and self.star_ok
-            and self.trace_lemma_ok
-            and self.trace_lower_ok
-        )
+    columns: dict[str, list]
+    inside: list[bool]
 
 
-def comparison_certificate(
-    scenario: ComparisonScenario, yp: int, k_positions: np.ndarray,
-    kl_positions: np.ndarray | None, k_label
-) -> ComparisonCertificate:
-    """Build and verify the full counting chain for the (y, K) cell at carrier
-    position ``yp``, from the positions of K and of K.L for the chosen L (None
-    when K.L escapes); it reports the cell under ``k_label``, K's label."""
-    group = scenario.given.rep.group
-    y = group.carrier[yp]
+def comparison_certificate(scenario: ComparisonScenario, yp: int, k_positions: np.ndarray,
+                           kl_positions: np.ndarray | None) -> dict | None:
+    """The full counting chain for the (y, K) cell at carrier position ``yp``,
+    from the positions of K and of K.L for the chosen L (None when K.L
+    escapes): the cell's values under their report names, or None for a
+    boundary cell."""
     if kl_positions is None:
-        return ComparisonCertificate(y, k_label)
+        return None
+    group = scenario.given.rep.group
     yk, yk_kept = group.multiply_masked(yp, k_positions)
     ykl, ykl_kept = group.multiply_masked(yp, kl_positions)
     # Both masks: L need not contain e, so y.K may escape while y.K.L stays.
     if not (yk_kept.all() and ykl_kept.all()):
-        return ComparisonCertificate(y, k_label)
+        return None
 
     # The duals of the points in y.K.L and the reference atoms of the points
     # in y.K, each in frame-index order.
@@ -239,33 +219,23 @@ def comparison_certificate(
     star_signed = (projected_sum - card_y * h_sq) / b_used
     star_bound = scenario.epsilon * h_sq * card_y / b_used
 
-    chain_ok = trace_check.trace <= P.rank + _REL_SLACK and P.rank <= card_x
-    final_ok = lhs <= card_x + _REL_SLACK
-    return ComparisonCertificate(
-        y=y,
-        k_label=k_label,
-        trace_T=trace_check.trace,
-        rank_P=P.rank,
-        card_x_in_ykl=card_x,
-        card_y_in_yk=card_y,
-        lhs=lhs,
-        chain_ok=chain_ok,
-        final_ok=final_ok,
-        restricted_sum=restricted_sum,
-        restricted_sum_ok=restricted_sum >= (1.0 - scenario.epsilon) * h_sq * card_y - 1e-9,
-        projected_sum_identity_error=identity_error,
-        identity_ok=identity_error <= 1e-10,
-        star_signed=star_signed,
-        star_bound=star_bound,
-        star_ok=abs(star_signed) <= star_bound + 1e-9,
-        trace_lemma_ok=trace_check.ok,
-        trace_lower_ok=_leq(projected_sum / b_used, trace_check.trace),
-        boundary=False,
-    )
+    flags = {
+        "chain_ok": trace_check.trace <= P.rank + _REL_SLACK and P.rank <= card_x,
+        "final_ok": lhs <= card_x + _REL_SLACK,
+        "restricted_sum_ok": restricted_sum >= (1.0 - scenario.epsilon) * h_sq * card_y - 1e-9,
+        "identity_ok": identity_error <= 1e-10,
+        "star_ok": abs(star_signed) <= star_bound + 1e-9,
+        "trace_lemma_ok": trace_check.ok,
+        "trace_lower_ok": _leq(projected_sum / b_used, trace_check.trace),
+    }
+    return {"trace_T": trace_check.trace, "rank_P": P.rank, "card_X": card_x, "card_Y": card_y,
+            "lhs": lhs, "restricted_sum": restricted_sum, "identity_error": identity_error,
+            "star_signed": star_signed, "star_bound": star_bound,
+            **flags, "ok": all(flags.values())}
 
 
 def comparison_run(scenario: ComparisonScenario) -> list[ComparisonCertificate]:
-    """Certificates for every (y, K) cell, in carrier-by-family order."""
+    """One certificate per window K, in family order, over the carrier."""
     chosen_L = scenario.hap_choice.chosen_L
     certificates = []
     for K, k_label in zip(scenario.K_family, scenario.k_labels):
@@ -273,10 +243,12 @@ def comparison_run(scenario: ComparisonScenario) -> list[ComparisonCertificate]:
             kl_positions = product_set(K, chosen_L).positions()
         except OutOfCarrier:
             kl_positions = None
-        certificates += [
-            comparison_certificate(scenario, yp, K.positions(), kl_positions, k_label)
-            for yp in range(scenario.given.rep.group.order)
-        ]
+        cells = [comparison_certificate(scenario, yp, K.positions(), kl_positions)
+                 for yp in range(scenario.given.rep.group.order)]
+        columns = {name: [default if cell is None else cell[name] for cell in cells]
+                   for name, default in _BOUNDARY_CELL.items()}
+        certificates.append(ComparisonCertificate(
+            k_label, columns, [cell is not None for cell in cells]))
     return certificates
 
 

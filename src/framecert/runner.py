@@ -19,17 +19,17 @@ Individual scenario failures (a system that is not a frame, a malformed
 candidate family, an escaping carrier) are captured in the report's "error"
 field and never abort the batch; any other exception is a bug and aborts it.
 
-The HAP error table and the density counts are _Table objects built from the
-certificates' column arrays, one block per (K, L) pair or per K, with no
-object per cell.  Sealing takes a table's text, which is written column by
-column: the base points once per scenario, labels and measures once per
-block, each error once and each density ratio once per distinct count, and
-each row from one of two templates.  A table's values are canonical as they
-are built, and its rows are that text, parsed when something first reads
-them (tests, checks), so they cannot disagree.  Other rows come from
-certificate dataclasses through _row (an escaping box sampling trial takes
-only the keys): every field becomes a key, renamed where _REPORT_NAMES
-says so, and a comparison's rows add the scenario's constants.
+The HAP error table, the comparison cells and the density counts are _Table
+objects built from the certificates' columns, one block per (K, L) pair or
+per K, with no object per cell.  Sealing takes a table's text, which is
+written column by column: the base points once per scenario, labels,
+measures and a comparison's constants once per block, each error once and
+each density ratio once per distinct count, and each row from one of two
+templates.  A table's values are canonical as they are built, and its rows
+are that text, parsed when something first reads them (tests, checks), so
+they cannot disagree.  Other rows come from certificate dataclasses through
+_row (an escaping box sampling trial takes only the keys): every field
+becomes a key, renamed where _REPORT_NAMES says so.
 canonical_json() and determinism_sha256() canonicalize arbitrary input from
 scratch, a table as the list of its rows, and stay the slow reference for
 the sealed text.
@@ -138,9 +138,6 @@ def determinism_sha256(report: dict) -> str:
 _REPORT_NAMES = {
     "k_label": "K_radius",
     "l_label": "L_radius",
-    "card_x_in_ykl": "card_X",
-    "card_y_in_yk": "card_Y",
-    "projected_sum_identity_error": "identity_error",
     "empirical_B_dual": "empirical",
 }
 
@@ -154,19 +151,20 @@ def _row(certificate, **extra) -> dict:
 
 class _Table(Sequence):
     """A report table as column blocks, read-only: the rows of a HAP error
-    table or of density counts, and their canonical JSON.
+    table, of comparison cells or of density counts, and their canonical JSON.
 
     A block is the rows of one (K, L) pair or one K over the base points
     ``ys``: ``(constants, columns, inside)``, the entries its rows share, a
-    column of finite ints or floats, one per base point, for each of its
-    other entries, and the mask of its interior rows.  A boundary row takes
-    None for its column entries.  Every value is canonical.  text() encodes
-    the table column by column: the y texts once, the constants once per
-    block, and each row from its block's interior or boundary template,
-    whose keys are y, boundary and the block's entries, in the order _dumps
-    sorts them.  The text is not kept: sealing reads it once, and the
-    sealed report holds it.  The rows are the text parsed.  A table holds
-    only data, so it pickles.
+    column, one entry per base point, for each of its other entries, and
+    the mask of its interior rows.  A column holds bools, or finite ints or
+    floats with anything (None, 0) in boundary rows; a boundary row takes
+    false for a bool entry and None for any other.  Every value is
+    canonical.  text() encodes the table column by column: the y texts
+    once, the constants once per block, and each row from its block's
+    interior or boundary template, whose keys are y, boundary and the
+    block's entries, in the order _dumps sorts them.  The text is not kept:
+    sealing reads it once, and the sealed report holds it.  The rows are
+    the text parsed.  A table holds only data, so it pickles.
     """
 
     __slots__ = ("ys", "blocks", "_rows")
@@ -215,7 +213,8 @@ class _Table(Sequence):
                 boundary.append(f"{name}:true")
             else:
                 interior.append(f"{name}:%s")
-                boundary.append(f"{name}:%s" if key == "y" else f"{name}:null")
+                boundary.append(f"{name}:%s" if key == "y" else
+                                f"{name}:false" if _is_flag(columns[key]) else f"{name}:null")
         return "{" + ",".join(interior) + "}", "{" + ",".join(boundary) + "}"
 
     def text(self) -> str:
@@ -226,19 +225,28 @@ class _Table(Sequence):
         rows = []
         for constants, columns, inside in self.blocks:
             interior, boundary = self._templates(constants, columns)
-            values = [ys if key == "y" else _number_texts(columns[key])
+            values = [ys if key == "y" else _column_texts(columns[key])
                       for key in sorted((*columns, "y"))]
             rows += [interior % args if inner else boundary % y
                      for args, y, inner in zip(zip(*values), ys, inside)]
         return "[" + ",".join(rows) + "]"
 
 
-def _number_texts(column: list) -> list[str]:
-    """The JSON text of each value of ``column``, all ints or all floats, as
-    _dumps writes it: a float as float.__repr__ does, and one that is not
-    finite raises ValueError.  Equal values have equal texts, so each
-    distinct value is encoded once, except zeros: 0.0 == -0.0."""
-    if not all(map(math.isfinite, column)):
+def _is_flag(column: list) -> bool:
+    """Whether ``column`` holds bools; an empty one has no rows to write."""
+    return bool(column) and isinstance(column[0], bool)
+
+
+def _column_texts(column: list) -> list[str]:
+    """The JSON text of each value of ``column`` as _dumps writes it, and
+    None's, which a boundary row does not write, as 'None'.  A float is
+    written as float.__repr__ does, and one that is not finite raises
+    ValueError; the falsy values (0, -0.0, None) need no check.  Equal
+    values have equal texts, so each distinct value is encoded once, except
+    zeros: 0.0 == -0.0."""
+    if _is_flag(column):
+        return ["true" if value else "false" for value in column]
+    if not all(map(math.isfinite, filter(None, column))):
         raise ValueError("Out of range float values are not JSON compliant")
     texts = {value: repr(value) for value in set(column)}
     return [texts[value] if value else repr(value) for value in column]
@@ -250,9 +258,11 @@ def _summary(rows: list[dict], flag: str | None = None) -> dict:
     A table's boundary rows are counted from its masks."""
     if isinstance(rows, _Table):
         boundary = sum(inside.count(False) for _, _, inside in rows.blocks)
+        passes = (len(rows) - boundary if flag is None
+                  else sum(columns[flag].count(True) for _, columns, _ in rows.blocks))
     else:
         boundary = sum(1 for row in rows if row.get("boundary"))
-    passes = len(rows) - boundary if flag is None else sum(1 for row in rows if row[flag])
+        passes = len(rows) - boundary if flag is None else sum(1 for row in rows if row[flag])
     return {
         "cell_count": len(rows),
         "pass_total": passes,
@@ -440,29 +450,35 @@ def _run_hap(spec: dict, seed: int) -> dict:
     return _hap_payload(find_L(_hap_scenario(spec)))
 
 
-def _run_comparison(spec: dict, seed: int) -> dict:
-    frame = build_frame(spec["frame"])
-    frame.analysis  # NotAFrame is reported before any error in the reference
-    reference = build_reference(spec["reference"], frame.rep)
-    scenario = ComparisonScenario(given=frame, reference=reference,
-                                  b_convention=spec.get("b_convention", "reference"),
-                                  **_families(spec, frame.rep.group))
-    certificates = comparison_run(scenario)
+def _comparison_payload(scenario: ComparisonScenario) -> dict:
+    # The table straight from the certificates' columns, one block per K,
+    # with the scenario's constants written once per block.
     hap = scenario.hap_choice
-    # the scenario's constants, written into every row
-    shared = {"L_radius": hap.chosen_l_label, "epsilon": scenario.epsilon,
-              "B_used": scenario.b_used, "B_provenance": scenario.b_provenance,
-              "B_alternative": scenario.b_alternative}
-    rows = [_row(cert, ok=cert.ok, **shared) for cert in certificates]
+    shared = _canon({"L_radius": hap.chosen_l_label, "epsilon": scenario.epsilon,
+                     "B_used": scenario.b_used, "B_provenance": scenario.b_provenance,
+                     "B_alternative": scenario.b_alternative})
+    table = _Table(_carrier_column(scenario.given.rep.group), [
+        ({"K_radius": _canon(cert.k_label), **shared}, _canon(cert.columns), cert.inside)
+        for cert in comparison_run(scenario)
+    ])
     return {
         "hap_precondition": {
             "chosen_L_radius": hap.chosen_l_label,
             "worst_error": hap.worst_error,
             "threshold": hap.epsilon,
         },
-        "certificates": rows,
-        "summary": _summary(rows, "ok"),
+        "certificates": table,
+        "summary": _summary(table, "ok"),
     }
+
+
+def _run_comparison(spec: dict, seed: int) -> dict:
+    frame = build_frame(spec["frame"])
+    frame.analysis  # NotAFrame is reported before any error in the reference
+    reference = build_reference(spec["reference"], frame.rep)
+    return _comparison_payload(ComparisonScenario(
+        given=frame, reference=reference, b_convention=spec.get("b_convention", "reference"),
+        **_families(spec, frame.rep.group)))
 
 
 def _run_density(spec: dict, seed: int) -> dict:

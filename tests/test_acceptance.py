@@ -252,14 +252,18 @@ def test_criterion_7_comparison_theorem():
                 k_labels=[0, 1, 2],
                 l_labels=list(range(5)),
             )
-            certificates = comparison_run(scenario)
-            total += len(certificates)
-            for cert in certificates:
-                ok &= cert.trace_T <= cert.rank_P + 1e-9
-                ok &= cert.rank_P <= cert.card_x_in_ykl
-                ok &= cert.lhs <= cert.card_x_in_ykl + 1e-9
-                ok &= cert.chain_ok and cert.final_ok and cert.ok
-    _record(7, f"comparison chain and final inequality on {total} certificates", ok)
+            for cert in comparison_run(scenario):
+                total += len(cert.inside)
+                c = cert.columns
+                for trace, rank, card_x, lhs, chain_ok, final_ok, cell_ok in zip(
+                    c["trace_T"], c["rank_P"], c["card_X"], c["lhs"], c["chain_ok"],
+                    c["final_ok"], c["ok"], strict=True,
+                ):
+                    ok &= trace <= rank + 1e-9
+                    ok &= rank <= card_x
+                    ok &= lhs <= card_x + 1e-9
+                    ok &= chain_ok and final_ok and cell_ok
+    _record(7, f"comparison chain and final inequality on {total} cells", ok)
 
 
 def test_criterion_8_determinism():

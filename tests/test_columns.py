@@ -225,6 +225,12 @@ def test_the_runner_builds_no_table_rows(monkeypatch, parallelism):
     assert emit(reports, "csv")  # the JSON text flattened, not the tables' rows
     with pytest.raises(AssertionError, match="per-cell view"):
         list(next(r for r in reports if r["kind"] == "density")["table"])
+    # comparison cells too, one block per K: the summary counts from the columns
+    comparisons = [r for r in reports if r["kind"] == "comparison"]
+    assert len(comparisons) == 3
+    for report in comparisons:
+        assert isinstance(report["certificates"], _Table)
+        assert len(report["certificates"].blocks) == 3  # k_radii [0, 1, 2]
 
 
 def _scenario_file(tmp_path, name):
@@ -284,3 +290,22 @@ def test_table_text_equals_the_encoded_rows():
     assert table.text() == runner._dumps(expected)
     assert table.text().count('"error":-0.0') == 1 and table == expected
     assert table[5] is table[5]  # a row read twice is the same dict
+
+    # bool columns, false in a boundary row, and None in a value column's
+    # boundary row; and a block with no base points, as y_sample [] gives
+    flags = _Table([0, [1, -2]], [
+        ({"K_radius": 0}, {"ok": [True, False], "rank_P": [2, None]}, [True, False]),
+        ({"K_radius": 1}, {"ok": [False, True], "rank_P": [0, 3]}, [True, True]),
+    ])
+    expected = [
+        {"y": 0, "K_radius": 0, "ok": True, "rank_P": 2, "boundary": False},
+        {"y": [1, -2], "K_radius": 0, "ok": False, "rank_P": None, "boundary": True},
+        {"y": 0, "K_radius": 1, "ok": False, "rank_P": 0, "boundary": False},
+        {"y": [1, -2], "K_radius": 1, "ok": True, "rank_P": 3, "boundary": False},
+    ]
+    assert flags.text() == runner._dumps(expected) and flags == expected
+    assert _summary(flags, "ok") == _summary(expected, "ok") == {
+        "cell_count": 4, "pass_total": 2, "fail_total": 1, "boundary_total": 1}
+    empty = _Table([], [({"K_radius": 0}, {"ok": [], "count": []}, [])])
+    assert empty.text() == runner._dumps([]) == "[]" and len(empty) == 0 and empty == []
+    assert _summary(empty, "ok") == _summary([], "ok")

@@ -51,6 +51,19 @@ def _scenario(given, reference, epsilon, k_radii=(0, 1, 2), l_radii=(0, 1, 2, 3,
     )
 
 
+def _cells(certificates, group) -> list[dict]:
+    """Each (y, K) cell read off its certificate's columns, in (K, y) order,
+    with its K label, y and boundary flag."""
+    cells = []
+    for cert in certificates:
+        assert len(cert.inside) == group.order
+        assert all(len(column) == group.order for column in cert.columns.values())
+        for y, inside, *values in zip(group.carrier, cert.inside, *cert.columns.values()):
+            cells.append({"k_label": cert.k_label, "y": y, "boundary": not inside,
+                          **dict(zip(cert.columns, values))})
+    return cells
+
+
 def test_trace_bounds_identity_onb():
     onb = np.eye(4, dtype=complex)
     check = trace_bounds_check(np.eye(4), onb, 1.0, 1.0)
@@ -121,14 +134,14 @@ def test_comparison_trivial_dirac_vs_dirac():
     onb = coherent_frame(rep, dirac_vector(8), full_point_set(group))
     scenario = _scenario(onb, onb, epsilon=0.5, k_radii=(1,), l_radii=(0, 1))
     assert scenario.hap_choice.chosen_l_label == 0
-    certs = comparison_run(scenario)
-    assert len(certs) == group.order
-    for cert in certs:
-        assert cert.card_x_in_ykl == cert.card_y_in_yk == 3
-        assert cert.trace_T == pytest.approx(3.0)
-        assert cert.rank_P == 3
-        assert cert.lhs == pytest.approx(1.5)
-        assert cert.ok
+    cells = _cells(comparison_run(scenario), group)
+    assert len(cells) == group.order
+    for cell in cells:
+        assert cell["card_X"] == cell["card_Y"] == 3
+        assert cell["trace_T"] == pytest.approx(3.0)
+        assert cell["rank_P"] == 3
+        assert cell["lhs"] == pytest.approx(1.5)
+        assert cell["ok"]
 
 
 def test_comparison_gabor_vs_dirac_line():
@@ -139,13 +152,13 @@ def test_comparison_gabor_vs_dirac_line():
     scenario = _scenario(given, reference, epsilon=0.5, k_radii=(0, 1), l_radii=(0, 1, 2, 3, 4))
     ref_analysis = scenario.reference.analysis
     assert ref_analysis.A == pytest.approx(1.0) and ref_analysis.B == pytest.approx(1.0)
-    certs = comparison_run(scenario)
-    assert all(c.ok for c in certs)
+    cells = _cells(comparison_run(scenario), group)
+    assert all(cell["ok"] for cell in cells)
     # proof-step identity and the signed leftover term are reported per cell
-    for cert in certs:
-        assert cert.projected_sum_identity_error <= 1e-10
-        assert cert.star_signed <= 1e-12  # nonpositive up to rounding
-        assert abs(cert.star_signed) <= cert.star_bound + 1e-9
+    for cell in cells:
+        assert cell["identity_error"] <= 1e-10
+        assert cell["star_signed"] <= 1e-12  # nonpositive up to rounding
+        assert abs(cell["star_signed"]) <= cell["star_bound"] + 1e-9
 
 
 def test_comparison_randomized_windows_chain_holds():
@@ -159,10 +172,10 @@ def test_comparison_randomized_windows_chain_holds():
             rep, dirac_vector(4), point_set(group, [(k, 0) for k in range(4)])
         )
         scenario = _scenario(given, reference, epsilon=0.4, k_radii=(0, 1), l_radii=(0, 1, 2))
-        for cert in comparison_run(scenario):
-            assert cert.trace_T <= cert.rank_P + 1e-9
-            assert cert.rank_P <= cert.card_x_in_ykl
-            assert cert.ok
+        for cell in _cells(comparison_run(scenario), group):
+            assert cell["trace_T"] <= cell["rank_P"] + 1e-9
+            assert cell["rank_P"] <= cell["card_X"]
+            assert cell["ok"]
 
 
 def test_comparison_hap_precondition_unmet():
@@ -182,7 +195,7 @@ def test_comparison_b_convention_alternative():
                          b_convention="dual_of_given")
     K = rep.group.ball(1)
     kl = product_set(K, scenario.hap_choice.chosen_L)
-    assert comparison_certificate(scenario, 0, K.positions(), kl.positions(), k_label=1).ok
+    assert comparison_certificate(scenario, 0, K.positions(), kl.positions())["ok"]
     assert scenario.b_provenance == "upper bound of dual of E_g"
     assert scenario.b_used == pytest.approx(1.0)
     assert scenario.b_alternative == pytest.approx(1.0)
@@ -282,8 +295,8 @@ def test_comparison_run_builds_each_chosen_product_once(monkeypatch):
     assert (calls["translate_set"], calls["local_subspace"]) == (1, 1)
     calls.update(translate_set=0, local_subspace=0)
 
-    certs = comparison_run(scenario)
-    assert len(certs) == 2 * group.order
+    cells = _cells(comparison_run(scenario), group)
+    assert len(cells) == 2 * group.order
     assert calls["product_set"] == [(K, chosen_L) for K in scenario.K_family]
     assert (calls["translate_set"], calls["local_subspace"]) == (0, 0)
 
@@ -346,33 +359,36 @@ def test_comparison_cells_match_the_set_oracles(make):
     group = given.rep.group
     chosen_L = scenario.hap_choice.chosen_L
     certs = comparison_run(scenario)
-    cells = [(K, y) for K in scenario.K_family for y in group.carrier]
-    assert [cert.y for cert in certs] == [y for _, y in cells]
+    assert [cert.k_label for cert in certs] == scenario.k_labels
+    cells = _cells(certs, group)
+    windows = [K for K in scenario.K_family for _ in group.carrier]
+    assert [cell["y"] for cell in cells] == list(group.carrier) * len(scenario.K_family)
     inside = 0
-    for cert, (K, y) in zip(certs, cells):
+    for cell, K in zip(cells, windows):
+        y = cell["y"]
         try:
             KL = product_set(K, chosen_L)
             yk, ykl = translate_set(y, K), translate_set(y, KL)
         except OutOfCarrier:
-            assert cert.boundary and cert.rank_P is None
+            assert cell["boundary"] and cell["rank_P"] is None
             continue
-        assert not cert.boundary
+        assert not cell["boundary"]
         inside += 1
         P = local_subspace(scenario.given.analysis.canonical_dual, given.points, y, KL)
         Q = span_projector(
             reference.synthesis[:, np.flatnonzero(yk.indicator[reference.points.positions()])]
         )
-        assert cert.rank_P == P.rank
-        assert cert.card_x_in_ykl == cardinality_count(given.points, ykl)
-        assert cert.card_y_in_yk == cardinality_count(reference.points, yk)
-        assert cert.trace_T == trace_bounds_check(
+        assert cell["rank_P"] == P.rank
+        assert cell["card_X"] == cardinality_count(given.points, ykl)
+        assert cell["card_Y"] == cardinality_count(reference.points, yk)
+        assert cell["trace_T"] == trace_bounds_check(
             qpq_operator(P, Q), reference.synthesis, scenario.reference.analysis.A,
             scenario.reference.analysis.B,
         ).trace
-        assert cert.ok
+        assert cell["ok"]
     assert 0 < inside
-    assert any(cert.card_x_in_ykl > len(translate_set(cert.y, product_set(K, chosen_L)))
-               for cert, (K, _) in zip(certs, cells) if not cert.boundary)  # duplicates count
+    assert any(cell["card_X"] > len(translate_set(cell["y"], product_set(K, chosen_L)))
+               for cell, K in zip(cells, windows) if not cell["boundary"])  # duplicates count
 
 
 def test_a_cell_whose_window_escapes_while_its_product_stays_is_boundary():
@@ -384,10 +400,14 @@ def test_a_cell_whose_window_escapes_while_its_product_stays_is_boundary():
     assert translate_set(-3, KL).sorted_members() == [-2, -1, 0]
     with pytest.raises(OutOfCarrier):
         translate_set(-3, K)
-    cert = comparison_certificate(scenario, group.index(-3), K.positions(), KL.positions(), 1)
-    assert cert.y == -3 and cert.boundary
-    inner = comparison_certificate(scenario, group.index(-1), K.positions(), KL.positions(), 1)
-    assert not inner.boundary and inner.ok
+    edge, middle = group.index(-3), group.index(-1)
+    assert comparison_certificate(scenario, edge, K.positions(), KL.positions()) is None
+    inner = comparison_certificate(scenario, middle, K.positions(), KL.positions())
+    assert inner is not None and inner["ok"]
+    # and so in the run: y = -3 is a boundary cell of K's certificate
+    cert = comparison_run(scenario)[0]
+    assert cert.inside[edge] is False and cert.inside[middle] is True
+    assert cert.columns["ok"][edge] is False and cert.columns["rank_P"][edge] is None
 
 
 # -- rejections ------------------------------------------------------------------

@@ -1,7 +1,7 @@
-"""Report content: pinned acceptance hashes, boundary comparison rows, seeds."""
+"""Report content: pinned acceptance and edge hashes, boundary comparison rows,
+comparison rows against a cell-by-cell reference, seeds."""
 
 import json
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -9,12 +9,15 @@ import pytest
 
 import framecert.runner as runner
 from framecert.cli import main
-from framecert.comparison import ComparisonCertificate, ComparisonScenario, comparison_run
+from framecert.comparison import ComparisonScenario, comparison_certificate, comparison_run
 from framecert.frames import coherent_frame
 from framecert.groups import GroupModel, OutOfCarrier, full_point_set, product_set
 from framecert.representations import Representation
-from framecert.runner import run
-from framecert.scenarios import is_seed, load_scenarios
+from framecert.runner import canonical_json, run
+from framecert.scenarios import build_frame, build_reference, is_seed, load_scenarios
+
+# the comparisons on a box carrier and with a lattice reference
+from test_comparison import _box_comparison, _lattice_comparison
 
 ROOT = Path(__file__).resolve().parent.parent
 SUITE = ROOT / "scenarios" / "acceptance.json"
@@ -93,17 +96,20 @@ def _dirac_frame(rep):
 
 _SPEC = {"frame": None, "reference": None, "epsilon": 0.5, "u_radius": 1,
          "k_radii": [1], "l_radii": [0, 1], "b_convention": "dual_of_given"}
-# Fields a boundary certificate takes from its cell.
-_GIVEN = {"y", "k_label"}
+# A comparison cell's values and its flags, the last one ``ok``.
+_VALUES = ("trace_T", "rank_P", "card_X", "card_Y", "lhs", "restricted_sum", "identity_error",
+           "star_signed", "star_bound")
+_FLAGS = ("chain_ok", "final_ok", "restricted_sum_ok", "identity_ok", "star_ok",
+          "trace_lemma_ok", "trace_lower_ok", "ok")
 
 
-def test_boundary_comparison_certificates_and_rows(monkeypatch):
+def _windows_escape_at_the_ends():
+    """The scenario of _SPEC on [-2, 2]: y.K escapes for y = -2 and 2."""
     rep = _RollRep(2)
-    frame, reference = _dirac_frame(rep), _dirac_frame(rep)
     group = rep.group
-    scenario = ComparisonScenario(
-        given=frame,
-        reference=reference,
+    return ComparisonScenario(
+        given=_dirac_frame(rep),
+        reference=_dirac_frame(rep),
         epsilon=0.5,
         U=group.ball(1),
         K_family=[group.ball(1)],
@@ -112,17 +118,39 @@ def test_boundary_comparison_certificates_and_rows(monkeypatch):
         l_labels=[0, 1],
         b_convention="dual_of_given",
     )
-    certificates = comparison_run(scenario)
-    boundary = [c for c in certificates if c.boundary]
-    assert [c.y for c in boundary] == [-2, 2]  # y.K escapes [-2, 2] at the ends
-    for cert in boundary:
-        for f in fields(cert):
-            if f.name not in _GIVEN | {"boundary"}:
-                # flags are False, computed values None
-                expected = False if f.type == "bool" else None
-                assert getattr(cert, f.name) is expected, f.name
-        assert cert.boundary is True and cert.ok is False
-        assert cert.k_label == 1
+
+
+def _a_product_escapes():
+    """On [-2, 2] with L = ball(1): K = ball(2) has K.L escaping for every y."""
+    rep = _RollRep(2)
+    group = rep.group
+    return ComparisonScenario(
+        given=_dirac_frame(rep),
+        reference=_dirac_frame(rep),
+        epsilon=0.5,
+        U=group.ball(1),
+        K_family=[group.ball(0), group.ball(2)],
+        L_family=[group.ball(1)],
+        k_labels=[0, 2],
+        l_labels=[1],
+    )
+
+
+def test_boundary_comparison_certificates_and_rows(monkeypatch):
+    scenario = _windows_escape_at_the_ends()
+    frame, reference = scenario.given, scenario.reference
+    group = frame.rep.group
+    (cert,) = comparison_run(scenario)
+    assert cert.k_label == 1
+    assert set(cert.columns) == {*_VALUES, *_FLAGS}
+    boundary = [p for p, inside in enumerate(cert.inside) if not inside]
+    assert [group.carrier[p] for p in boundary] == [-2, 2]  # y.K escapes [-2, 2] at the ends
+    for name, column in cert.columns.items():
+        # flags are False, computed values None
+        expected = False if name in _FLAGS else None
+        assert all(column[p] is expected for p in boundary), name
+        inner = [value for value, inside in zip(column, cert.inside) if inside]
+        assert all(type(value) is bool for value in inner) == (name in _FLAGS), name
     assert scenario.hap_choice.chosen_l_label == 0
     assert scenario.b_provenance == "upper bound of dual of E_g"
 
@@ -131,6 +159,7 @@ def test_boundary_comparison_certificates_and_rows(monkeypatch):
     monkeypatch.setattr(runner, "build_reference", lambda desc, rep: reference)
     payload = runner._run_comparison(_SPEC, 0)
     rows = payload["certificates"]
+    assert isinstance(rows, runner._Table) and len(rows.blocks) == 1
     edge = [row for row in rows if row["boundary"]]
     inner = [row for row in rows if not row["boundary"]]
     assert len(edge) == 2 and len(inner) == 3
@@ -227,27 +256,80 @@ def test_cli_reports_a_directory_given_as_scenario_file(capsys):
 
 
 def test_a_window_whose_chosen_product_escapes_has_only_boundary_cells():
-    rep = _RollRep(2)
-    frame, reference = _dirac_frame(rep), _dirac_frame(rep)
-    group = rep.group
-    scenario = ComparisonScenario(
-        given=frame,
-        reference=reference,
-        epsilon=0.5,
-        U=group.ball(1),
-        K_family=[group.ball(0), group.ball(2)],
-        L_family=[group.ball(1)],
-        k_labels=[0, 2],
-        l_labels=[1],
-    )
+    scenario = _a_product_escapes()
+    group = scenario.given.rep.group
     assert scenario.hap_choice.chosen_l_label == 1
     with pytest.raises(OutOfCarrier):  # K.L escapes [-2, 2]
         product_set(group.ball(2), scenario.hap_choice.chosen_L)
-    certificates = comparison_run(scenario)
-    escaped = [c for c in certificates if c.k_label == 2]
-    assert escaped == [
-        ComparisonCertificate(y=y, k_label=2) for y in group.carrier
-    ]
-    computed = [c for c in certificates if c.k_label == 0]
-    assert [c.y for c in computed if not c.boundary] == [-1, 0, 1]
-    assert all(c.ok for c in computed if not c.boundary)
+    computed, escaped = comparison_run(scenario)
+    assert (computed.k_label, escaped.k_label) == (0, 2)
+    assert escaped.inside == [False] * group.order
+    assert escaped.columns == {name: [None] * group.order for name in _VALUES} | {
+        name: [False] * group.order for name in _FLAGS}
+    inside = [y for y, interior in zip(group.carrier, computed.inside) if interior]
+    assert inside == [-1, 0, 1]
+    assert all(ok for ok, interior in zip(computed.columns["ok"], computed.inside) if interior)
+
+
+def _reference_rows(scenario) -> list[dict]:
+    """A comparison report's rows cell by cell: each cell's values from
+    comparison_certificate, or None and false in a boundary cell, with its
+    y and K and the scenario's constants."""
+    group = scenario.given.rep.group
+    hap = scenario.hap_choice
+    constants = {"L_radius": hap.chosen_l_label, "epsilon": scenario.epsilon,
+                 "B_used": scenario.b_used, "B_provenance": scenario.b_provenance,
+                 "B_alternative": scenario.b_alternative}
+    rows = []
+    for K, k_label in zip(scenario.K_family, scenario.k_labels):
+        try:
+            kl_positions = product_set(K, hap.chosen_L).positions()
+        except OutOfCarrier:
+            kl_positions = None
+        for yp, y in enumerate(group.carrier):
+            cell = comparison_certificate(scenario, yp, K.positions(), kl_positions)
+            boundary = cell is None
+            if boundary:
+                cell = dict.fromkeys(_VALUES) | dict.fromkeys(_FLAGS, False)
+            else:
+                assert list(cell) == [*_VALUES, *_FLAGS]
+                assert cell["ok"] == all(cell[flag] for flag in _FLAGS[:-1])
+            rows.append({"y": y, "K_radius": k_label, **cell, **constants,
+                         "boundary": boundary})
+    return rows
+
+
+def _acceptance_comparison(scenario_id):
+    """The shipped comparison ``scenario_id``, as the runner builds it."""
+    spec = next(s for s in json.loads(SUITE.read_text(encoding="utf-8")) if s["id"] == scenario_id)
+
+    def make():
+        frame = build_frame(spec["frame"])
+        reference = build_reference(spec["reference"], frame.rep)
+        return ComparisonScenario(given=frame, reference=reference,
+                                  b_convention=spec.get("b_convention", "reference"),
+                                  **runner._families(spec, frame.rep.group))
+
+    return make
+
+
+_COMPARISONS = {
+    "box": _box_comparison,  # y.K escapes while y.K.L stays; duplicate points
+    "lattice": _lattice_comparison,
+    "windows-escape-at-the-ends": _windows_escape_at_the_ends,
+    "a-product-escapes": _a_product_escapes,
+    **{scenario_id: _acceptance_comparison(scenario_id)
+       for scenario_id in ("compare-gabor-vs-dirac-z8", "compare-gabor-vs-gabor-z8",
+                           "compare-dirac-vs-dirac-z8")},
+}
+
+
+@pytest.mark.parametrize("make", _COMPARISONS.values(), ids=_COMPARISONS.keys())
+def test_comparison_rows_equal_the_cell_by_cell_reference(make):
+    scenario = make()
+    payload = runner._comparison_payload(scenario)
+    rows = _reference_rows(scenario)
+    table = payload["certificates"]
+    assert len(table.blocks) == len(scenario.K_family)
+    assert table.text() == canonical_json(rows)
+    assert payload["summary"] == runner._summary(rows, "ok")
