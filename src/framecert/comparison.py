@@ -19,9 +19,9 @@ final counting inequality
 
     ||h||^2 B^{-1} (1 - epsilon) card{k : y_k in yK} <= card{j : x_j in yKL}.
 
-B defaults to the upper frame bound of the reference frame (what the chain
-uses); the alternative reading, the upper bound 1/A of the dual of E_g, is
-recorded alongside for transparency and can be selected instead.
+B is the upper frame bound of the reference frame, the bound of the trace
+sandwich the chain runs through; the runner also records the upper bound 1/A
+of the dual of E_g beside it, for comparison only.
 
 Cells work on carrier positions: K.L is built once per K, each cell
 translates K and K.L with GroupModel.multiply_masked, and the point sets'
@@ -111,10 +111,6 @@ class ComparisonScenario:
     L_family: list[CompactSet]
     k_labels: list | None = None
     l_labels: list | None = None
-    b_convention: str = "reference"
-    b_used: float = field(init=False)
-    b_alternative: float = field(init=False)
-    b_provenance: str = field(init=False)
     h_norm_sq: float = field(init=False)
 
     def __post_init__(self) -> None:
@@ -122,15 +118,6 @@ class ComparisonScenario:
             raise ValueError("both frames must live on the same group")
         if not 0 < self.epsilon < 1:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        dual_b, reference_b = 1.0 / self.given.analysis.A, self.reference.analysis.B
-        if self.b_convention == "reference":
-            self.b_used, self.b_alternative = reference_b, dual_b
-            self.b_provenance = "upper bound of reference frame"
-        elif self.b_convention == "dual_of_given":
-            self.b_used, self.b_alternative = dual_b, reference_b
-            self.b_provenance = "upper bound of dual of E_g"
-        else:
-            raise ValueError(f"unknown b_convention {self.b_convention!r}")
         self.h_norm_sq = float(np.linalg.norm(self.reference.window) ** 2)
         self.k_labels = family_labels(self.k_labels, self.K_family, "k_labels")
         self.l_labels = family_labels(self.l_labels, self.L_family, "l_labels")
@@ -210,14 +197,13 @@ def comparison_certificate(scenario: ComparisonScenario, yp: int, k_positions: n
     card_x = P.generators.shape[1]
     card_y = ref_atoms.shape[1]
     h_sq = scenario.h_norm_sq
-    b_used = scenario.b_used
-    lhs = h_sq * (1.0 - scenario.epsilon) * card_y / b_used
+    lhs = h_sq * (1.0 - scenario.epsilon) * card_y / reference.B
 
     restricted_sum = float(np.sum(np.conj(ref_atoms) * (T @ ref_atoms)).real)
     projected_sum = float(np.sum(np.conj(ref_atoms) * (P.matrix @ ref_atoms)).real)
     identity_error = abs(restricted_sum - projected_sum)
-    star_signed = (projected_sum - card_y * h_sq) / b_used
-    star_bound = scenario.epsilon * h_sq * card_y / b_used
+    star_signed = (projected_sum - card_y * h_sq) / reference.B
+    star_bound = scenario.epsilon * h_sq * card_y / reference.B
 
     flags = {
         "chain_ok": trace_check.trace <= P.rank + _REL_SLACK and P.rank <= card_x,
@@ -226,7 +212,7 @@ def comparison_certificate(scenario: ComparisonScenario, yp: int, k_positions: n
         "identity_ok": identity_error <= 1e-10,
         "star_ok": abs(star_signed) <= star_bound + 1e-9,
         "trace_lemma_ok": trace_check.ok,
-        "trace_lower_ok": _leq(projected_sum / b_used, trace_check.trace),
+        "trace_lower_ok": _leq(projected_sum / reference.B, trace_check.trace),
     }
     return {"trace_T": trace_check.trace, "rank_P": P.rank, "card_X": card_x, "card_Y": card_y,
             "lhs": lhs, "restricted_sum": restricted_sum, "identity_error": identity_error,

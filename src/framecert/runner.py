@@ -451,12 +451,14 @@ def _run_hap(spec: dict, seed: int) -> dict:
 
 
 def _comparison_payload(scenario: ComparisonScenario) -> dict:
-    # The table straight from the certificates' columns, one block per K,
-    # with the scenario's constants written once per block.
+    # The table straight from the certificates' columns, one block per K, with
+    # the scenario's constants once per block.  B is read before the HAP
+    # choice, so a reference that is not a frame is reported first.
+    b_used = scenario.reference.analysis.B
     hap = scenario.hap_choice
     shared = _canon({"L_radius": hap.chosen_l_label, "epsilon": scenario.epsilon,
-                     "B_used": scenario.b_used, "B_provenance": scenario.b_provenance,
-                     "B_alternative": scenario.b_alternative})
+                     "B_used": b_used, "B_provenance": "upper bound of reference frame",
+                     "B_alternative": 1.0 / scenario.given.analysis.A})
     table = _Table(_carrier_column(scenario.given.rep.group), [
         ({"K_radius": _canon(cert.k_label), **shared}, _canon(cert.columns), cert.inside)
         for cert in comparison_run(scenario)
@@ -477,8 +479,7 @@ def _run_comparison(spec: dict, seed: int) -> dict:
     frame.analysis  # NotAFrame is reported before any error in the reference
     reference = build_reference(spec["reference"], frame.rep)
     return _comparison_payload(ComparisonScenario(
-        given=frame, reference=reference, b_convention=spec.get("b_convention", "reference"),
-        **_families(spec, frame.rep.group)))
+        given=frame, reference=reference, **_families(spec, frame.rep.group)))
 
 
 def _run_density(spec: dict, seed: int) -> dict:

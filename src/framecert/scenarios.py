@@ -8,7 +8,6 @@ their keys:
     frame_analysis   frame [, u_radius]
     hap              frame, f, epsilon, u_radius, k_radii, l_radii
     comparison       frame, reference, epsilon, u_radius, k_radii, l_radii
-                     [, b_convention]
     density          group, points, k_radii [, y_sample]
 
 Descriptors:
@@ -22,6 +21,7 @@ Descriptors:
     points     "full" | [element, ...] | {"lattice": {"steps": [a1, ...]}}
     element    int | [int, ...]   (signed 64-bit coordinates)
     radius     int in [0, 2^63)   (u_radius, max_radius, k_radii, l_radii)
+    size       int in [1, 2^63)   (moduli, n; a box halfwidth is in [0, 2^62))
     frame      {"rep": repdesc, "window": vecdesc, "points": pointsdesc}
     reference  {"window": vecdesc, "points": pointsdesc}   (rep is shared)
 
@@ -59,10 +59,7 @@ _KIND_KEYS = {
     "sampling_bound": (("group", "trials", "max_radius"), ()),
     "frame_analysis": (("frame",), ("u_radius",)),
     "hap": (("frame", "f", "epsilon", "u_radius", "k_radii", "l_radii"), ()),
-    "comparison": (
-        ("frame", "reference", "epsilon", "u_radius", "k_radii", "l_radii"),
-        ("b_convention",),
-    ),
+    "comparison": (("frame", "reference", "epsilon", "u_radius", "k_radii", "l_radii"), ()),
     "density": (("group", "points", "k_radii"), ("y_sample",)),
 }
 KINDS = tuple(_KIND_KEYS)
@@ -197,9 +194,6 @@ def _validate_scenario(item: dict, where: str) -> Scenario:
             raise ValidationError("trials", f"{where}.trials must be a positive integer")
     if "max_radius" in item:
         _validate_radius(item["max_radius"], "max_radius", where)
-    if "b_convention" in item and item["b_convention"] not in ("reference", "dual_of_given"):
-        raise ValidationError("b_convention",
-                              f"{where}.b_convention must be 'reference' or 'dual_of_given'")
     if "y_sample" in item:
         _validate_elements(item["y_sample"], "y_sample", f"{where}.y_sample")
     return Scenario(id=sid, kind=kind, seed=seed, spec=dict(item))
@@ -231,22 +225,17 @@ def _group(desc, where: str) -> Callable[[], GroupModel]:
     if not isinstance(desc, dict):
         raise ValidationError("group", f"{where} must be an object")
     kind = desc.get("kind")
-    if kind == "cyclic":
-        if set(desc) != {"kind", "moduli"}:
-            raise ValidationError("group", f"{where} must have exactly keys kind, moduli")
-        moduli = desc["moduli"]
-        if not isinstance(moduli, list) or not moduli or not all(_int_in(n, 1) for n in moduli):
-            raise ValidationError("moduli",
-                                  f"{where}.moduli must be a nonempty list of positive integers")
-        return functools.partial(GroupModel.cyclic, moduli)
-    if kind == "box":
-        if set(desc) != {"kind", "halfwidths"}:
-            raise ValidationError("group", f"{where} must have exactly keys kind, halfwidths")
-        widths = desc["halfwidths"]
-        if not isinstance(widths, list) or not widths or not all(_int_in(m, 0) for m in widths):
-            raise ValidationError("halfwidths", f"{where}.halfwidths must be nonnegative integers")
-        return functools.partial(GroupModel.box, widths)
-    raise ValidationError("group", f"{where}.kind must be 'cyclic' or 'box'")
+    if kind not in ("cyclic", "box"):
+        raise ValidationError("group", f"{where}.kind must be 'cyclic' or 'box'")
+    # sizes fit the signed 64-bit carrier coordinates, and so does a box side 2m + 1
+    key, low, high = ("moduli", 1, 63) if kind == "cyclic" else ("halfwidths", 0, 62)
+    if set(desc) != {"kind", key}:
+        raise ValidationError("group", f"{where} must have exactly keys kind, {key}")
+    sizes = desc[key]
+    if not isinstance(sizes, list) or not sizes or not all(_int_in(n, low, 2**high) for n in sizes):
+        raise ValidationError(key, f"{where}.{key} must be a nonempty list of integers "
+                                   f"in [{low}, 2^{high})")
+    return functools.partial(GroupModel.cyclic if kind == "cyclic" else GroupModel.box, sizes)
 
 
 def _rep(desc, where: str) -> Callable[[], Representation]:
@@ -256,8 +245,8 @@ def _rep(desc, where: str) -> Callable[[], Representation]:
     if kind in ("translation", "gabor"):
         if set(desc) != {"kind", "n"}:
             raise ValidationError("rep", f"{where} must have exactly keys kind, n")
-        if not _int_in(desc["n"], 1):
-            raise ValidationError("n", f"{where}.n must be a positive integer")
+        if not _int_in(desc["n"], 1, 2**63):
+            raise ValidationError("n", f"{where}.n must be an integer in [1, 2^63)")
         return functools.partial(TranslationRep if kind == "translation" else GaborRep,
                                  desc["n"])
     if kind == "tensor":

@@ -32,6 +32,7 @@ from framecert.representations import (
     dirac_vector,
     periodized_gaussian,
 )
+import framecert.runner as runner
 from framecert.runner import run
 from framecert.scenarios import build_frame, build_points, build_reference, load_scenarios
 
@@ -188,19 +189,25 @@ def test_comparison_hap_precondition_unmet():
         _ = scenario.hap_choice
 
 
-def test_comparison_b_convention_alternative():
-    rep = TranslationRep(8)
-    onb = coherent_frame(rep, dirac_vector(8), full_point_set(rep.group))
-    scenario = _scenario(onb, onb, epsilon=0.5, k_radii=(1,), l_radii=(0, 1),
-                         b_convention="dual_of_given")
-    K = rep.group.ball(1)
-    kl = product_set(K, scenario.hap_choice.chosen_L)
-    assert comparison_certificate(scenario, 0, K.positions(), kl.positions())["ok"]
-    assert scenario.b_provenance == "upper bound of dual of E_g"
-    assert scenario.b_used == pytest.approx(1.0)
-    assert scenario.b_alternative == pytest.approx(1.0)
-    reference_first = _scenario(onb, onb, epsilon=0.5, k_radii=(1,), l_radii=(0, 1))
-    assert reference_first.b_provenance == "upper bound of reference frame"
+def test_comparison_rows_record_the_reference_b_and_the_dual_b():
+    """B in the chain is the reference frame's upper bound; 1/A of the given
+    frame's dual is recorded beside it.  A perturbed Gabor window is not
+    tight, so the two differ."""
+    rep = GaborRep(4)
+    window = periodized_gaussian(4) + 0.1 * dirac_vector(4, 1)
+    given = coherent_frame(rep, window, full_point_set(rep.group))
+    lattice = point_set(rep.group, [(k, 0) for k in range(4)])
+    reference = coherent_frame(rep, dirac_vector(4), lattice)
+    scenario = _scenario(given, reference, epsilon=0.5, k_radii=(0, 1), l_radii=(0, 1, 2))
+    rows = runner._comparison_payload(scenario)["certificates"]
+    assert len(rows) == 2 * rep.group.order and all(row["ok"] for row in rows)
+    assert {row["B_used"] for row in rows} == {runner._canon(reference.analysis.B)}
+    assert {row["B_alternative"] for row in rows} == {runner._canon(1.0 / given.analysis.A)}
+    assert {row["B_provenance"] for row in rows} == {"upper bound of reference frame"}
+    assert reference.analysis.B != pytest.approx(1.0 / given.analysis.A)
+    # lhs is ||h||^2 (1 - epsilon) card_Y / B with the reference's B
+    for row in rows:
+        assert row["lhs"] == pytest.approx(0.5 * row["card_Y"] / reference.analysis.B)
 
 
 def test_density_examples():
@@ -423,7 +430,6 @@ _COMPARISON_REJECTIONS = {
     "frames-on-two-groups": (_dirac_onb(), {}),
     "epsilon-zero": (_ONB, {"epsilon": 0.0}),
     "epsilon-one": (_ONB, {"epsilon": 1.0}),
-    "b-convention": (_ONB, {"b_convention": "given"}),
 }
 
 

@@ -1,7 +1,8 @@
-"""Metamorphic oracles over whole acceptance tables: every cell is covariant
-under the translations that map the point sets onto themselves, a HAP
-error does not grow along the nested L family, and a comparison's counts
-are density counts that sum to |X|·|K·L| and |Y|·|K|."""
+"""Metamorphic oracles over whole tables, of the acceptance scenarios and of
+the cyclic edge comparisons: every cell is covariant under the translations
+that map the point sets onto themselves, a HAP error does not grow along the
+nested L family, and a comparison's counts are density counts that sum to
+|X|·|K·L| and |Y|·|K|."""
 
 from collections import defaultdict
 from pathlib import Path
@@ -21,6 +22,7 @@ from framecert.scenarios import (
 )
 
 SUITE = Path(__file__).resolve().parent.parent / "scenarios" / "acceptance.json"
+EDGE = Path(__file__).resolve().parent / "edge_scenarios.json"
 
 # Covariant cells agree up to rounding: the Z16 HAP errors vary over y by at
 # most 5e-12, and the 12-digit canonical floats add at most 1e-11.
@@ -64,6 +66,10 @@ def _rows(report) -> list[dict]:
 
 _SCENARIOS = {s.id: s for s in load_scenarios(SUITE) if s.kind in ("hap", "comparison",
                                                                    "density")}
+# The edge comparisons on cyclic carriers: tensor Z2 x Z3, Gabor Z4, a Fourier
+# lattice on Z6 and duplicate points on Z5, where Λ is trivial.
+_SCENARIOS |= {s.id: s for s in load_scenarios(EDGE) if s.kind == "comparison"}
+_TRIVIAL_SYMMETRY = {"edge-compare-duplicates-z5"}
 
 
 @pytest.fixture(scope="module")
@@ -95,7 +101,7 @@ def _moved_cells(block, group, lam) -> list[str]:
     return fields
 
 
-@pytest.mark.parametrize("scenario_id", _SCENARIOS)
+@pytest.mark.parametrize("scenario_id", [i for i in _SCENARIOS if i not in _TRIVIAL_SYMMETRY])
 def test_every_cell_is_covariant_under_the_symmetries_of_its_point_sets(reports,
                                                                          scenario_id):
     scenario, report = _SCENARIOS[scenario_id], reports[scenario_id]
@@ -126,6 +132,21 @@ def test_the_symmetries_of_the_acceptance_point_sets():
     group = _point_sets(_SCENARIOS["compare-gabor-vs-dirac-z8"])[0].group
     assert [group.carrier[p] for p in gabor_vs_dirac] == [(k, 0) for k in range(8)]
     assert len(symmetries("hap-gabor-z16-gauss-dirac01")) == 256
+
+
+def test_the_symmetries_of_the_edge_point_sets():
+    def symmetries(scenario_id):
+        point_sets = _point_sets(_SCENARIOS[scenario_id])
+        group = point_sets[0].group
+        return [group.carrier[p] for p in translation_symmetries(*point_sets).tolist()]
+
+    assert len(symmetries("edge-compare-tensor-z2xz3")) == 6  # both point sets are full
+    assert symmetries("edge-compare-gabor-vs-dirac-z4") == [(k, 0) for k in range(4)]
+    assert symmetries("edge-compare-fourier-lattice-z6") == [(0, k) for k in range(6)]
+    # X = [0, 1, 2, 3, 4, 0, 2]: 0 and 2 twice, so no translation but 0 keeps it,
+    # and the counting identities count |X| = 7 with multiplicity
+    assert symmetries("edge-compare-duplicates-z5") == [0]
+    assert len(_point_sets(_SCENARIOS["edge-compare-duplicates-z5"])[0]) == 7
 
 
 @pytest.mark.parametrize("scenario_id", [i for i, s in _SCENARIOS.items() if s.kind == "hap"])

@@ -32,18 +32,18 @@ def test_acceptance_hashes_match_the_pins(parallelism):
 
 
 # Report paths the acceptance file does not reach: comparisons on a tensor
-# rep, under the dual_of_given B, against a Fourier lattice reference and with
-# duplicate points; density with no samples, no points, samples outside a box
+# rep, of Gabor Z4 against a Dirac lattice, against a Fourier lattice
+# reference and with duplicate points; density with no samples, no points, samples outside a box
 # carrier and a sample of the wrong rank (an error report); box sampling with
 # a trial that escapes.  Every dimension is at most 8.
 EDGE = Path(__file__).resolve().parent / "edge_scenarios.json"
 EDGE_HASHES = {
-    "edge-compare-dual-of-given-z4":
-        "7297136dbc6c017177e5b9b7555270d937464dfff3268003e98f5ee823733cd3",
     "edge-compare-duplicates-z5":
         "1e696714248f9896ccb7004f56a3bcda8a8d81e2dc080b816494b0809c9fb739",
     "edge-compare-fourier-lattice-z6":
         "4f01b378d19e074dd5fc2903499e066a358a13986d0998dcf333fb918e68ad36",
+    "edge-compare-gabor-vs-dirac-z4":
+        "a240e4c7b4af4f6d2f10a3c6d1eed01bb239c377ba589eff7c596441067faab0",
     "edge-compare-tensor-z2xz3":
         "0ee30edfd58971f9fd22bc249492ace480312c1108f0a6da61cd9ad027bfd13e",
     "edge-density-box-outside":
@@ -70,8 +70,10 @@ def test_edge_hashes_match_the_pins(monkeypatch, parallelism):
     assert summaries["edge-density-no-samples"]["cell_count"] == 0
     assert summaries["edge-density-box-outside"]["boundary_total"] == 5
     assert summaries["edge-sampling-box"]["boundary_total"] == 1
-    # B = 1/A of the dual is not what the trace's lower bound uses: it fails there
-    assert summaries["edge-compare-dual-of-given-z4"]["fail_total"] == 16
+    # B = 1/A of the dual would fail the trace's lower bound in 16 cells here;
+    # with the reference's B, the chain holds in all 32
+    assert summaries["edge-compare-gabor-vs-dirac-z4"] == {
+        "cell_count": 32, "pass_total": 32, "fail_total": 0, "boundary_total": 0}
 
 
 class _RollRep(Representation):
@@ -95,7 +97,7 @@ def _dirac_frame(rep):
 
 
 _SPEC = {"frame": None, "reference": None, "epsilon": 0.5, "u_radius": 1,
-         "k_radii": [1], "l_radii": [0, 1], "b_convention": "dual_of_given"}
+         "k_radii": [1], "l_radii": [0, 1]}
 # A comparison cell's values and its flags, the last one ``ok``.
 _VALUES = ("trace_T", "rank_P", "card_X", "card_Y", "lhs", "restricted_sum", "identity_error",
            "star_signed", "star_bound")
@@ -116,7 +118,6 @@ def _windows_escape_at_the_ends():
         L_family=[group.ball(0), group.ball(1)],
         k_labels=[1],
         l_labels=[0, 1],
-        b_convention="dual_of_given",
     )
 
 
@@ -152,7 +153,6 @@ def test_boundary_comparison_certificates_and_rows(monkeypatch):
         inner = [value for value, inside in zip(column, cert.inside) if inside]
         assert all(type(value) is bool for value in inner) == (name in _FLAGS), name
     assert scenario.hap_choice.chosen_l_label == 0
-    assert scenario.b_provenance == "upper bound of dual of E_g"
 
     # The report rows, through the evaluator, with the box-group frames.
     monkeypatch.setattr(runner, "build_frame", lambda desc: frame)
@@ -171,9 +171,9 @@ def test_boundary_comparison_certificates_and_rows(monkeypatch):
     # every row carries the scenario's constants
     for row in rows:
         assert row["L_radius"] == 0 and row["epsilon"] == 0.5
-        assert row["B_used"] == scenario.b_used
-        assert row["B_provenance"] == "upper bound of dual of E_g"
-        assert row["B_alternative"] == scenario.b_alternative
+        assert row["B_used"] == reference.analysis.B
+        assert row["B_provenance"] == "upper bound of reference frame"
+        assert row["B_alternative"] == 1.0 / frame.analysis.A
     assert all(row["ok"] for row in inner)
     assert payload["summary"] == {
         "cell_count": 5, "pass_total": 3, "fail_total": 0, "boundary_total": 2
@@ -278,8 +278,9 @@ def _reference_rows(scenario) -> list[dict]:
     group = scenario.given.rep.group
     hap = scenario.hap_choice
     constants = {"L_radius": hap.chosen_l_label, "epsilon": scenario.epsilon,
-                 "B_used": scenario.b_used, "B_provenance": scenario.b_provenance,
-                 "B_alternative": scenario.b_alternative}
+                 "B_used": scenario.reference.analysis.B,
+                 "B_provenance": "upper bound of reference frame",
+                 "B_alternative": 1.0 / scenario.given.analysis.A}
     rows = []
     for K, k_label in zip(scenario.K_family, scenario.k_labels):
         try:
@@ -307,7 +308,6 @@ def _acceptance_comparison(scenario_id):
         frame = build_frame(spec["frame"])
         reference = build_reference(spec["reference"], frame.rep)
         return ComparisonScenario(given=frame, reference=reference,
-                                  b_convention=spec.get("b_convention", "reference"),
                                   **runner._families(spec, frame.rep.group))
 
     return make

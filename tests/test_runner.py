@@ -304,8 +304,8 @@ _GAUSS_Z6 = {"rep": {"kind": "gabor", "n": 6}, "window": "gauss", "points": "ful
 
 # Every kind, the three error kinds the runner captures most often, box-group
 # density with boundary rows (whole-carrier and sampled base points), box
-# sampling with a boundary trial, a tensor representation, the
-# dual_of_given convention, and a comparison and a HAP scenario that each
+# sampling with a boundary trial, a tensor representation, a comparison
+# whose given frame is not tight, and a comparison and a HAP scenario that each
 # fail twice (a given frame that is not a frame, then a reference lattice or
 # an f that cannot be built), whose reports name the frame's error.
 _EDGE_SCENARIOS = [
@@ -330,13 +330,12 @@ _EDGE_SCENARIOS = [
      "u_radius": 1, "k_radii": [0, 1], "l_radii": [0, 1, 2]},
     {"id": "no-admissible-L", "kind": "hap", "frame": _GAUSS_Z6, "f": "dirac0",
      "epsilon": 0.01, "u_radius": 1, "k_radii": [0, 1], "l_radii": [0]},
-    {"id": "compare-dual", "kind": "comparison",
+    {"id": "compare-not-tight", "kind": "comparison",
      "frame": {"rep": {"kind": "gabor", "n": 4},
                "window": {"sum": ["gauss", [[0.1, 0], [0, 0.1], [0, 0], [0.05, 0.05]]]},
                "points": "full"},
      "reference": {"window": "dirac0", "points": {"lattice": {"steps": [1, 4]}}},
-     "epsilon": 0.5, "u_radius": 1, "k_radii": [0, 1], "l_radii": [0, 1, 2],
-     "b_convention": "dual_of_given"},
+     "epsilon": 0.5, "u_radius": 1, "k_radii": [0, 1], "l_radii": [0, 1, 2]},
     {"id": "compare-malformed-twice", "kind": "comparison",
      "frame": {"rep": {"kind": "gabor", "n": 4}, "window": "gauss", "points": []},
      "reference": {"window": "dirac0", "points": {"lattice": {"steps": [1, 3]}}},

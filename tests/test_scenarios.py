@@ -1,9 +1,11 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import framecert.scenarios as scenarios
 from framecert.cli import main
 from framecert.runner import canonical_json, determinism_sha256, emit, run
 from framecert.scenarios import (
@@ -19,7 +21,8 @@ from framecert.scenarios import (
     load_scenarios,
 )
 
-SUITE = Path(__file__).resolve().parent.parent / "scenarios" / "acceptance.json"
+ROOT = Path(__file__).resolve().parent.parent
+SUITE = ROOT / "scenarios" / "acceptance.json"
 
 MINIMAL = [
     {
@@ -412,6 +415,16 @@ def test_cli_rejects_radii_outside_signed_64_bit(tmp_path, capsys, key, radius):
     assert f".{key}" in captured.err and "[0, 2^63)" in captured.err
 
 
+def test_cli_rejects_a_group_too_large_for_its_coordinates(tmp_path, capsys):
+    # Without the bound the file loads and building the group overflows int64.
+    path = write(tmp_path, [_density(group={"kind": "cyclic", "moduli": [2**70]})])
+    assert main(["density", "--scenarios", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("framecert: error: ") and captured.err.count("\n") == 1
+    assert "scenarios[0].group.moduli" in captured.err and "[1, 2^63)" in captured.err
+
+
 @pytest.mark.parametrize("key", _RADIUS_KEYS)
 def test_the_largest_radius_loads_and_runs(tmp_path, key):
     # A ball of radius 2^63 - 1 is the whole carrier.
@@ -469,8 +482,11 @@ _REJECTED_FILES = {
     "epsilon-beyond-float": ([_hap(epsilon=10**400)], "epsilon", "scenarios[0].epsilon"),
     "comparison-epsilon-1": ([_comparison(epsilon=1)], "epsilon", "scenarios[0].epsilon"),
     "trials-zero": ([_sampling(trials=0)], "trials", "scenarios[0].trials"),
+    # B in the comparison chain is the reference frame's: the key is gone
     "b-convention": ([_comparison(b_convention="given")], "b_convention",
-                     "scenarios[0].b_convention"),
+                     "scenarios[0]: unknown key 'b_convention'"),
+    "b-convention-reference": ([_comparison(b_convention="reference")], "b_convention",
+                               "scenarios[0]: unknown key 'b_convention'"),
     "k-radii-empty": ([_hap(k_radii=[])], "k_radii", "scenarios[0].k_radii"),
     "l-radii-not-list": ([_hap(l_radii=2)], "l_radii", "scenarios[0].l_radii"),
     "group-not-object": ([_density(group="Z4")], "group", "scenarios[0].group"),
@@ -484,6 +500,21 @@ _REJECTED_FILES = {
                  "scenarios[0].group"),
     "halfwidths-negative": ([_density(group={"kind": "box", "halfwidths": [-1]})],
                             "halfwidths", "scenarios[0].group.halfwidths"),
+    # Group sizes fit the int64 carrier coordinates: a box side is 2m + 1.
+    # Only sizes the bounds reject are loaded here, since a size they admit
+    # is enumerated when the scenario runs.
+    "moduli-2^63": ([_density(group={"kind": "cyclic", "moduli": [4, 2**63]})], "moduli",
+                    "scenarios[0].group.moduli"),
+    "moduli-2^70": ([_density(group={"kind": "cyclic", "moduli": [2**70]})], "moduli",
+                    "scenarios[0].group.moduli"),
+    "halfwidths-2^62": ([_density(group={"kind": "box", "halfwidths": [1, 2**62]})],
+                        "halfwidths", "scenarios[0].group.halfwidths"),
+    "halfwidths-2^63": ([_density(group={"kind": "box", "halfwidths": [2**63]})],
+                        "halfwidths", "scenarios[0].group.halfwidths"),
+    "rep-n-2^63": (_rep({"kind": "gabor", "n": 2**63}), "n", "scenarios[0].frame.rep.n"),
+    "tensor-factor-n-2^64": (_rep({"kind": "tensor", "factors": [
+        {"kind": "gabor", "n": 2}, {"kind": "translation", "n": 2**64}]}), "n",
+        "scenarios[0].frame.rep.factors[1].n"),
     "group-kind": ([_density(group={"kind": "torus", "moduli": [4]})], "group",
                    "scenarios[0].group.kind"),
     "rep-not-object": (_rep("gabor"), "rep", "scenarios[0].frame.rep"),
@@ -595,3 +626,31 @@ def test_a_lattice_that_does_not_fit_its_group_stays_in_its_report(tmp_path, gro
     payload = [_density(group=group, points={"lattice": {"steps": steps}})]
     report = run(load_scenarios(write(tmp_path, payload)))[0]
     assert report["error"]["type"] == "ValueError" and message in report["error"]["message"]
+
+
+# -- the documented schema -------------------------------------------------------
+
+
+def _documented_keys(entries) -> list:
+    """(kind, required keys, optional keys) from "key, key [, key]" texts,
+    in the order they are written."""
+    documented = []
+    for kind, keys in entries:
+        required, _, optional = keys.partition("[")
+        documented.append((kind, tuple(re.findall(r"\w+", required)),
+                           tuple(re.findall(r"\w+", optional))))
+    return documented
+
+
+def test_the_readme_and_the_docstring_list_the_schema():
+    """Both documents list every kind with its required and [optional] keys
+    as the loader checks them, so that a key added or removed in one place
+    cannot leave a document stale."""
+    schema = [(kind, *keys) for kind, keys in scenarios._KIND_KEYS.items()]
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Scenario files", 1)[1].split("Descriptors:", 1)[0]
+    entries = re.findall(r"^- `(\w+)`: (.*?)(?=^- |^$)", section, re.M | re.S)
+    assert _documented_keys(entries) == schema
+    docstring = scenarios.__doc__.split("their keys:", 1)[1].split("Descriptors:", 1)[0]
+    entries = re.findall(r"^    (\w+) +(.*?)(?=^    \w|\Z)", docstring, re.M | re.S)
+    assert _documented_keys(entries) == schema
