@@ -1,6 +1,6 @@
 """framecert: numerical certification of coherent-frame inequalities on finite groups.
 
-The package builds finite groups with Haar weights and metric balls, unitary
+The package builds finite groups with counting measure and metric balls, unitary
 (possibly projective) representations acting on C^d, coherent frame systems
 {pi(x_j) g} with their duals, and then certifies -- by exhaustive finite
 computation -- the sampling bound for relatively separated sets, the uniform

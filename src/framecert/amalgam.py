@@ -1,12 +1,12 @@
 """Local maximum functions, amalgam norms, tail masses, and the sampling bound.
 
 For a function f on the carrier and a symmetric ball U, the local maximum
-function is f#(x) = max_{y in xU} |f(y)|.  Its weighted l2 norm is the
-amalgam norm; the portion of its squared mass living on (L^c)U is the tail
+function is f#(x) = max_{y in xU} |f(y)|.  Its l2 norm under counting
+measure is the amalgam norm; the portion of its squared mass living on (L^c)U is the tail
 mass.  The sampling bound certified here states that for a relatively
 separated point set X = {x_j} and any compact K,
 
-    sum_{x_j not in K} |f(x_j)|^2  <=  (C0 / |U|) * sum_{x in K^c U} f#(x)^2 w(x),
+    sum_{x_j not in K} |f(x_j)|^2  <=  (C0 / |U|) * sum_{x in K^c U} f#(x)^2,
 
 where C0 is the separation constant of X relative to U.  Tail masses use the
 squared integrand throughout (reported as convention "squared").
@@ -76,9 +76,9 @@ def local_max(f: GroupFunction, U: CompactSet) -> GroupFunction:
 
 
 def amalgam_norm(f: GroupFunction, U: CompactSet) -> float:
-    """Haar-weighted l2 norm of the local maximum function."""
+    """l2 norm of the local maximum function under counting measure."""
     sharp = local_max(f, U)
-    return float(np.sqrt(np.sum(sharp.values**2 * f.group.haar)))
+    return float(np.sqrt(np.sum(sharp.values**2)))
 
 
 def tail_mass(f: GroupFunction, U: CompactSet, L: CompactSet) -> float:
@@ -89,7 +89,7 @@ def tail_mass(f: GroupFunction, U: CompactSet, L: CompactSet) -> float:
 def sharp_tail_mass(sharp: GroupFunction, U: CompactSet, L: CompactSet) -> float:
     """Squared mass on (L^c)U of an already computed local maximum function."""
     idx = product_set(complement(L), U).positions()
-    return float(np.sum(sharp.values[idx] ** 2 * sharp.group.haar[idx]))
+    return float(np.sum(sharp.values[idx] ** 2))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Finite groups with Haar weights, metric balls, and compact-set algebra.
+"""Finite groups with counting measure, metric balls, and compact-set algebra.
 
 Two kinds of group are supported:
 
@@ -22,21 +22,27 @@ entries read off ``_reduce``.  Elements as Python values -- plain ints
 for rank-1 groups, tuples of ints otherwise -- appear only at the I/O
 boundary: parsing scenarios and writing report rows.
 
-The Haar weight is counting measure (1.0 per element) but is stored per
-element, so every "integral" below is an explicit weighted sum and weighted
-carriers remain possible.  Balls use the max metric with per-coordinate
+The Haar measure is counting measure, so every "integral" below is a plain
+sum and the measure of a set is its number of elements.  A carrier has at
+most MAX_CARRIER_ORDER elements; a larger one raises ValueError before
+anything is allocated.  Balls use the max metric with per-coordinate
 cyclic distance ``min(d, N - d)`` on cyclic groups and ``|d|`` on boxes; both
 choices make every ball symmetric and put the identity inside.
 """
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
 Element = int | tuple[int, ...]
+
+# The most elements a carrier may have: enumerating one costs about 150 B per
+# element, and the largest carrier in use or planned has 20,736 (Gabor Z_144).
+MAX_CARRIER_ORDER = 2**20
 
 
 class OutOfCarrier(Exception):
@@ -48,7 +54,7 @@ class NonSymmetricNeighborhood(Exception):
 
 
 class GroupModel:
-    """Finite group carrier with composition, Haar weights, and metric balls."""
+    """Finite group carrier with composition and metric balls."""
 
     def __init__(self, kind: str, sizes: Sequence[int]):
         sizes = tuple(int(s) for s in sizes)
@@ -68,6 +74,10 @@ class GroupModel:
             self.halfwidths = sizes
         else:
             raise ValueError(f"unknown group kind {kind!r}")
+        order = math.prod(extents)  # a Python int: no overflow, no allocation
+        if order > MAX_CARRIER_ORDER:
+            raise ValueError(
+                f"a carrier of {order} elements exceeds the limit of {MAX_CARRIER_ORDER}")
         self.kind = kind
         self.rank = len(sizes)
         self._sizes = np.array(sizes, dtype=np.int64)
@@ -81,7 +91,6 @@ class GroupModel:
         self.carrier: tuple[Element, ...] = tuple(map(self._from_coords, coords.tolist()))
         self.all_positions = np.arange(len(self.carrier), dtype=np.int64)
         self.all_positions.flags.writeable = False
-        self.haar = np.ones(len(self.carrier))
         self.identity: Element = 0 if self.rank == 1 else (0,) * self.rank
         self._balls: dict[int, CompactSet] = {}
         self._axes = tuple(self._axis(i, extent) for i, extent in enumerate(extents))
@@ -270,9 +279,6 @@ class GroupModel:
             self._balls[radius] = CompactSet(self, positions)
         return self._balls[radius]
 
-    def haar_weight(self, x) -> float:
-        return float(self.haar[self.index(x)])
-
     def mask(self, positions) -> np.ndarray:
         """Boolean carrier mask that is True at ``positions``."""
         mask = np.zeros(self.order, dtype=bool)
@@ -415,8 +421,8 @@ def full_point_set(group: GroupModel) -> PointSet:
 
 
 def measure(K: CompactSet) -> float:
-    """Haar measure of K (a weighted cardinality)."""
-    return float(K.group.haar[K.positions()].sum())
+    """Haar measure of K: counting measure, the number of its elements."""
+    return float(len(K))
 
 
 def product_set(K: CompactSet, L: CompactSet) -> CompactSet:

@@ -31,8 +31,8 @@ differently in products of different widths (by up to ~1e-15 for complex
 d x d @ d x n, d 4-32), so batching the windows of several K would move the
 hashes.
 
-Base points are independent, so find_L is three steps: prepare_scan (all
-that does not depend on y), scan_errors over any range of base points, and
+Building a HapScenario sets up everything that does not depend on y, so
+find_L is two steps: scan_errors over any range of base points, and
 certify over the pieces.  find_L runs one range over the whole carrier;
 the runner splits the carrier over worker processes and gets the same
 certificate.  The certificate keeps the table as the error and inside
@@ -116,7 +116,12 @@ def _tail_bound(sharp: GroupFunction, U: CompactSet, L: CompactSet, C0: int,
 @dataclass
 class HapScenario:
     """One approximation question: frame, test vector, tolerance, families;
-    the duals and the lower bound A are ``frame.analysis``'s."""
+    the duals and the lower bound A are ``frame.analysis``'s.
+
+    Built, it is also the question's cell scan, set up once: what
+    scan_errors needs for any range of base points, and the tail bounds that
+    certify reads.  None of it depends on the base point y.
+    """
 
     frame: FrameSystem
     f: np.ndarray
@@ -128,6 +133,12 @@ class HapScenario:
     l_labels: list | None = None
     duals: np.ndarray = field(init=False)
     lower_bound: float = field(init=False)
+    transported: np.ndarray = field(init=False)  # pi(x) f for every carrier position x, as columns
+    separation: int = field(init=False)
+    bounds: list[float | None] = field(init=False)
+    k_positions: list[np.ndarray] = field(init=False)
+    kl_positions: list[np.ndarray] = field(init=False)  # the distinct K.L sets
+    pairs: list[tuple[int, int, int | None]] = field(init=False)  # (K, L, K.L set) per table row
 
     def __post_init__(self) -> None:
         analysis = self.frame.analysis
@@ -144,6 +155,34 @@ class HapScenario:
         self.k_labels = family_labels(self.k_labels, self.K_family, "k_labels")
         self.l_labels = family_labels(self.l_labels, self.L_family, "l_labels")
         self.f = np.asarray(self.f, dtype=complex)
+
+        frame = self.frame
+        self.transported = carrier_orbit(frame.rep, self.f).T
+        frame.points.slots  # built here, so the scenario pickles it to workers with the points
+        self.separation = separation_constant(frame.points, self.U)
+        try:
+            sharp = local_max(voice_transform(frame.rep, frame.window, self.f), self.U)
+        except OutOfCarrier:
+            # The window maxima escape a truncated carrier: no closed form.
+            self.bounds = [None] * len(self.L_family)
+        else:
+            self.bounds = [_tail_bound(sharp, self.U, L, self.separation, self.lower_bound)
+                           for L in self.L_family]
+
+        # Every (K, L) pair in table order, with the index of its K.L set among
+        # the distinct ones, or None when K.L escapes a truncated carrier.
+        kl_index: dict[CompactSet, int] = {}
+        self.pairs = []
+        for ik, K in enumerate(self.K_family):
+            for il, L in enumerate(self.L_family):
+                try:
+                    kl = product_set(K, L)
+                except OutOfCarrier:
+                    self.pairs.append((ik, il, None))
+                    continue
+                self.pairs.append((ik, il, kl_index.setdefault(kl, len(kl_index))))
+        self.k_positions = [K.positions() for K in self.K_family]
+        self.kl_positions = [kl.positions() for kl in kl_index]
 
 
 def family_labels(labels, family, name: str) -> list:
@@ -211,71 +250,7 @@ class HapCertificate:
         ]
 
 
-@dataclass(frozen=True, eq=False)
-class HapScan:
-    """A scenario's cell scan, set up once: what scan_errors needs for any
-    range of base points, and the tail bounds that certify reads.
-
-    It holds the group, the frame's point set, arrays and small tuples, not
-    the frame, so it pickles cheaply to worker processes.
-    """
-
-    group: GroupModel
-    duals: np.ndarray
-    transported: np.ndarray  # pi(x) f for every carrier position x, as columns
-    points: PointSet  # the frame's points, with their slot table built
-    k_positions: tuple[np.ndarray, ...]
-    kl_positions: tuple[np.ndarray, ...]  # the distinct K.L sets
-    pairs: tuple[tuple[int, int, int | None], ...]  # (K, L, K.L set) per table row
-    bounds: tuple[float | None, ...]
-    separation: int
-
-
-def prepare_scan(scenario: HapScenario) -> HapScan:
-    """Everything in find_L that does not depend on the base point y."""
-    frame = scenario.frame
-    group = frame.rep.group
-
-    transported = carrier_orbit(frame.rep, scenario.f).T
-    frame.points.slots  # built here, so the scan pickles it to workers with the points
-
-    c0 = separation_constant(frame.points, scenario.U)
-    try:
-        sharp = local_max(voice_transform(frame.rep, frame.window, scenario.f), scenario.U)
-    except OutOfCarrier:
-        # The window maxima escape a truncated carrier: no closed form.
-        bounds: list[float | None] = [None] * len(scenario.L_family)
-    else:
-        bounds = [_tail_bound(sharp, scenario.U, L, c0, scenario.lower_bound)
-                  for L in scenario.L_family]
-
-    # Every (K, L) pair in table order, with the index of its K.L set among
-    # the distinct ones, or None when K.L escapes a truncated carrier.
-    kl_index: dict[CompactSet, int] = {}
-    pairs: list[tuple[int, int, int | None]] = []
-    for ik, K in enumerate(scenario.K_family):
-        for il, L in enumerate(scenario.L_family):
-            try:
-                kl = product_set(K, L)
-            except OutOfCarrier:
-                pairs.append((ik, il, None))
-                continue
-            pairs.append((ik, il, kl_index.setdefault(kl, len(kl_index))))
-
-    return HapScan(
-        group=group,
-        duals=scenario.duals,
-        transported=transported,
-        points=frame.points,
-        k_positions=tuple(K.positions() for K in scenario.K_family),
-        kl_positions=tuple(kl.positions() for kl in kl_index),
-        pairs=tuple(pairs),
-        bounds=tuple(bounds),
-        separation=c0,
-    )
-
-
-def scan_errors(scan: HapScan, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+def scan_errors(scenario: HapScenario, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
     """Cell errors of the base points at carrier positions start..stop-1.
 
     Returns ``(errors, inside)``, each with one row per (K, L) pair of the
@@ -284,29 +259,29 @@ def scan_errors(scan: HapScan, start: int, stop: int) -> tuple[np.ndarray, np.nd
     error is 0.  Each y is independent of the others, so any split of the
     carrier into ranges gives the same columns.
     """
-    group = scan.group
-    errors = np.zeros((len(scan.pairs), stop - start))
-    inside = np.zeros((len(scan.pairs), stop - start), dtype=bool)
+    group, points = scenario.frame.rep.group, scenario.frame.points
+    errors = np.zeros((len(scenario.pairs), stop - start))
+    inside = np.zeros((len(scenario.pairs), stop - start), dtype=bool)
     for column, yp in enumerate(range(start, stop)):
         # y.x for every carrier position x: each y.K and y.K.L is read off it.
         translated, kept = group.multiply_masked(yp, group.all_positions)
         targets = [
-            scan.transported[:, translated[k]] if kept[k].all() else None
-            for k in scan.k_positions
+            scenario.transported[:, translated[k]] if kept[k].all() else None
+            for k in scenario.k_positions
         ]
         # Scoped to this y: keeping every y's projectors would hold
         # |G| x (distinct sets) dim x dim matrices at once.
         projectors: dict[int, np.ndarray | None] = {}
-        for row, (ik, _, s) in enumerate(scan.pairs):
+        for row, (ik, _, s) in enumerate(scenario.pairs):
             if s is None or targets[ik] is None:
                 continue
             if s not in projectors:
-                kl = scan.kl_positions[s]
+                kl = scenario.kl_positions[s]
                 # Columns follow K.L's sorted positions translated one by
                 # one; the column order fixes the SVD's rounding, hence the
                 # hashes.
                 projectors[s] = (
-                    span_projector(scan.duals[:, scan.points.indices_at(translated[kl])]).matrix
+                    span_projector(scenario.duals[:, points.indices_at(translated[kl])]).matrix
                     if kept[kl].all()
                     else None
                 )
@@ -323,18 +298,16 @@ def scan_errors(scan: HapScan, start: int, stop: int) -> tuple[np.ndarray, np.nd
     return errors, inside
 
 
-def certify(
-    scenario: HapScenario, scan: HapScan, pieces: list[tuple[np.ndarray, np.ndarray]]
-) -> HapCertificate:
+def certify(scenario: HapScenario, pieces: list[tuple[np.ndarray, np.ndarray]]) -> HapCertificate:
     """The certificate from scan_errors' pieces, which must cover every base
     point once, in carrier order.  The pieces are joined into the
     certificate's error and inside columns as they are; each candidate is
     read off the rows of its L."""
     errors = np.concatenate([piece[0] for piece in pieces], axis=1)
     inside = np.concatenate([piece[1] for piece in pieces], axis=1)
-    l_of_row = np.array([il for _, il, _ in scan.pairs])
+    l_of_row = np.array([il for _, il, _ in scenario.pairs])
     candidates = []
-    for il, bound in enumerate(scan.bounds):
+    for il, bound in enumerate(scenario.bounds):
         rows = l_of_row == il
         interior = errors[rows][inside[rows]]
         worst = float(interior.max()) if interior.size else None
@@ -356,12 +329,13 @@ def certify(
         chosen_L=scenario.L_family[chosen_index],
         chosen_l_label=scenario.l_labels[chosen_index],
         worst_error=candidates[chosen_index].worst_error,
-        theoretical_bound=scan.bounds[chosen_index],
+        theoretical_bound=scenario.bounds[chosen_index],
         epsilon=scenario.epsilon,
-        separation=scan.separation,
+        separation=scenario.separation,
         candidates=candidates,
-        group=scan.group,
-        pair_labels=[(scenario.k_labels[ik], scenario.l_labels[il]) for ik, il, _ in scan.pairs],
+        group=scenario.frame.rep.group,
+        pair_labels=[(scenario.k_labels[ik], scenario.l_labels[il])
+                     for ik, il, _ in scenario.pairs],
         errors=errors,
         inside=inside,
     )
@@ -380,5 +354,4 @@ def find_L(scenario: HapScenario) -> HapCertificate:
     worker processes, with the same table.  The table still lists cells in
     (K, L, y) order.
     """
-    scan = prepare_scan(scenario)
-    return certify(scenario, scan, [scan_errors(scan, 0, scan.group.order)])
+    return certify(scenario, [scan_errors(scenario, 0, scenario.frame.rep.group.order)])

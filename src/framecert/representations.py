@@ -149,7 +149,7 @@ def voice_transform(rep: Representation, g, f) -> GroupFunction:
 
 
 def mollify_window(rep: Representation, g0, kernel: Mapping) -> np.ndarray:
-    """Averaged window sum_x kernel(x) w(x) pi(x) g0 for a finitely supported kernel.
+    """Averaged window sum_x kernel(x) pi(x) g0 for a finitely supported kernel.
 
     Raises ZeroResult when the output norm falls below 1e-12 (a destructive
     kernel), since the result could not serve as a window.
@@ -158,7 +158,7 @@ def mollify_window(rep: Representation, g0, kernel: Mapping) -> np.ndarray:
     out = np.zeros(rep.dim, dtype=complex)
     for x, weight in kernel.items():
         xc = rep.group.canon(x)
-        out += complex(weight) * rep.group.haar_weight(xc) * rep.apply(xc, g0)
+        out += complex(weight) * rep.apply(xc, g0)
     if np.linalg.norm(out) < 1e-12:
         raise ZeroResult("mollifying kernel produced a numerically zero window")
     return out

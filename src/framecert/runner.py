@@ -11,10 +11,11 @@ sealed report (a dict) keeps the full text, which emit() writes as it
 stands; CSV output is that text parsed and flattened.
 Scenarios are independent, and so are a HAP scan's base points, so on Linux
 run() spreads them over forked worker processes when asked for more than
-one: each HAP scan is set up here, its base points are split into one range
-per worker and queued first, and its certificate is assembled here while
-the workers run the other scenarios.  Each report is built and encoded once,
-in the process that assembled it, and its text crosses the pool with it.
+one: each HAP scenario, and with it its scan, is set up here, its base
+points are split into one range per worker and queued first, and its
+certificate is assembled here while the workers run the other scenarios.
+Each report is built and encoded once, in the process that assembled it,
+and its text crosses the pool with it.
 Individual scenario failures (a system that is not a frame, a malformed
 candidate family, an escaping carrier) are captured in the report's "error"
 field and never abort the batch; any other exception is a bug and aborts it.
@@ -72,16 +73,7 @@ from framecert.frames import (
     verify_dual,
 )
 from framecert.groups import NonSymmetricNeighborhood, OutOfCarrier, PointSet, separation_constant
-from framecert.hap import (
-    HapCertificate,
-    HapScan,
-    HapScenario,
-    NoAdmissibleL,
-    certify,
-    find_L,
-    prepare_scan,
-    scan_errors,
-)
+from framecert.hap import HapCertificate, HapScenario, NoAdmissibleL, certify, find_L, scan_errors
 from framecert.representations import DimensionMismatch, ZeroResult, ZeroWindow
 from framecert.scenarios import (
     Scenario,
@@ -360,8 +352,7 @@ def _run_sampling_bound(spec: dict, seed: int) -> dict:
 def _run_frame_analysis(spec: dict, seed: int) -> dict:
     frame = build_frame(spec["frame"])
     analysis = frame.analysis
-    u_radius = spec.get("u_radius", 1)
-    c0 = separation_constant(frame.points, frame.rep.group.ball(u_radius))
+    c0 = separation_constant(frame.points, frame.rep.group.ball(1))
 
     rng = np.random.default_rng(seed)
     worst_rel = 0.0
@@ -382,7 +373,7 @@ def _run_frame_analysis(spec: dict, seed: int) -> dict:
          "ok": worst_rel <= 1e-9},
         _row(dual_check, check="dual_reconstruction"),
         _row(bessel, check="bessel_dual"),
-        {"check": "separation_constant", "u_radius": u_radius, "C0": c0, "ok": True},
+        {"check": "separation_constant", "u_radius": 1, "C0": c0, "ok": True},
     ]
     return {
         "checks": checks,
@@ -564,22 +555,23 @@ def _evaluate(scenario: Scenario, seed_override: int | None) -> dict:
 
 
 def _queue_hap(pool, spec: dict, slices: int):
-    """Set up a HAP scan here and queue its base points on ``pool`` in
-    ``slices`` contiguous ranges; returns what _finish_hap needs."""
+    """Build a HAP scenario here, which sets up its scan, and queue its base
+    points on ``pool`` in ``slices`` contiguous ranges; returns what
+    _finish_hap needs."""
     scenario = _hap_scenario(spec)
-    scan = prepare_scan(scenario)
-    ranges = [r for r in np.array_split(np.arange(scan.group.order), slices) if len(r)]
+    ranges = [r for r in np.array_split(np.arange(scenario.frame.rep.group.order), slices)
+              if len(r)]
     pieces = pool.map(
         scan_errors,
-        [scan] * len(ranges),
+        [scenario] * len(ranges),
         [int(r[0]) for r in ranges],
         [int(r[-1]) + 1 for r in ranges],
     )
-    return scenario, scan, pieces
+    return scenario, pieces
 
 
-def _finish_hap(scenario: HapScenario, scan: HapScan, pieces) -> dict:
-    return _hap_payload(certify(scenario, scan, list(pieces)))
+def _finish_hap(scenario: HapScenario, pieces) -> dict:
+    return _hap_payload(certify(scenario, list(pieces)))
 
 
 def run(
@@ -591,17 +583,17 @@ def run(
     With ``parallelism`` > 1 the work is spread over at most
     ``min(parallelism, os.cpu_count(), tasks)`` worker processes forked from
     this one, so they see its modules as they are.  A HAP scenario counts
-    as one task per worker: this process sets up its scan, splits its base
-    points into one contiguous range per worker and queues the ranges ahead
-    of the other scenarios, then assembles the certificate while the
-    workers run the rest.  Each y's cells are computed as in the serial
-    scan, so the report is the same, and one HAP scenario alone can keep
-    every worker busy.  Only Linux forks; on other platforms (macOS, where
-    fork is unsafe once the system BLAS has run, and Windows, which has no
-    fork), or when one worker would do, the scenarios run serially in this
-    process.  A scenario error in either HAP step becomes that report's
-    error; an exception that is a bug propagates out of run() from a worker
-    as it does from the serial loop."""
+    as one task per worker: this process builds the scenario, which sets up
+    its scan, splits its base points into one contiguous range per worker
+    and queues the ranges ahead of the other scenarios, then assembles the
+    certificate while the workers run the rest.  Each y's cells are
+    computed as in the serial scan, so the report is the same, and one HAP
+    scenario alone can keep every worker busy.  Only Linux forks; on other
+    platforms (macOS, where fork is unsafe once the system BLAS has run, and
+    Windows, which has no fork), or when one worker would do, the scenarios
+    run serially in this process.  A scenario error in either HAP step
+    becomes that report's error; an exception that is a bug propagates out
+    of run() from a worker as it does from the serial loop."""
     haps = [s for s in scenarios if s.kind == "hap"]
     others = [s for s in scenarios if s.kind != "hap"]
     tasks = len(others) + len(haps) * parallelism

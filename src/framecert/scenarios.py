@@ -5,7 +5,7 @@ string), "kind", and optional "seed" (unsigned 64-bit, default 0).  Kinds and
 their keys:
 
     sampling_bound   group, trials, max_radius
-    frame_analysis   frame [, u_radius]
+    frame_analysis   frame
     hap              frame, f, epsilon, u_radius, k_radii, l_radii
     comparison       frame, reference, epsilon, u_radius, k_radii, l_radii
     density          group, points, k_radii [, y_sample]
@@ -57,7 +57,7 @@ _COMMON_KEYS = ("id", "kind", "seed")
 # kind -> (required keys, optional keys)
 _KIND_KEYS = {
     "sampling_bound": (("group", "trials", "max_radius"), ()),
-    "frame_analysis": (("frame",), ("u_radius",)),
+    "frame_analysis": (("frame",), ()),
     "hap": (("frame", "f", "epsilon", "u_radius", "k_radii", "l_radii"), ()),
     "comparison": (("frame", "reference", "epsilon", "u_radius", "k_radii", "l_radii"), ()),
     "density": (("group", "points", "k_radii"), ("y_sample",)),

@@ -86,7 +86,7 @@ def test_criterion_1_sampling_bound():
         K = group.ball(int(rng.integers(0, 4)))
         U = group.ball(int(rng.integers(0, 4)))
         check = sampling_bound_check(f, X, K, U)
-        assert check.C == pytest.approx(check.C0 / sum(group.haar_weight(u) for u in U.members))
+        assert check.C == pytest.approx(check.C0 / len(U))
         violations += not check.holds
     _record(1, f"sampling bound holds on 200/200 randomized instances "
                f"(violations={violations})", violations == 0)

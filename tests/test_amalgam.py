@@ -107,7 +107,7 @@ def test_tail_mass_monotone_in_L(z8):
 
 
 def test_proof_step_inequality():
-    """|f(x_j)|^2 <= (1/|U|) sum_{x in x_j U} f#(x)^2 w(x) for every point."""
+    """|f(x_j)|^2 <= (1/|U|) sum_{x in x_j U} f#(x)^2 for every point."""
     rng = np.random.default_rng(8)
     group = GroupModel.cyclic([16])
     for _ in range(20):
@@ -117,7 +117,7 @@ def test_proof_step_inequality():
         X = point_set(group, rng.integers(0, 16, size=int(rng.integers(1, 17))))
         for xj in X.points:
             window = [group.compose(xj, u) for u in U.members]
-            rhs = sum(sharp.value_at(x) ** 2 * group.haar_weight(x) for x in window)
+            rhs = sum(sharp.value_at(x) ** 2 for x in window)
             assert abs(f.value_at(xj)) ** 2 <= rhs / measure(U) + 1e-12
 
 

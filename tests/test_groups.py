@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from framecert.groups import (
+    MAX_CARRIER_ORDER,
     CompactSet,
     GroupModel,
     NonSymmetricNeighborhood,
@@ -21,6 +22,7 @@ from framecert.groups import (
     separation_constant,
     translate_set,
 )
+from framecert.representations import GaborRep
 
 
 @pytest.fixture
@@ -176,8 +178,23 @@ def test_box_group_boundary_policy():
 def test_canon_and_haar(z8, z4x4):
     assert z8.canon(11) == 3
     assert z4x4.canon((5, -1)) == (1, 3)
-    assert z8.haar_weight(5) == 1.0
-    assert all(w > 0 for w in z8.haar)
+    assert measure(z8.ball(1)) == 3.0
+    assert measure(compact_set(z4x4, z4x4.carrier)) == 16.0
+
+
+# Carriers above the bound, each rejected before anything is allocated: a
+# modulus of 2^33 alone would ask numpy for 64 GiB.
+_OVERSIZED = {
+    "cyclic-2^33": lambda: GroupModel.cyclic([2**33]),
+    "gabor-2^11": lambda: GaborRep(2**11),
+    "box": lambda: GroupModel.box([2**19, 2**40]),
+}
+
+
+@pytest.mark.parametrize("make", _OVERSIZED.values(), ids=_OVERSIZED.keys())
+def test_a_carrier_above_the_bound_is_a_value_error(make):
+    with pytest.raises(ValueError, match=f"exceeds the limit of {MAX_CARRIER_ORDER}"):
+        make()
 
 
 def test_diameter(z8, z4x4):

@@ -25,7 +25,6 @@ from framecert.hap import (
     find_L,
     hap_error,
     local_subspace,
-    prepare_scan,
     scan_errors,
     theoretical_tail_bound,
 )
@@ -382,12 +381,12 @@ def _gabor_scenario():
 def _sliced_certificate(scenario, slices, mapper):
     """find_L's certificate with the base points scanned in ``slices``
     contiguous ranges through ``mapper`` (map's signature)."""
-    scan = prepare_scan(scenario)
-    ranges = np.array_split(np.arange(scan.group.order), slices)
+    ranges = np.array_split(np.arange(scenario.frame.rep.group.order), slices)
     pieces = mapper(
-        scan_errors, [scan] * slices, [int(r[0]) for r in ranges], [int(r[-1]) + 1 for r in ranges]
+        scan_errors, [scenario] * slices, [int(r[0]) for r in ranges],
+        [int(r[-1]) + 1 for r in ranges],
     )
-    return certify(scenario, scan, list(pieces))
+    return certify(scenario, list(pieces))
 
 
 SPLIT_SCENARIOS = {"gabor-z8": _gabor_scenario, "box": _box_scenario}
@@ -421,13 +420,13 @@ def test_a_tail_bound_below_a_cell_error_fails_domination():
     # A lower bound 10^6 times too large shrinks every tail bound by 10^3:
     # L = 0 leaves an error of 0.707 against a bound of 0.0014.
     frame, _ = gabor_gauss(8)
+    frame.analysis.A *= 1e6
     group = frame.rep.group
     scenario = HapScenario(
         frame=frame, f=dirac_vector(8), epsilon=0.2, U=group.ball(1),
         K_family=[group.ball(0), group.ball(1)], L_family=[group.ball(r) for r in range(4)],
         k_labels=[0, 1], l_labels=[0, 1, 2, 3],
     )
-    scenario.lower_bound *= 1e6
     cert = find_L(scenario)
     first = cert.candidates[0]
     assert not first.passed and not first.domination_ok

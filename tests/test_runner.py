@@ -286,7 +286,7 @@ def test_hap_scenario_errors_stay_in_their_report_across_the_pool(tmp_path, monk
     assert "certificate" not in no_l and "certificate" not in not_a_frame
 
 
-def _buggy_slice(scan, start, stop):
+def _buggy_slice(scenario, start, stop):
     raise TypeError("a bug in the slice, not a scenario failure")
 
 
@@ -296,6 +296,22 @@ def test_programming_errors_in_a_hap_slice_escape_run(tmp_path, monkeypatch):
     scenarios = load_scenarios(_hap_file(tmp_path, [_hap_spec("z8")]))
     with pytest.raises(TypeError, match="a bug in the slice"):
         run(scenarios, parallelism=2)
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_an_oversized_carrier_fails_its_report_and_the_batch_runs_on(monkeypatch, parallelism):
+    # The middle scenario's carrier has 2^33 elements: it is refused before
+    # anything is allocated, and the scenarios on either side still run.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    reports = run(load_scenarios(ROOT / "tests" / "oversized_carrier.json"),
+                  parallelism=parallelism)
+    by_id = {r["scenario_id"]: r for r in reports}
+    oversized = by_id.pop("carrier-oversized-density")
+    assert oversized["error"] == {
+        "type": "ValueError",
+        "message": "a carrier of 8589934592 elements exceeds the limit of 1048576"}
+    assert not oversized["ok"]
+    assert [(r["error"], r["ok"]) for r in by_id.values()] == [(None, True)] * 2
 
 
 # -- one encoding per report ---------------------------------------------------
@@ -322,7 +338,7 @@ _EDGE_SCENARIOS = [
     {"id": "not-a-frame", "kind": "frame_analysis",
      "frame": {"rep": {"kind": "gabor", "n": 4}, "window": "flat",
                "points": {"lattice": {"steps": [1, 4]}}}},
-    {"id": "tensor-frame", "kind": "frame_analysis", "u_radius": 1, "seed": 3,
+    {"id": "tensor-frame", "kind": "frame_analysis", "seed": 3,
      "frame": {"rep": {"kind": "tensor", "factors": [{"kind": "translation", "n": 2},
                                                      {"kind": "gabor", "n": 3}]},
                "window": "gauss", "points": "full"}},

@@ -487,6 +487,9 @@ _REJECTED_FILES = {
                      "scenarios[0]: unknown key 'b_convention'"),
     "b-convention-reference": ([_comparison(b_convention="reference")], "b_convention",
                                "scenarios[0]: unknown key 'b_convention'"),
+    # a frame_analysis C0 is always taken over the ball of radius 1
+    "frame-analysis-u-radius": ([dict(MINIMAL[0], u_radius=1)], "u_radius",
+                                "scenarios[0]: unknown key 'u_radius'"),
     "k-radii-empty": ([_hap(k_radii=[])], "k_radii", "scenarios[0].k_radii"),
     "l-radii-not-list": ([_hap(l_radii=2)], "l_radii", "scenarios[0].l_radii"),
     "group-not-object": ([_density(group="Z4")], "group", "scenarios[0].group"),
