@@ -23,10 +23,11 @@ B is the upper frame bound of the reference frame, the bound of the trace
 sandwich the chain runs through; the runner also records the upper bound 1/A
 of the dual of E_g beside it, for comparison only.
 
-Cells work on carrier positions: K.L is built once per K, each cell
-translates K and K.L with GroupModel.multiply_masked, and the point sets'
-slot tables (PointSet.indices_at) give P's duals and Q's reference atoms,
-both in frame-index order, the order that fixes the SVDs' rounding.
+Cells work on carrier positions: each K.L is read off the comparison's HAP
+question (ComparisonScenario.hap, a HapScenario, which builds them all), each
+cell translates K and K.L with GroupModel.multiply_masked, and the point
+sets' slot tables (PointSet.indices_at) give P's duals and Q's reference
+atoms, both in frame-index order, the order that fixes the SVDs' rounding.
 comparison_run returns one certificate per K with its cells as columns
 under their report names, as the runner writes them.
 """
@@ -40,14 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from framecert.frames import FrameSystem, SpanProjector, span_projector
-from framecert.groups import (
-    CompactSet,
-    OutOfCarrier,
-    PointSet,
-    measure,
-    product_set,
-    window_reduce,
-)
+from framecert.groups import CompactSet, OutOfCarrier, PointSet, measure, window_reduce
 from framecert.hap import HapCertificate, HapScenario, NoAdmissibleL, family_labels, find_L
 
 _REL_SLACK = 1e-9
@@ -123,25 +117,25 @@ class ComparisonScenario:
         self.l_labels = family_labels(self.l_labels, self.L_family, "l_labels")
 
     @cached_property
-    def hap_choice(self) -> HapCertificate:
-        """L chosen so the given frame's dual spans track transported copies of h.
-
-        The threshold is epsilon * ||h||, uniform over all y and the whole
-        window family; one L serves every certificate of the batch.
-        """
-        threshold = self.epsilon * float(np.linalg.norm(self.reference.window))
-        scenario = HapScenario(
+    def hap(self) -> HapScenario:
+        """The HAP question under the comparison, at threshold epsilon * ||h||;
+        building it builds every K.L, for the HAP scan and for the cells."""
+        return HapScenario(
             frame=self.given,
             f=self.reference.window,
-            epsilon=threshold,
+            epsilon=self.epsilon * float(np.linalg.norm(self.reference.window)),
             U=self.U,
             K_family=self.K_family,
             L_family=self.L_family,
             k_labels=self.k_labels,
             l_labels=self.l_labels,
         )
+
+    @cached_property
+    def hap_choice(self) -> HapCertificate:
+        """The HAP certificate; its L serves every certificate of the batch."""
         try:
-            return find_L(scenario)
+            return find_L(self.hap)
         except NoAdmissibleL as exc:
             raise HapPreconditionUnmet(str(exc)) from exc
 
@@ -222,19 +216,16 @@ def comparison_certificate(scenario: ComparisonScenario, yp: int, k_positions: n
 
 def comparison_run(scenario: ComparisonScenario) -> list[ComparisonCertificate]:
     """One certificate per window K, in family order, over the carrier."""
-    chosen_L = scenario.hap_choice.chosen_L
+    chosen, hap = scenario.hap_choice.chosen_index, scenario.hap
     certificates = []
-    for K, k_label in zip(scenario.K_family, scenario.k_labels):
-        try:
-            kl_positions = product_set(K, chosen_L).positions()
-        except OutOfCarrier:
-            kl_positions = None
-        cells = [comparison_certificate(scenario, yp, K.positions(), kl_positions)
+    for ik, s in [(ik, s) for ik, il, s in hap.pairs if il == chosen]:
+        kl_positions = None if s is None else hap.kl_positions[s]
+        cells = [comparison_certificate(scenario, yp, hap.k_positions[ik], kl_positions)
                  for yp in range(scenario.given.rep.group.order)]
         columns = {name: [default if cell is None else cell[name] for cell in cells]
                    for name, default in _BOUNDARY_CELL.items()}
         certificates.append(ComparisonCertificate(
-            k_label, columns, [cell is not None for cell in cells]))
+            scenario.k_labels[ik], columns, [cell is not None for cell in cells]))
     return certificates
 
 

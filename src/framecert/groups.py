@@ -168,20 +168,24 @@ class GroupModel:
         (..., rank), and whether ``x`` was a single element.
 
         A coordinate array has at least two axes; a 1-D array is one element,
-        like a tuple.
+        like a tuple.  A coordinate that is not an integer (or is a bool) raises
+        ValueError.
         """
         if isinstance(x, np.ndarray) and x.ndim >= 2:
             if x.shape[-1] != self.rank:
                 raise ValueError(f"coordinate arrays need a last axis of {self.rank}")
+            if x.dtype.kind not in "iu" and x.size:  # an empty batch has no coordinate
+                first = self._from_coords(x.reshape(-1, self.rank)[0].tolist())
+                raise ValueError(f"element {first!r} has non-integer coordinates ({x.dtype})")
             coords, element = x, False
         else:
-            if isinstance(x, (int, np.integer)):
-                x_coords = (x,)
-            else:
-                x_coords = tuple(x)
+            x_coords = (x,) if isinstance(x, (int, float, np.generic)) else tuple(x)
             if len(x_coords) != self.rank:
                 raise ValueError(f"element {x!r} has rank {len(x_coords)}, expected {self.rank}")
-            coords, element = np.array([int(c) for c in x_coords], dtype=np.int64), True
+            for c in x_coords:  # a bool is an int, but no coordinate
+                if type(c) is not int and not isinstance(c, np.integer):
+                    raise ValueError(f"element {x!r} has non-integer coordinates")
+            coords, element = np.array(x_coords, dtype=np.int64), True
         return self._checked(
             coords,
             lambda row: f"element {self._name(x, coords, element, row)!r} lies outside the carrier",

@@ -226,6 +226,7 @@ class HapCertificate:
     entry in ``errors`` is 0.
     """
 
+    chosen_index: int  # of the chosen L in the candidate family
     chosen_L: CompactSet
     chosen_l_label: object
     worst_error: float
@@ -326,6 +327,7 @@ def certify(scenario: HapScenario, pieces: list[tuple[np.ndarray, np.ndarray]]) 
             f"no candidate among {scenario.l_labels} reached worst error < {scenario.epsilon}"
         )
     return HapCertificate(
+        chosen_index=chosen_index,
         chosen_L=scenario.L_family[chosen_index],
         chosen_l_label=scenario.l_labels[chosen_index],
         worst_error=candidates[chosen_index].worst_error,

@@ -5,7 +5,8 @@ canonicalizes it once (floats at 12 significant digits, lists, plain Python
 scalars), so emitting canonical JSON and parsing it back reproduces the
 sealed report exactly.  Each report carries a determinism hash over its
 canonical JSON with the timestamp removed; two runs with the same scenario
-file and seeds must agree hash-for-hash regardless of parallelism.  Sealing
+file and seeds must agree hash-for-hash at every parallelism level, given
+one BLAS thread count (the pins are taken with one thread).  Sealing
 also encodes the report once: the hash is taken over that encoding, and the
 sealed report (a dict) keeps the full text, which emit() writes as it
 stands; CSV output is that text parsed and flattened.
@@ -578,7 +579,7 @@ def run(
     scenarios: list[Scenario], parallelism: int = 1, seed_override: int | None = None
 ) -> list[dict]:
     """Evaluate all scenarios; output is ordered by scenario id and is
-    byte-identical for fixed seeds regardless of the parallelism level.
+    byte-identical for fixed seeds and BLAS thread count at any parallelism.
 
     With ``parallelism`` > 1 the work is spread over at most
     ``min(parallelism, os.cpu_count(), tasks)`` worker processes forked from

@@ -265,49 +265,6 @@ def test_comparison_rejects_labels_that_do_not_match_their_family(k_labels, l_la
         )
 
 
-def test_comparison_run_builds_each_chosen_product_once(monkeypatch):
-    """comparison_run works on carrier positions: one product_set per K and no
-    per-cell translate_set or local_subspace, in any framecert namespace."""
-    import framecert.comparison
-    import framecert.groups
-    import framecert.hap
-
-    rep = GaborRep(8)
-    group = rep.group
-    given = coherent_frame(rep, periodized_gaussian(8), full_point_set(group))
-    reference = coherent_frame(rep, dirac_vector(8), point_set(group, [(k, 0) for k in range(8)]))
-    scenario = _scenario(given, reference, epsilon=0.5, k_radii=(0, 1), l_radii=(0, 1, 2, 3, 4))
-    chosen_L = scenario.hap_choice.chosen_L  # the HAP scan's own set algebra, before counting
-    calls = {"product_set": [], "translate_set": 0, "local_subspace": 0}
-
-    def counting_product(K, L):
-        calls["product_set"].append((K, L))
-        return product_set(K, L)
-
-    def counter(name, original):
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-        return counted
-
-    monkeypatch.setattr(framecert.comparison, "product_set", counting_product)
-    for module in (framecert.groups, framecert.hap, framecert.comparison):
-        for name, original in (("translate_set", translate_set),
-                               ("local_subspace", local_subspace)):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, counter(name, original))
-    # the counters are live: the reference oracle goes through both
-    framecert.hap.local_subspace(scenario.given.analysis.canonical_dual, given.points, (1, 2),
-                                 group.ball(1))
-    assert (calls["translate_set"], calls["local_subspace"]) == (1, 1)
-    calls.update(translate_set=0, local_subspace=0)
-
-    cells = _cells(comparison_run(scenario), group)
-    assert len(cells) == 2 * group.order
-    assert calls["product_set"] == [(K, chosen_L) for K in scenario.K_family]
-    assert (calls["translate_set"], calls["local_subspace"]) == (0, 0)
-
-
 class _ModRollRep(Representation):
     """Rolls of C^3 indexed by the box [-3, 3]: a box group whose frames span
     with three points, so a window L without the identity can certify the
@@ -354,6 +311,81 @@ def _lattice_comparison():
                                build_points({"lattice": {"steps": [1, 6]}}, group))
     return _comparison(given, reference, 0.5, [group.ball(0), group.ball(1)],
                        [group.ball(r) for r in (0, 1, 2, 3)])
+
+
+def _gabor_z8_comparison():
+    rep = GaborRep(8)
+    group = rep.group
+    given = coherent_frame(rep, periodized_gaussian(8), full_point_set(group))
+    reference = coherent_frame(rep, dirac_vector(8), point_set(group, [(k, 0) for k in range(8)]))
+    return _scenario(given, reference, epsilon=0.5, k_radii=(0, 1), l_radii=(0, 1, 2, 3, 4))
+
+
+def test_comparison_run_builds_each_chosen_product_once(monkeypatch):
+    """Each chosen K.L is built once, by the HAP scenario: comparison_run
+    calls no product_set, translate_set or local_subspace in any framecert
+    namespace, and hands each cell the positions of K and of
+    product_set(K, chosen L), or None, making every cell boundary, when that
+    product escapes."""
+    import framecert.comparison
+    import framecert.groups
+    import framecert.hap
+
+    def chosen_product(K, chosen_L):
+        try:
+            return product_set(K, chosen_L).positions()
+        except OutOfCarrier:
+            return None
+
+    scenarios = [_gabor_z8_comparison(), _box_comparison()]
+    # the HAP scan's own set algebra, and the expected products, before counting
+    expected = [[chosen_product(K, scenario.hap_choice.chosen_L) for K in scenario.K_family]
+                for scenario in scenarios]
+    assert [[kl is None for kl in products] for products in expected] == [
+        [False, False], [False, True]]  # the box's ball(2).{2} leaves [-3, 3]
+    calls = {"product_set": 0, "translate_set": 0, "local_subspace": 0}
+    handed = []
+
+    def counter(name, original):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    def recording_certificate(scenario, yp, k_positions, kl_positions):
+        handed.append((yp, k_positions, kl_positions))
+        return comparison_certificate(scenario, yp, k_positions, kl_positions)
+
+    for module in (framecert.groups, framecert.hap, framecert.comparison):
+        for name, original in (("product_set", product_set), ("translate_set", translate_set),
+                               ("local_subspace", local_subspace)):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counter(name, original))
+    monkeypatch.setattr(framecert.comparison, "comparison_certificate", recording_certificate)
+    # the counters are live: the reference oracle goes through all three
+    group = scenarios[0].given.rep.group
+    framecert.hap.hap_error(scenarios[0].given, scenarios[0].given.analysis.canonical_dual,
+                            scenarios[0].reference.window, (0, 0), group.ball(0), group.ball(0))
+    assert calls == {"product_set": 1, "translate_set": 2, "local_subspace": 1}
+    calls.update(product_set=0, translate_set=0, local_subspace=0)
+
+    for scenario, products in zip(scenarios, expected):
+        group = scenario.given.rep.group
+        handed.clear()
+        certs = comparison_run(scenario)
+        assert calls == {"product_set": 0, "translate_set": 0, "local_subspace": 0}
+        assert len(handed) == len(scenario.K_family) * group.order
+        for cert, K, kl, start in zip(certs, scenario.K_family, products,
+                                      range(0, len(handed), group.order)):
+            cells = handed[start:start + group.order]
+            assert [yp for yp, _, _ in cells] == list(range(group.order))
+            assert all(np.array_equal(k, K.positions()) for _, k, _ in cells)
+            if kl is None:
+                assert all(kl_positions is None for _, _, kl_positions in cells)
+                assert not any(cert.inside)
+            else:
+                assert all(np.array_equal(kl_positions, kl) for _, _, kl_positions in cells)
+                assert any(cert.inside)
 
 
 @pytest.mark.parametrize("make", [_box_comparison, _lattice_comparison], ids=["box", "lattice"])

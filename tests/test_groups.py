@@ -380,6 +380,28 @@ def test_one_dimensional_array_is_one_element(z8, z4x4):
     assert batch not in z4x4.ball(1)
 
 
+@pytest.mark.parametrize("element", [(1.5, 2), (1.9, 2), (1.0, 2), (True, 2), (np.True_, 2),
+                                     np.array([1.5, 2.0]), np.array([True, False])])
+def test_non_integer_coordinates_are_not_elements(z4x4, element):
+    # int() used to truncate them: (1.5, 2) was (1, 2), and (True, 2) too.
+    for method in (z4x4.index, z4x4.canon, z4x4.metric, lambda x: z4x4.compose(x, (0, 0))):
+        with pytest.raises(ValueError, match="non-integer coordinates"):
+            method(element)
+    assert not z4x4.contains(element)
+    assert element not in z4x4.ball(2)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.bool_, object])
+def test_coordinate_arrays_need_an_integer_dtype(z4x4, dtype):
+    batch = np.array([[1.5, 2.0], [0, 1]]).astype(dtype)
+    with pytest.raises(ValueError, match=r"element .* has non-integer coordinates"):
+        z4x4.index(batch)
+    assert z4x4.index(np.array([[1, 2]], dtype=np.int32)).tolist() == [6]
+    assert z4x4.index(np.zeros((0, 2), dtype=dtype)).size == 0
+    z8 = GroupModel.cyclic([8])
+    assert z8.index(np.uint8(3)) == 3 and z8.contains(7) and not z8.contains(7.0)
+
+
 def test_escape_messages_name_the_first_escaping_pair():
     box = GroupModel.box([2, 2])
     with pytest.raises(OutOfCarrier, match=r"product of \(2, 0\) and \(1, 0\) escapes"):

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import framecert.scenarios as scenarios
 from framecert.cli import main
@@ -657,3 +659,66 @@ def test_the_readme_and_the_docstring_list_the_schema():
     docstring = scenarios.__doc__.split("their keys:", 1)[1].split("Descriptors:", 1)[0]
     entries = re.findall(r"^    (\w+) +(.*?)(?=^    \w|\Z)", docstring, re.M | re.S)
     assert _documented_keys(entries) == schema
+
+
+# -- loader fuzz -----------------------------------------------------------------
+
+_FUZZ_SETTINGS = settings(derandomize=True, max_examples=150, deadline=None, database=None)
+
+# Any JSON value, NaN and infinities included (json.dumps writes them, and
+# json.loads reads them back).
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=4),
+    max_leaves=12,
+)
+# The loaded examples above, and the first scenario of each kind in the
+# shipped file.
+_FUZZ_BASES = [MINIMAL[0], _hap(), _density()] + list(
+    {item["kind"]: item for item in reversed(json.loads(SUITE.read_text(encoding="utf-8")))}
+    .values())
+
+
+def _nodes(value, path=()):
+    """The path to ``value`` and to every list and dict nested in it."""
+    yield path, value
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield from _nodes(child, path + (key,))
+
+
+@st.composite
+def _one_key_mutations(draw):
+    """A base scenario with one key anywhere in it replaced by any JSON value,
+    deleted, or added."""
+    scenario = json.loads(json.dumps(draw(st.sampled_from(_FUZZ_BASES))))
+    containers = [(path, node) for path, node in _nodes(scenario)
+                  if isinstance(node, (dict, list)) and (node or isinstance(node, dict))]
+    _, node = draw(st.sampled_from(containers))
+    keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+    action = draw(st.sampled_from(["replace", "delete", "add"] if isinstance(node, dict)
+                                  else ["replace"]))
+    if action == "add":
+        known = ["id", "kind", "seed", *{k for keys in scenarios._KIND_KEYS.values()
+                                         for group in keys for k in group}]
+        node[draw(st.sampled_from(sorted(known)) | st.text(max_size=6))] = draw(_JSON)
+    elif action == "delete" and keys:
+        del node[draw(st.sampled_from(keys))]
+    elif keys:
+        node[draw(st.sampled_from(keys))] = draw(_JSON)
+    return [scenario]
+
+
+@_FUZZ_SETTINGS
+@given(payload=_JSON | _one_key_mutations())
+def test_the_loader_loads_or_rejects_any_json(tmp_path_factory, payload):
+    """Every JSON value either loads or raises ValidationError or
+    ParseError, and nothing else."""
+    path = write(tmp_path_factory.mktemp("fuzz"), payload)
+    try:
+        loaded = load_scenarios(path)
+    except (ValidationError, ParseError):
+        return
+    assert isinstance(loaded, list) and all(isinstance(s, Scenario) for s in loaded)
