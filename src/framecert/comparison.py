@@ -28,6 +28,8 @@ question (ComparisonScenario.hap, a HapScenario, which builds them all), each
 cell translates K and K.L with GroupModel.multiply_masked, and the point
 sets' slot tables (PointSet.indices_at) give P's duals and Q's reference
 atoms, both in frame-index order, the order that fixes the SVDs' rounding.
+Like the HAP, the comparison needs a group, whose translates never escape:
+its HapScenario rejects a box carrier, so every cell is computed.
 comparison_run returns one certificate per K with its cells as columns
 under their report names, as the runner writes them.
 """
@@ -140,43 +142,25 @@ class ComparisonScenario:
             raise HapPreconditionUnmet(str(exc)) from exc
 
 
-# A boundary cell, whose window escapes a truncated carrier: no value is
-# computed and no inequality verified.
-_BOUNDARY_CELL = {
-    **dict.fromkeys(("trace_T", "rank_P", "card_X", "card_Y", "lhs", "restricted_sum",
-                     "identity_error", "star_signed", "star_bound")),
-    **dict.fromkeys(("chain_ok", "final_ok", "restricted_sum_ok", "identity_ok", "star_ok",
-                     "trace_lemma_ok", "trace_lower_ok", "ok"), False),
-}
-
-
 @dataclass(frozen=True, eq=False)
 class ComparisonCertificate:
     """The (y, K) cells of one window K as columns, one entry per carrier
     position under each report name: trace, rank, both counts, every
-    verified inequality, and ``ok``, true where all seven flags are.  A cell
-    not inside is boundary, with None values and false flags.  The chosen
-    L, the tolerance and B belong to the scenario."""
+    verified inequality, and ``ok``, true where all seven flags are.  The
+    chosen L, the tolerance and B belong to the scenario."""
 
     k_label: object
     columns: dict[str, list]
-    inside: list[bool]
 
 
 def comparison_certificate(scenario: ComparisonScenario, yp: int, k_positions: np.ndarray,
-                           kl_positions: np.ndarray | None) -> dict | None:
+                           kl_positions: np.ndarray) -> dict:
     """The full counting chain for the (y, K) cell at carrier position ``yp``,
-    from the positions of K and of K.L for the chosen L (None when K.L
-    escapes): the cell's values under their report names, or None for a
-    boundary cell."""
-    if kl_positions is None:
-        return None
+    from the positions of K and of K.L for the chosen L: the cell's values
+    under their report names."""
     group = scenario.given.rep.group
-    yk, yk_kept = group.multiply_masked(yp, k_positions)
-    ykl, ykl_kept = group.multiply_masked(yp, kl_positions)
-    # Both masks: L need not contain e, so y.K may escape while y.K.L stays.
-    if not (yk_kept.all() and ykl_kept.all()):
-        return None
+    yk = group.multiply_masked(yp, k_positions)[0]
+    ykl = group.multiply_masked(yp, kl_positions)[0]
 
     # The duals of the points in y.K.L and the reference atoms of the points
     # in y.K, each in frame-index order.
@@ -219,13 +203,10 @@ def comparison_run(scenario: ComparisonScenario) -> list[ComparisonCertificate]:
     chosen, hap = scenario.hap_choice.chosen_index, scenario.hap
     certificates = []
     for ik, s in [(ik, s) for ik, il, s in hap.pairs if il == chosen]:
-        kl_positions = None if s is None else hap.kl_positions[s]
-        cells = [comparison_certificate(scenario, yp, hap.k_positions[ik], kl_positions)
+        cells = [comparison_certificate(scenario, yp, hap.k_positions[ik], hap.kl_positions[s])
                  for yp in range(scenario.given.rep.group.order)]
-        columns = {name: [default if cell is None else cell[name] for cell in cells]
-                   for name, default in _BOUNDARY_CELL.items()}
-        certificates.append(ComparisonCertificate(
-            scenario.k_labels[ik], columns, [cell is not None for cell in cells]))
+        columns = {name: [cell[name] for cell in cells] for name in cells[0]}
+        certificates.append(ComparisonCertificate(scenario.k_labels[ik], columns))
     return certificates
 
 

@@ -6,7 +6,10 @@ Two kinds of group are supported:
   modulo each ``N_i``, and
 * bounded box truncations ``[-m_i, m_i]^k`` of ``Z^k``, where compositions
   that leave the carrier raise :class:`OutOfCarrier` instead of wrapping
-  (silent wrapping would corrupt any boundary analysis built on top).
+  (silent wrapping would corrupt any boundary analysis built on top).  A
+  box has no group law at its edges, so it serves the sampling bound and
+  density tables, which mark escaping windows as boundary; the HAP and the
+  comparison need a group, and HapScenario rejects a box.
 
 The carrier is enumerated in row-major order of its coordinates, so an
 element's position is a mixed-radix number and ``GroupModel.coords`` holds
@@ -138,7 +141,8 @@ class GroupModel:
         """
         if self.moduli is not None:
             return coords % self._sizes, None
-        return coords, np.all(np.abs(coords) <= self._sizes, axis=-1)
+        # two comparisons, not abs(): abs(-2**63) overflows to -2**63
+        return coords, np.all((-self._sizes <= coords) & (coords <= self._sizes), axis=-1)
 
     def _from_coords(self, coords: Sequence[int]) -> Element:
         return coords[0] if self.rank == 1 else tuple(coords)
@@ -168,15 +172,19 @@ class GroupModel:
         (..., rank), and whether ``x`` was a single element.
 
         A coordinate array has at least two axes; a 1-D array is one element,
-        like a tuple.  A coordinate that is not an integer (or is a bool) raises
-        ValueError.
+        like a tuple.  A coordinate that is not an integer (or is a bool), or
+        lies outside the signed 64-bit range, raises ValueError; so does a
+        coordinate array of uint64, which int64 cannot hold.
         """
         if isinstance(x, np.ndarray) and x.ndim >= 2:
             if x.shape[-1] != self.rank:
                 raise ValueError(f"coordinate arrays need a last axis of {self.rank}")
-            if x.dtype.kind not in "iu" and x.size:  # an empty batch has no coordinate
+            integer = x.dtype.kind in "iu"
+            # an empty batch has no coordinate
+            if x.size and not (integer and np.can_cast(x.dtype, np.int64)):
                 first = self._from_coords(x.reshape(-1, self.rank)[0].tolist())
-                raise ValueError(f"element {first!r} has non-integer coordinates ({x.dtype})")
+                problem = "coordinates int64 cannot hold" if integer else "non-integer coordinates"
+                raise ValueError(f"element {first!r} has {problem} ({x.dtype})")
             coords, element = x, False
         else:
             x_coords = (x,) if isinstance(x, (int, float, np.generic)) else tuple(x)
@@ -185,6 +193,9 @@ class GroupModel:
             for c in x_coords:  # a bool is an int, but no coordinate
                 if type(c) is not int and not isinstance(c, np.integer):
                     raise ValueError(f"element {x!r} has non-integer coordinates")
+                if not -2**63 <= c < 2**63:
+                    raise ValueError(f"element {x!r} has a coordinate outside the signed "
+                                     "64-bit range")
             coords, element = np.array(x_coords, dtype=np.int64), True
         return self._checked(
             coords,

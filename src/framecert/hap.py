@@ -31,14 +31,19 @@ differently in products of different widths (by up to ~1e-15 for complex
 d x d @ d x n, d 4-32), so batching the windows of several K would move the
 hashes.
 
+The question needs a group: every translate yK and yKL, and every tail
+window, must stay in the carrier, as it does on a product of cyclic groups.
+A box truncation's products escape at its edges, so HapScenario rejects a
+frame on one, and no cell is ever left out of the scan.
+
 Building a HapScenario sets up everything that does not depend on y, so
 find_L is two steps: scan_errors over any range of base points, and
 certify over the pieces.  find_L runs one range over the whole carrier;
 the runner splits the carrier over worker processes and gets the same
-certificate.  The certificate keeps the table as the error and inside
-arrays the scan produced, one row per (K, L) pair and one column per base
-point; HapCertificate.table lists the same cells as HapCell objects, built
-on access for library callers.
+certificate.  The certificate keeps the table as the error array the scan
+produced, one row per (K, L) pair and one column per base point;
+HapCertificate.table lists the same cells as HapCell objects, built on
+access for library callers.
 """
 
 from __future__ import annotations
@@ -52,7 +57,6 @@ from framecert.frames import FrameSystem, SpanProjector, span_projector
 from framecert.groups import (
     CompactSet,
     GroupModel,
-    OutOfCarrier,
     PointSet,
     measure,
     product_set,
@@ -82,8 +86,8 @@ def local_subspace(duals, X: PointSet, y, S: CompactSet) -> SpanProjector:
 def hap_error(frame: FrameSystem, duals, f, y, K: CompactSet, L: CompactSet) -> float:
     """max_{x in yK} ||pi(x) f - P pi(x) f|| with P onto span{h_j : x_j in yKL}.
 
-    OutOfCarrier propagates on truncated groups; boundary cells are the
-    caller's to report, never to skip silently.
+    OutOfCarrier propagates on truncated groups, where a window escapes;
+    HapScenario takes no frame on one.
     """
     projector = local_subspace(duals, frame.points, y, product_set(K, L))
     targets = np.column_stack(
@@ -107,8 +111,7 @@ def theoretical_tail_bound(
 
 def _tail_bound(sharp: GroupFunction, U: CompactSet, L: CompactSet, C0: int,
                 lower_bound: float) -> float:
-    """The tail bound from the local maximum function of V_g f, which exists only
-    when every window xU, hence every tail domain (L^c)U, is in the carrier."""
+    """The tail bound from the local maximum function of V_g f."""
     c = C0 / measure(U)
     return float(np.sqrt(c * sharp_tail_mass(sharp, U, L) / lower_bound))
 
@@ -120,7 +123,8 @@ class HapScenario:
 
     Built, it is also the question's cell scan, set up once: what
     scan_errors needs for any range of base points, and the tail bounds that
-    certify reads.  None of it depends on the base point y.
+    certify reads.  None of it depends on the base point y.  The frame must
+    act over a group: a box carrier raises ValueError before any set-up.
     """
 
     frame: FrameSystem
@@ -135,12 +139,16 @@ class HapScenario:
     lower_bound: float = field(init=False)
     transported: np.ndarray = field(init=False)  # pi(x) f for every carrier position x, as columns
     separation: int = field(init=False)
-    bounds: list[float | None] = field(init=False)
+    bounds: list[float] = field(init=False)
     k_positions: list[np.ndarray] = field(init=False)
     kl_positions: list[np.ndarray] = field(init=False)  # the distinct K.L sets
-    pairs: list[tuple[int, int, int | None]] = field(init=False)  # (K, L, K.L set) per table row
+    pairs: list[tuple[int, int, int]] = field(init=False)  # (K, L, K.L set) per table row
 
     def __post_init__(self) -> None:
+        group = self.frame.rep.group
+        if group.kind == "box":
+            raise ValueError(f"the HAP needs a group, and the products of {group!r} "
+                             "escape its carrier")
         analysis = self.frame.analysis
         self.duals, self.lower_bound = analysis.canonical_dual, analysis.A
         if self.epsilon <= 0:
@@ -160,27 +168,16 @@ class HapScenario:
         self.transported = carrier_orbit(frame.rep, self.f).T
         frame.points.slots  # built here, so the scenario pickles it to workers with the points
         self.separation = separation_constant(frame.points, self.U)
-        try:
-            sharp = local_max(voice_transform(frame.rep, frame.window, self.f), self.U)
-        except OutOfCarrier:
-            # The window maxima escape a truncated carrier: no closed form.
-            self.bounds = [None] * len(self.L_family)
-        else:
-            self.bounds = [_tail_bound(sharp, self.U, L, self.separation, self.lower_bound)
-                           for L in self.L_family]
+        sharp = local_max(voice_transform(frame.rep, frame.window, self.f), self.U)
+        self.bounds = [_tail_bound(sharp, self.U, L, self.separation, self.lower_bound)
+                       for L in self.L_family]
 
         # Every (K, L) pair in table order, with the index of its K.L set among
-        # the distinct ones, or None when K.L escapes a truncated carrier.
+        # the distinct ones.
         kl_index: dict[CompactSet, int] = {}
-        self.pairs = []
-        for ik, K in enumerate(self.K_family):
-            for il, L in enumerate(self.L_family):
-                try:
-                    kl = product_set(K, L)
-                except OutOfCarrier:
-                    self.pairs.append((ik, il, None))
-                    continue
-                self.pairs.append((ik, il, kl_index.setdefault(kl, len(kl_index))))
+        self.pairs = [(ik, il, kl_index.setdefault(product_set(K, L), len(kl_index)))
+                      for ik, K in enumerate(self.K_family)
+                      for il, L in enumerate(self.L_family)]
         self.k_positions = [K.positions() for K in self.K_family]
         self.kl_positions = [kl.positions() for kl in kl_index]
 
@@ -197,20 +194,21 @@ def family_labels(labels, family, name: str) -> list:
 
 @dataclass(frozen=True)
 class HapCell:
-    """One cell of HapCertificate.table, the per-cell view of its columns."""
+    """One cell of HapCertificate.table, the per-cell view of its columns;
+    every cell is scanned, so none is boundary."""
 
     y: object
     k_label: object
     l_label: object
-    error: float | None
+    error: float
     boundary: bool
 
 
 @dataclass(frozen=True)
 class HapCandidate:
     l_label: object
-    worst_error: float | None
-    theoretical_bound: float | None
+    worst_error: float
+    theoretical_bound: float
     passed: bool
     domination_ok: bool
 
@@ -220,105 +218,84 @@ class HapCertificate:
     """Outcome of the candidate scan: chosen set, worst error, and the full
     table as columns.
 
-    Row r of ``errors`` and ``inside`` is the table's r-th (K, L) pair, whose
-    labels are ``pair_labels[r]``; column p is the base point at carrier
-    position p of ``group``.  A cell that is not inside is boundary, and its
-    entry in ``errors`` is 0.
+    Row r of ``errors`` is the table's r-th (K, L) pair, whose labels are
+    ``pair_labels[r]``; column p is the base point at carrier position p of
+    ``group``.
     """
 
     chosen_index: int  # of the chosen L in the candidate family
     chosen_L: CompactSet
     chosen_l_label: object
     worst_error: float
-    theoretical_bound: float | None
+    theoretical_bound: float
     epsilon: float
     separation: int
     candidates: list[HapCandidate]
     group: GroupModel
     pair_labels: list[tuple[object, object]]
     errors: np.ndarray  # (pairs, |G|)
-    inside: np.ndarray  # (pairs, |G|), bool
 
     @property
     def table(self) -> list[HapCell]:
         """One HapCell per cell in (K, L, y) order, built from the columns on
-        each access; a boundary cell's error is None."""
+        each access."""
         return [
-            HapCell(y, k_label, l_label, error if interior else None, not interior)
-            for (k_label, l_label), row_errors, row_inside
-            in zip(self.pair_labels, self.errors.tolist(), self.inside.tolist())
-            for y, error, interior in zip(self.group.carrier, row_errors, row_inside)
+            HapCell(y, k_label, l_label, error, False)
+            for (k_label, l_label), row_errors in zip(self.pair_labels, self.errors.tolist())
+            for y, error in zip(self.group.carrier, row_errors)
         ]
 
 
-def scan_errors(scenario: HapScenario, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cell errors of the base points at carrier positions start..stop-1.
-
-    Returns ``(errors, inside)``, each with one row per (K, L) pair of the
-    table and one column per base point; a cell that is not inside (y.K or
-    y.K.L escapes a truncated carrier, or K.L does) is boundary, and its
-    error is 0.  Each y is independent of the others, so any split of the
-    carrier into ranges gives the same columns.
+def scan_errors(scenario: HapScenario, start: int, stop: int) -> np.ndarray:
+    """Cell errors of the base points at carrier positions start..stop-1,
+    with one row per (K, L) pair of the table and one column per base point.
+    Each y is independent of the others, so any split of the carrier into
+    ranges gives the same columns.
     """
     group, points = scenario.frame.rep.group, scenario.frame.points
     errors = np.zeros((len(scenario.pairs), stop - start))
-    inside = np.zeros((len(scenario.pairs), stop - start), dtype=bool)
     for column, yp in enumerate(range(start, stop)):
         # y.x for every carrier position x: each y.K and y.K.L is read off it.
-        translated, kept = group.multiply_masked(yp, group.all_positions)
-        targets = [
-            scenario.transported[:, translated[k]] if kept[k].all() else None
-            for k in scenario.k_positions
-        ]
+        translated = group.multiply_masked(yp, group.all_positions)[0]
+        targets = [scenario.transported[:, translated[k]] for k in scenario.k_positions]
         # Scoped to this y: keeping every y's projectors would hold
         # |G| x (distinct sets) dim x dim matrices at once.
-        projectors: dict[int, np.ndarray | None] = {}
+        projectors: dict[int, np.ndarray] = {}
         for row, (ik, _, s) in enumerate(scenario.pairs):
-            if s is None or targets[ik] is None:
-                continue
             if s not in projectors:
                 kl = scenario.kl_positions[s]
                 # Columns follow K.L's sorted positions translated one by
                 # one; the column order fixes the SVD's rounding, hence the
                 # hashes.
-                projectors[s] = (
-                    span_projector(scenario.duals[:, points.indices_at(translated[kl])]).matrix
-                    if kept[kl].all()
-                    else None
-                )
-            matrix = projectors[s]
-            if matrix is None:
-                continue
+                projectors[s] = span_projector(
+                    scenario.duals[:, points.indices_at(translated[kl])]).matrix
             # One product per (K, L) pair: a column's rounding depends on the
             # width of the product it is computed in, so batching the targets
             # of several K into one product would move the hashes.
-            residual = targets[ik] - matrix @ targets[ik]
+            residual = targets[ik] - projectors[s] @ targets[ik]
             # np.linalg.norm(residual, axis=0), written out
             errors[row, column] = np.sqrt((residual.conj() * residual).real.sum(axis=0)).max()
-            inside[row, column] = True
-    return errors, inside
+    return errors
 
 
-def certify(scenario: HapScenario, pieces: list[tuple[np.ndarray, np.ndarray]]) -> HapCertificate:
+def certify(scenario: HapScenario, pieces: list[np.ndarray]) -> HapCertificate:
     """The certificate from scan_errors' pieces, which must cover every base
     point once, in carrier order.  The pieces are joined into the
-    certificate's error and inside columns as they are; each candidate is
-    read off the rows of its L."""
-    errors = np.concatenate([piece[0] for piece in pieces], axis=1)
-    inside = np.concatenate([piece[1] for piece in pieces], axis=1)
+    certificate's error columns as they are; each candidate is read off the
+    rows of its L."""
+    errors = np.concatenate(pieces, axis=1)
     l_of_row = np.array([il for _, il, _ in scenario.pairs])
     candidates = []
     for il, bound in enumerate(scenario.bounds):
-        rows = l_of_row == il
-        interior = errors[rows][inside[rows]]
-        worst = float(interior.max()) if interior.size else None
+        row_errors = errors[l_of_row == il]
+        worst = float(row_errors.max())
         candidates.append(
             HapCandidate(
                 l_label=scenario.l_labels[il],
                 worst_error=worst,
                 theoretical_bound=bound,
-                passed=worst is not None and worst < scenario.epsilon,
-                domination_ok=bound is None or bool(np.all(interior <= bound + 1e-9)),
+                passed=worst < scenario.epsilon,
+                domination_ok=bool(np.all(row_errors <= bound + 1e-9)),
             )
         )
     chosen_index = next((il for il, c in enumerate(candidates) if c.passed), None)
@@ -339,7 +316,6 @@ def certify(scenario: HapScenario, pieces: list[tuple[np.ndarray, np.ndarray]]) 
         pair_labels=[(scenario.k_labels[ik], scenario.l_labels[il])
                      for ik, il, _ in scenario.pairs],
         errors=errors,
-        inside=inside,
     )
 
 
@@ -348,8 +324,6 @@ def find_L(scenario: HapScenario) -> HapCertificate:
 
     Error tables are computed for *every* candidate (they are wanted in
     reports and for monotonicity checks), so the scan does not stop early.
-    Cells whose windows escape a truncated carrier are marked boundary and
-    excluded from the pass/fail aggregate.
 
     y is the outer loop (scan_errors), here as one range over the whole
     carrier; the runner may split the carrier into ranges and run them in

@@ -412,14 +412,14 @@ def _carrier_column(group) -> list:
 def _hap_payload(cert: HapCertificate) -> dict:
     # The table straight from the certificate's columns, one block per (K, L)
     # pair; each error is formatted once.
+    ys = _carrier_column(cert.group)
+    interior = [True] * len(ys)  # every cell of a group is scanned
     blocks = [
         ({"K_radius": _canon(k_label), "L_radius": _canon(l_label)},
-         {"error": [float(f"{error:.12g}") for error in errors]}, inside)
-        for (k_label, l_label), errors, inside in zip(
-            cert.pair_labels, cert.errors.tolist(), cert.inside.tolist())
+         {"error": [float(f"{error:.12g}") for error in errors]}, interior)
+        for (k_label, l_label), errors in zip(cert.pair_labels, cert.errors.tolist())
     ]
-    ys = _carrier_column(cert.group)
-    # certify chose this L for its worst interior error: each interior row passes.
+    # certify chose this L for its worst error: each row passes.
     chosen = _Table(ys, [block for (_, l_label), block in zip(cert.pair_labels, blocks)
                          if l_label == cert.chosen_l_label])
     return {
@@ -451,8 +451,9 @@ def _comparison_payload(scenario: ComparisonScenario) -> dict:
     shared = _canon({"L_radius": hap.chosen_l_label, "epsilon": scenario.epsilon,
                      "B_used": b_used, "B_provenance": "upper bound of reference frame",
                      "B_alternative": 1.0 / scenario.given.analysis.A})
-    table = _Table(_carrier_column(scenario.given.rep.group), [
-        ({"K_radius": _canon(cert.k_label), **shared}, _canon(cert.columns), cert.inside)
+    ys = _carrier_column(scenario.given.rep.group)
+    table = _Table(ys, [
+        ({"K_radius": _canon(cert.k_label), **shared}, _canon(cert.columns), [True] * len(ys))
         for cert in comparison_run(scenario)
     ])
     return {

@@ -253,7 +253,7 @@ def test_criterion_7_comparison_theorem():
                 l_labels=list(range(5)),
             )
             for cert in comparison_run(scenario):
-                total += len(cert.inside)
+                total += len(cert.columns["ok"])
                 c = cert.columns
                 for trace, rank, card_x, lhs, chain_ok, final_ok, cell_ok in zip(
                     c["trace_T"], c["rank_P"], c["card_X"], c["lhs"], c["chain_ok"],

@@ -12,47 +12,14 @@ import pytest
 
 import framecert.runner as runner
 from framecert.comparison import density_report
-from framecert.frames import coherent_frame
-from framecert.groups import GroupModel, OutOfCarrier, full_point_set, point_set
-from framecert.hap import HapCell, HapScenario, find_L
-from framecert.representations import Representation
+from framecert.groups import GroupModel, OutOfCarrier, point_set
+from framecert.hap import HapCell, find_L
 from framecert.runner import _canon, _row, _summary, _Table, canonical_json, emit, run
 from framecert.scenarios import build_group, build_points, load_scenarios
 
 ROOT = Path(__file__).resolve().parent.parent
 SUITE = ROOT / "scenarios" / "acceptance.json"
 PINNED_HASHES = ROOT / "perfbench" / "acceptance_hashes.json"
-
-
-class _RollRep(Representation):
-    """Unitary cyclic rolls indexed by a truncated carrier: a HAP on a box
-    group, the only way to reach boundary HAP cells."""
-
-    def __init__(self, halfwidth: int):
-        self.kind = "roll"
-        self.group = GroupModel.box([halfwidth])
-        self.dim = self.group.order
-
-    def apply(self, x, v):
-        return np.roll(v, self.group.canon(x), axis=-1)
-
-
-def _box_hap_certificate():
-    rep = _RollRep(3)
-    group = rep.group
-    rng = np.random.default_rng(5)
-    window, f = rng.standard_normal((2, rep.dim)) + 1j * rng.standard_normal((2, rep.dim))
-    frame = coherent_frame(rep, window, full_point_set(group))
-    return find_L(HapScenario(
-        frame=frame,
-        f=f,
-        epsilon=10.0,
-        U=group.ball(1),
-        K_family=[group.ball(0), group.ball(1)],
-        L_family=[group.ball(r) for r in range(4)],
-        k_labels=[0, 1],
-        l_labels=[0, 1, 2, 3],
-    ))
 
 
 def _assert_hap_payload_matches_the_views(payload, cert):
@@ -63,16 +30,6 @@ def _assert_hap_payload_matches_the_views(payload, cert):
     assert canonical_json(list(table)) == canonical_json(view)
     chosen = [row for cell, row in zip(cert.table, view) if cell.l_label == cert.chosen_l_label]
     assert payload["summary"] == _summary(chosen)
-
-
-def test_box_hap_rows_with_boundary_cells_equal_the_cell_views():
-    cert = _box_hap_certificate()
-    payload = runner._hap_payload(cert)
-    table = payload["certificate"]["table"]
-    assert any(row["error"] is None and row["boundary"] for row in table)
-    assert any(row["error"] is not None for row in table)
-    assert {type(row["y"]) for row in table} == {int}  # rank 1: plain ints
-    _assert_hap_payload_matches_the_views(payload, cert)
 
 
 # HAP on rank-2 and rank-1 groups; density over a box carrier with boundary
@@ -149,6 +106,8 @@ def test_rows_from_columns_equal_the_views_across_the_pool(tmp_path, monkeypatch
         assert report["summary"] == _summary(rows)
         assert emit([report], "json") == canonical_json([report]).encode("utf-8")
 
+    rank1 = reports["hap-translation-8"]["certificate"]["table"]
+    assert {type(row["y"]) for row in rank1} == {int}  # rank 1: plain ints
     boundary = [row for r in reports.values() if r["kind"] == "density"
                 for row in r["table"] if row["boundary"]]
     assert boundary and all(row["count"] is None and row["ratio"] is None for row in boundary)
@@ -256,7 +215,7 @@ def test_a_non_finite_interior_hap_error_aborts_the_run(tmp_path, monkeypatch, p
                                                          value):
     def spoiled(certificate):
         errors = certificate.errors.copy()
-        errors[tuple(np.argwhere(certificate.inside)[-1])] = value
+        errors[-1, -1] = value
         return dataclasses.replace(certificate, errors=errors)
 
     find_L, certify = runner.find_L, runner.certify

@@ -17,7 +17,6 @@ from framecert.comparison import (
 from framecert.frames import FrameSystem, coherent_frame, span_projector
 from framecert.groups import (
     GroupModel,
-    OutOfCarrier,
     compact_set,
     full_point_set,
     point_set,
@@ -27,7 +26,6 @@ from framecert.groups import (
 from framecert.hap import local_subspace
 from framecert.representations import (
     GaborRep,
-    Representation,
     TranslationRep,
     dirac_vector,
     periodized_gaussian,
@@ -54,14 +52,12 @@ def _scenario(given, reference, epsilon, k_radii=(0, 1, 2), l_radii=(0, 1, 2, 3,
 
 def _cells(certificates, group) -> list[dict]:
     """Each (y, K) cell read off its certificate's columns, in (K, y) order,
-    with its K label, y and boundary flag."""
+    with its K label and y."""
     cells = []
     for cert in certificates:
-        assert len(cert.inside) == group.order
         assert all(len(column) == group.order for column in cert.columns.values())
-        for y, inside, *values in zip(group.carrier, cert.inside, *cert.columns.values()):
-            cells.append({"k_label": cert.k_label, "y": y, "boundary": not inside,
-                          **dict(zip(cert.columns, values))})
+        for y, *values in zip(group.carrier, *cert.columns.values()):
+            cells.append({"k_label": cert.k_label, "y": y, **dict(zip(cert.columns, values))})
     return cells
 
 
@@ -265,20 +261,6 @@ def test_comparison_rejects_labels_that_do_not_match_their_family(k_labels, l_la
         )
 
 
-class _ModRollRep(Representation):
-    """Rolls of C^3 indexed by the box [-3, 3]: a box group whose frames span
-    with three points, so a window L without the identity can certify the
-    HAP, and a cell's y.K can escape while its y.K.L stays."""
-
-    def __init__(self):
-        self.kind = "roll"
-        self.group = GroupModel.box([3])
-        self.dim = 3
-
-    def apply(self, x, v):
-        return np.roll(v, self.group.canon(x), axis=-1)
-
-
 def _comparison(given, reference, epsilon, K_family, L_family):
     return ComparisonScenario(
         given=given,
@@ -288,17 +270,6 @@ def _comparison(given, reference, epsilon, K_family, L_family):
         K_family=K_family,
         L_family=L_family,
     )
-
-
-def _box_comparison():
-    rep = _ModRollRep()
-    group = rep.group
-    window = np.random.default_rng(3).standard_normal(3) + 0j
-    # every carrier point once, and 0 and 2 twice
-    given = coherent_frame(rep, window, point_set(group, list(group.carrier) + [0, 2]))
-    reference = coherent_frame(rep, dirac_vector(3), point_set(group, [0, 1, 2]))
-    return _comparison(given, reference, 0.5, [group.ball(1), group.ball(2)],
-                       [compact_set(group, [2])])
 
 
 def _lattice_comparison():
@@ -313,6 +284,15 @@ def _lattice_comparison():
                        [group.ball(r) for r in (0, 1, 2, 3)])
 
 
+def _l_without_identity_comparison():
+    """The lattice comparison's frames with every L a translate of a ball
+    that misses the identity, so y.K need not lie in y.K.L."""
+    scenario = _lattice_comparison()
+    group = scenario.given.rep.group
+    return _comparison(scenario.given, scenario.reference, 0.5, scenario.K_family,
+                       [translate_set((3, 3), group.ball(r)) for r in (0, 1, 2)])
+
+
 def _gabor_z8_comparison():
     rep = GaborRep(8)
     group = rep.group
@@ -325,24 +305,16 @@ def test_comparison_run_builds_each_chosen_product_once(monkeypatch):
     """Each chosen K.L is built once, by the HAP scenario: comparison_run
     calls no product_set, translate_set or local_subspace in any framecert
     namespace, and hands each cell the positions of K and of
-    product_set(K, chosen L), or None, making every cell boundary, when that
-    product escapes."""
+    product_set(K, chosen L)."""
     import framecert.comparison
     import framecert.groups
     import framecert.hap
 
-    def chosen_product(K, chosen_L):
-        try:
-            return product_set(K, chosen_L).positions()
-        except OutOfCarrier:
-            return None
-
-    scenarios = [_gabor_z8_comparison(), _box_comparison()]
+    scenario = _gabor_z8_comparison()
+    group = scenario.given.rep.group
     # the HAP scan's own set algebra, and the expected products, before counting
-    expected = [[chosen_product(K, scenario.hap_choice.chosen_L) for K in scenario.K_family]
-                for scenario in scenarios]
-    assert [[kl is None for kl in products] for products in expected] == [
-        [False, False], [False, True]]  # the box's ball(2).{2} leaves [-3, 3]
+    expected = [product_set(K, scenario.hap_choice.chosen_L).positions()
+                for K in scenario.K_family]
     calls = {"product_set": 0, "translate_set": 0, "local_subspace": 0}
     handed = []
 
@@ -363,32 +335,28 @@ def test_comparison_run_builds_each_chosen_product_once(monkeypatch):
                 monkeypatch.setattr(module, name, counter(name, original))
     monkeypatch.setattr(framecert.comparison, "comparison_certificate", recording_certificate)
     # the counters are live: the reference oracle goes through all three
-    group = scenarios[0].given.rep.group
-    framecert.hap.hap_error(scenarios[0].given, scenarios[0].given.analysis.canonical_dual,
-                            scenarios[0].reference.window, (0, 0), group.ball(0), group.ball(0))
+    framecert.hap.hap_error(scenario.given, scenario.given.analysis.canonical_dual,
+                            scenario.reference.window, (0, 0), group.ball(0), group.ball(0))
     assert calls == {"product_set": 1, "translate_set": 2, "local_subspace": 1}
     calls.update(product_set=0, translate_set=0, local_subspace=0)
 
-    for scenario, products in zip(scenarios, expected):
-        group = scenario.given.rep.group
-        handed.clear()
-        certs = comparison_run(scenario)
-        assert calls == {"product_set": 0, "translate_set": 0, "local_subspace": 0}
-        assert len(handed) == len(scenario.K_family) * group.order
-        for cert, K, kl, start in zip(certs, scenario.K_family, products,
-                                      range(0, len(handed), group.order)):
-            cells = handed[start:start + group.order]
-            assert [yp for yp, _, _ in cells] == list(range(group.order))
-            assert all(np.array_equal(k, K.positions()) for _, k, _ in cells)
-            if kl is None:
-                assert all(kl_positions is None for _, _, kl_positions in cells)
-                assert not any(cert.inside)
-            else:
-                assert all(np.array_equal(kl_positions, kl) for _, _, kl_positions in cells)
-                assert any(cert.inside)
+    comparison_run(scenario)
+    assert calls == {"product_set": 0, "translate_set": 0, "local_subspace": 0}
+    assert len(handed) == len(scenario.K_family) * group.order
+    for K, kl, start in zip(scenario.K_family, expected, range(0, len(handed), group.order)):
+        cells = handed[start:start + group.order]
+        assert [yp for yp, _, _ in cells] == list(range(group.order))
+        assert all(np.array_equal(k, K.positions()) for _, k, _ in cells)
+        assert all(np.array_equal(kl_positions, kl) for _, _, kl_positions in cells)
 
 
-@pytest.mark.parametrize("make", [_box_comparison, _lattice_comparison], ids=["box", "lattice"])
+_ORACLE_COMPARISONS = {
+    "lattice": _lattice_comparison,
+    "l-without-identity": _l_without_identity_comparison,  # y.K need not lie in y.K.L
+}
+
+
+@pytest.mark.parametrize("make", _ORACLE_COMPARISONS.values(), ids=_ORACLE_COMPARISONS.keys())
 def test_comparison_cells_match_the_set_oracles(make):
     """Every (y, K) cell against the element-set reference: translate_set,
     local_subspace and cardinality_count, and the trace of QPQ from the
@@ -402,17 +370,12 @@ def test_comparison_cells_match_the_set_oracles(make):
     cells = _cells(certs, group)
     windows = [K for K in scenario.K_family for _ in group.carrier]
     assert [cell["y"] for cell in cells] == list(group.carrier) * len(scenario.K_family)
-    inside = 0
+    outside = 0  # cells whose y.K does not lie in y.K.L
     for cell, K in zip(cells, windows):
         y = cell["y"]
-        try:
-            KL = product_set(K, chosen_L)
-            yk, ykl = translate_set(y, K), translate_set(y, KL)
-        except OutOfCarrier:
-            assert cell["boundary"] and cell["rank_P"] is None
-            continue
-        assert not cell["boundary"]
-        inside += 1
+        KL = product_set(K, chosen_L)
+        yk, ykl = translate_set(y, K), translate_set(y, KL)
+        outside += not yk.issubset(ykl)
         P = local_subspace(scenario.given.analysis.canonical_dual, given.points, y, KL)
         Q = span_projector(
             reference.synthesis[:, np.flatnonzero(yk.indicator[reference.points.positions()])]
@@ -425,28 +388,19 @@ def test_comparison_cells_match_the_set_oracles(make):
             scenario.reference.analysis.B,
         ).trace
         assert cell["ok"]
-    assert 0 < inside
     assert any(cell["card_X"] > len(translate_set(cell["y"], product_set(K, chosen_L)))
-               for cell, K in zip(cells, windows) if not cell["boundary"])  # duplicates count
+               for cell, K in zip(cells, windows))  # duplicates count
+    assert (outside > 0) == (group.identity not in chosen_L)
 
 
-def test_a_cell_whose_window_escapes_while_its_product_stays_is_boundary():
-    scenario = _box_comparison()
-    group = scenario.given.rep.group
-    K = group.ball(1)
-    KL = product_set(K, scenario.hap_choice.chosen_L)
-    assert KL.sorted_members() == [1, 2, 3]  # L = {2} does not contain e
-    assert translate_set(-3, KL).sorted_members() == [-2, -1, 0]
-    with pytest.raises(OutOfCarrier):
-        translate_set(-3, K)
-    edge, middle = group.index(-3), group.index(-1)
-    assert comparison_certificate(scenario, edge, K.positions(), KL.positions()) is None
-    inner = comparison_certificate(scenario, middle, K.positions(), KL.positions())
-    assert inner is not None and inner["ok"]
-    # and so in the run: y = -3 is a boundary cell of K's certificate
-    cert = comparison_run(scenario)[0]
-    assert cert.inside[edge] is False and cert.inside[middle] is True
-    assert cert.columns["ok"][edge] is False and cert.columns["rank_P"][edge] is None
+def test_a_box_comparison_is_rejected():
+    from test_frames import _RollRep
+
+    rep = _RollRep(2)
+    frame = coherent_frame(rep, dirac_vector(5), full_point_set(rep.group))
+    scenario = _scenario(frame, frame, epsilon=0.5, k_radii=(1,), l_radii=(0, 1))
+    with pytest.raises(ValueError, match=r"GroupModel\(box, \(2,\)\)"):
+        comparison_run(scenario)
 
 
 # -- rejections ------------------------------------------------------------------

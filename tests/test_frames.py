@@ -16,9 +16,10 @@ from framecert.frames import (
     span_projector,
     verify_dual,
 )
-from framecert.groups import full_point_set, point_set
+from framecert.groups import GroupModel, full_point_set, point_set
 from framecert.representations import (
     GaborRep,
+    Representation,
     TensorRep,
     TranslationRep,
     apply_rep,
@@ -102,11 +103,22 @@ def test_not_a_frame_when_span_degenerates():
     assert frame_bounds(shifts_of_dirac) == pytest.approx((1.0, 1.0))
 
 
+class _RollRep(Representation):
+    """Unitary cyclic rolls indexed by a truncated carrier: a frame on a box.
+    Its frame bounds are defined; the HAP and the comparison reject it."""
+
+    def __init__(self, halfwidth: int):
+        self.kind = "roll"
+        self.group = GroupModel.box([halfwidth])
+        self.dim = self.group.order
+
+    def apply(self, x, v):
+        return np.roll(v, self.group.canon(x), axis=-1)
+
+
 @pytest.mark.parametrize("case", ["gabor-full", "gabor-lattice", "translation", "tensor", "box",
                                   "duplicates", "empty"])
 def test_coherent_frame_atoms_equal_per_point_apply_rep_bit_for_bit(case):
-    from test_columns import _RollRep
-
     gabor, translation = GaborRep(6), TranslationRep(5)
     tensor, box = TensorRep(TranslationRep(2), GaborRep(3)), _RollRep(3)
     rep, points = {

@@ -402,6 +402,38 @@ def test_coordinate_arrays_need_an_integer_dtype(z4x4, dtype):
     assert z8.index(np.uint8(3)) == 3 and z8.contains(7) and not z8.contains(7.0)
 
 
+@pytest.mark.parametrize("element", [2**63, -2**63 - 1, 2**70, (2**63, 0), np.uint64(2**63)])
+def test_coordinates_outside_signed_64_bit_are_not_elements(element):
+    # They used to raise OverflowError, from contains and from `in` too.
+    group = GroupModel.cyclic([8]) if np.ndim(element) == 0 else GroupModel.cyclic([8, 8])
+    for method in (group.index, group.canon, group.metric):
+        with pytest.raises(ValueError, match=r"outside the signed 64-bit range"):
+            method(element)
+    assert not group.contains(element)
+    assert element not in group.ball(1)
+
+
+@pytest.mark.parametrize("group", [GroupModel.cyclic([4, 4]), GroupModel.box([4, 4])],
+                         ids=["cyclic", "box"])
+def test_uint64_coordinate_arrays_are_rejected(group):
+    # They used to pass as integers and give float positions: [6.] on Z4 x Z4.
+    batch = np.array([[1, 2]], dtype=np.uint64)
+    with pytest.raises(ValueError, match=r"element \(1, 2\) has coordinates int64 cannot hold"):
+        group.index(batch)
+    assert not group.contains(batch)
+    assert group.index(batch.astype(np.uint32)).tolist() == [group.index((1, 2))]
+    assert group.index(np.zeros((0, 2), dtype=np.uint64)).size == 0
+
+
+def test_the_most_negative_int64_is_not_in_a_box():
+    # abs(-2**63) overflows to -2**63, which passed the box's |x| <= m test.
+    box = GroupModel.box([2])
+    assert not box.contains(-2**63)
+    with pytest.raises(OutOfCarrier):
+        box.index(np.array([[-2**63]]))
+    assert GroupModel.cyclic([8]).index(-2**63) == 0
+
+
 def test_escape_messages_name_the_first_escaping_pair():
     box = GroupModel.box([2, 2])
     with pytest.raises(OutOfCarrier, match=r"product of \(2, 0\) and \(1, 0\) escapes"):

@@ -8,14 +8,12 @@ import pytest
 import framecert.hap
 from framecert.frames import analyze_frame, coherent_frame, span_projector
 from framecert.groups import (
-    GroupModel,
     OutOfCarrier,
     compact_set,
     full_point_set,
     measure,
     product_set,
     separation_constant,
-    translate_set,
 )
 from framecert.hap import (
     HapCell,
@@ -30,7 +28,6 @@ from framecert.hap import (
 )
 from framecert.representations import (
     GaborRep,
-    Representation,
     TranslationRep,
     apply_rep,
     dirac_vector,
@@ -216,44 +213,20 @@ def test_scenario_rejects_labels_that_do_not_match_their_family(k_labels, l_labe
         )
 
 
-class _RollRep(Representation):
-    """Unitary cyclic rolls indexed by a truncated carrier, for boundary tests."""
+def test_a_box_carrier_is_rejected_and_hap_error_still_raises_on_it():
+    # A box has no group law at its edges: the HAP needs a group.
+    from test_frames import _RollRep
 
-    def __init__(self, halfwidth: int):
-        self.kind = "roll"
-        self.group = GroupModel.box([halfwidth])
-        self.dim = self.group.order
-
-    def apply(self, x, v):
-        return np.roll(v, self.group.canon(x))
-
-
-def test_boundary_cells_on_truncated_group():
     rep = _RollRep(2)
     group = rep.group
-    window = np.zeros(5, dtype=complex)
-    window[0] = 1.0
-    frame = coherent_frame(rep, window, full_point_set(group))
-    analysis = analyze_frame(frame)
-    scenario = HapScenario(
-        frame=frame,
-        f=window,
-        epsilon=0.5,
-        U=group.ball(1),
-        K_family=[group.ball(1)],
-        L_family=[group.ball(0), group.ball(1)],
-        k_labels=[1],
-        l_labels=[0, 1],
-    )
-    cert = find_L(scenario)
-    boundary = [cell for cell in cert.table if cell.boundary]
-    interior = [cell for cell in cert.table if not cell.boundary]
-    assert boundary and interior  # edge cells flagged, interior certified
-    assert all(cell.error is None for cell in boundary)
-    assert cert.theoretical_bound is None  # tail domain escapes the carrier
-    # the raw per-cell operation propagates the escape instead of skipping
+    frame = coherent_frame(rep, dirac_vector(5), full_point_set(group))
+    with pytest.raises(ValueError, match=r"GroupModel\(box, \(2,\)\)"):
+        HapScenario(frame=frame, f=dirac_vector(5), epsilon=0.5, U=group.ball(1),
+                    K_family=[group.ball(1)], L_family=[group.ball(0), group.ball(1)])
+    # the reference oracle propagates the escape instead of skipping it
     with pytest.raises(OutOfCarrier):
-        hap_error(frame, analysis.canonical_dual, window, 2, group.ball(1), group.ball(0))
+        hap_error(frame, frame.analysis.canonical_dual, dirac_vector(5), 2, group.ball(1),
+                  group.ball(0))
 
 
 def _reference_table(scenario):
@@ -269,18 +242,10 @@ def _reference_table(scenario):
     for ik, K in enumerate(scenario.K_family):
         for il, L in enumerate(scenario.L_family):
             k_label, l_label = scenario.k_labels[ik], scenario.l_labels[il]
-            try:
-                kl_positions = product_set(K, L).positions()
-            except OutOfCarrier:
-                table.extend(HapCell(y, k_label, l_label, None, True) for y in group.carrier)
-                continue
+            kl_positions = product_set(K, L).positions()
             for yp, y in enumerate(group.carrier):
-                try:
-                    yk = group.multiply(yp, K.positions())
-                    ykl = group.multiply(yp, kl_positions)
-                except OutOfCarrier:
-                    table.append(HapCell(y, k_label, l_label, None, True))
-                    continue
+                yk = group.multiply(yp, K.positions())
+                ykl = group.multiply(yp, kl_positions)
                 selected = [j for p in ykl.tolist() for j in by_position[p]]
                 projector = span_projector(scenario.duals[:, selected])
                 targets = transported[:, yk]
@@ -303,40 +268,6 @@ def test_find_L_table_equals_per_cell_reference_exactly():
     assert all(not cell.boundary for cell in cert.table)
 
 
-def test_find_L_boundary_cells_equal_per_cell_reference_exactly():
-    rep = _RollRep(3)
-    group = rep.group
-    window = _random_vector(rep.dim, 5)
-    frame = coherent_frame(rep, window, full_point_set(group))
-    scenario = HapScenario(
-        frame=frame,
-        f=_random_vector(rep.dim, 6),
-        epsilon=10.0,
-        U=group.ball(1),
-        K_family=[group.ball(0), group.ball(1)],
-        L_family=[group.ball(r) for r in range(4)],
-        k_labels=[0, 1],
-        l_labels=[0, 1, 2, 3],
-    )
-    # Each source of boundary cells occurs: K.L escapes for every y ...
-    with pytest.raises(OutOfCarrier):
-        product_set(group.ball(1), group.ball(3))
-    # ... y.K escapes ...
-    with pytest.raises(OutOfCarrier):
-        translate_set(3, group.ball(1))
-    # ... and y.K stays inside while y.K.L escapes.
-    assert len(translate_set(3, group.ball(0))) == 1
-    with pytest.raises(OutOfCarrier):
-        translate_set(3, product_set(group.ball(0), group.ball(1)))
-    cert = find_L(scenario)
-    reference = _reference_table(scenario)
-    assert cert.table == reference
-    by_cell = {(c.y, c.k_label, c.l_label): c for c in cert.table}
-    assert all(by_cell[(y, 1, 3)].boundary for y in group.carrier)
-    assert by_cell[(3, 1, 0)].boundary
-    assert by_cell[(3, 0, 1)].boundary and not by_cell[(3, 0, 0)].boundary
-
-
 def test_find_L_builds_one_projector_per_y_and_distinct_kl_set(monkeypatch):
     frame, _ = gabor_gauss(8)
     group = frame.rep.group
@@ -355,24 +286,6 @@ def test_find_L_builds_one_projector_per_y_and_distinct_kl_set(monkeypatch):
     assert len(builds) == group.order * len(distinct) == 320
 
 
-def _box_scenario():
-    """The box-group scenario of the boundary test above: every source of
-    boundary cells occurs, so slice edges cut through boundary rows."""
-    rep = _RollRep(3)
-    group = rep.group
-    frame = coherent_frame(rep, _random_vector(rep.dim, 5), full_point_set(group))
-    return HapScenario(
-        frame=frame,
-        f=_random_vector(rep.dim, 6),
-        epsilon=10.0,
-        U=group.ball(1),
-        K_family=[group.ball(0), group.ball(1)],
-        L_family=[group.ball(r) for r in range(4)],
-        k_labels=[0, 1],
-        l_labels=[0, 1, 2, 3],
-    )
-
-
 def _gabor_scenario():
     frame, _ = gabor_gauss(8)
     return ball_scenario(frame, _random_vector(8, 3), epsilon=2.0)
@@ -389,7 +302,7 @@ def _sliced_certificate(scenario, slices, mapper):
     return certify(scenario, list(pieces))
 
 
-SPLIT_SCENARIOS = {"gabor-z8": _gabor_scenario, "box": _box_scenario}
+SPLIT_SCENARIOS = {"gabor-z8": _gabor_scenario}
 
 
 @pytest.mark.parametrize("make", SPLIT_SCENARIOS.values(), ids=SPLIT_SCENARIOS.keys())

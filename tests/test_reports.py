@@ -1,6 +1,5 @@
 """Report content: pinned acceptance, edge and benchmark-input hashes and
-verdicts, boundary comparison rows, comparison rows against a cell-by-cell
-reference, seeds."""
+verdicts, comparison rows against a cell-by-cell reference, seeds."""
 
 import hashlib
 import json
@@ -8,22 +7,19 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import framecert.runner as runner
 from framecert.cli import main
-from framecert.comparison import ComparisonScenario, comparison_certificate, comparison_run
-from framecert.frames import coherent_frame
-from framecert.groups import GroupModel, OutOfCarrier, full_point_set, product_set
-from framecert.representations import Representation
+from framecert.comparison import ComparisonScenario, comparison_certificate
+from framecert.groups import product_set
 from framecert.runner import canonical_json, run
 from framecert.scenarios import build_frame, build_reference, is_seed, load_scenarios
 from perfbench.run import child_env
 from perfbench.workloads import scenario_text
 
-# the comparisons on a box carrier and with a lattice reference
-from test_comparison import _box_comparison, _lattice_comparison
+# the comparisons with a lattice reference, and with an L that misses the identity
+from test_comparison import _l_without_identity_comparison, _lattice_comparison
 
 ROOT = Path(__file__).resolve().parent.parent
 SUITE = ROOT / "scenarios" / "acceptance.json"
@@ -267,108 +263,11 @@ def test_the_benchmark_inputs_keep_their_hashes_and_verdicts(workload):
             for r in reports} == pinned
 
 
-class _RollRep(Representation):
-    """Unitary cyclic rolls indexed by a truncated carrier: the only way to
-    reach boundary comparison cells, since every shipped representation acts
-    on a cyclic group."""
-
-    def __init__(self, halfwidth: int):
-        self.kind = "roll"
-        self.group = GroupModel.box([halfwidth])
-        self.dim = self.group.order
-
-    def apply(self, x, v):
-        return np.roll(v, self.group.canon(x))
-
-
-def _dirac_frame(rep):
-    window = np.zeros(rep.dim, dtype=complex)
-    window[0] = 1.0
-    return coherent_frame(rep, window, full_point_set(rep.group))
-
-
-_SPEC = {"frame": None, "reference": None, "epsilon": 0.5, "u_radius": 1,
-         "k_radii": [1], "l_radii": [0, 1]}
 # A comparison cell's values and its flags, the last one ``ok``.
 _VALUES = ("trace_T", "rank_P", "card_X", "card_Y", "lhs", "restricted_sum", "identity_error",
            "star_signed", "star_bound")
 _FLAGS = ("chain_ok", "final_ok", "restricted_sum_ok", "identity_ok", "star_ok",
           "trace_lemma_ok", "trace_lower_ok", "ok")
-
-
-def _windows_escape_at_the_ends():
-    """The scenario of _SPEC on [-2, 2]: y.K escapes for y = -2 and 2."""
-    rep = _RollRep(2)
-    group = rep.group
-    return ComparisonScenario(
-        given=_dirac_frame(rep),
-        reference=_dirac_frame(rep),
-        epsilon=0.5,
-        U=group.ball(1),
-        K_family=[group.ball(1)],
-        L_family=[group.ball(0), group.ball(1)],
-        k_labels=[1],
-        l_labels=[0, 1],
-    )
-
-
-def _a_product_escapes():
-    """On [-2, 2] with L = ball(1): K = ball(2) has K.L escaping for every y."""
-    rep = _RollRep(2)
-    group = rep.group
-    return ComparisonScenario(
-        given=_dirac_frame(rep),
-        reference=_dirac_frame(rep),
-        epsilon=0.5,
-        U=group.ball(1),
-        K_family=[group.ball(0), group.ball(2)],
-        L_family=[group.ball(1)],
-        k_labels=[0, 2],
-        l_labels=[1],
-    )
-
-
-def test_boundary_comparison_certificates_and_rows(monkeypatch):
-    scenario = _windows_escape_at_the_ends()
-    frame, reference = scenario.given, scenario.reference
-    group = frame.rep.group
-    (cert,) = comparison_run(scenario)
-    assert cert.k_label == 1
-    assert set(cert.columns) == {*_VALUES, *_FLAGS}
-    boundary = [p for p, inside in enumerate(cert.inside) if not inside]
-    assert [group.carrier[p] for p in boundary] == [-2, 2]  # y.K escapes [-2, 2] at the ends
-    for name, column in cert.columns.items():
-        # flags are False, computed values None
-        expected = False if name in _FLAGS else None
-        assert all(column[p] is expected for p in boundary), name
-        inner = [value for value, inside in zip(column, cert.inside) if inside]
-        assert all(type(value) is bool for value in inner) == (name in _FLAGS), name
-    assert scenario.hap_choice.chosen_l_label == 0
-
-    # The report rows, through the evaluator, with the box-group frames.
-    monkeypatch.setattr(runner, "build_frame", lambda desc: frame)
-    monkeypatch.setattr(runner, "build_reference", lambda desc, rep: reference)
-    payload = runner._run_comparison(_SPEC, 0)
-    rows = payload["certificates"]
-    assert isinstance(rows, runner._Table) and len(rows.blocks) == 1
-    edge = [row for row in rows if row["boundary"]]
-    inner = [row for row in rows if not row["boundary"]]
-    assert len(edge) == 2 and len(inner) == 3
-    assert all(set(row) == set(inner[0]) for row in rows)
-    renamed = {"K_radius", "L_radius", "card_X", "card_Y", "B_used", "identity_error", "ok"}
-    assert renamed <= set(inner[0])
-    for row in edge:
-        assert row["ok"] is False and row["trace_T"] is None and row["card_X"] is None
-    # every row carries the scenario's constants
-    for row in rows:
-        assert row["L_radius"] == 0 and row["epsilon"] == 0.5
-        assert row["B_used"] == reference.analysis.B
-        assert row["B_provenance"] == "upper bound of reference frame"
-        assert row["B_alternative"] == 1.0 / frame.analysis.A
-    assert all(row["ok"] for row in inner)
-    assert payload["summary"] == {
-        "cell_count": 5, "pass_total": 3, "fail_total": 0, "boundary_total": 2
-    }
 
 
 def test_seed_predicate():
@@ -446,26 +345,9 @@ def test_cli_reports_a_directory_given_as_scenario_file(capsys):
     assert "Is a directory" in err
 
 
-def test_a_window_whose_chosen_product_escapes_has_only_boundary_cells():
-    scenario = _a_product_escapes()
-    group = scenario.given.rep.group
-    assert scenario.hap_choice.chosen_l_label == 1
-    with pytest.raises(OutOfCarrier):  # K.L escapes [-2, 2]
-        product_set(group.ball(2), scenario.hap_choice.chosen_L)
-    computed, escaped = comparison_run(scenario)
-    assert (computed.k_label, escaped.k_label) == (0, 2)
-    assert escaped.inside == [False] * group.order
-    assert escaped.columns == {name: [None] * group.order for name in _VALUES} | {
-        name: [False] * group.order for name in _FLAGS}
-    inside = [y for y, interior in zip(group.carrier, computed.inside) if interior]
-    assert inside == [-1, 0, 1]
-    assert all(ok for ok, interior in zip(computed.columns["ok"], computed.inside) if interior)
-
-
 def _reference_rows(scenario) -> list[dict]:
     """A comparison report's rows cell by cell: each cell's values from
-    comparison_certificate, or None and false in a boundary cell, with its
-    y and K and the scenario's constants."""
+    comparison_certificate, with its y and K and the scenario's constants."""
     group = scenario.given.rep.group
     hap = scenario.hap_choice
     constants = {"L_radius": hap.chosen_l_label, "epsilon": scenario.epsilon,
@@ -474,20 +356,12 @@ def _reference_rows(scenario) -> list[dict]:
                  "B_alternative": 1.0 / scenario.given.analysis.A}
     rows = []
     for K, k_label in zip(scenario.K_family, scenario.k_labels):
-        try:
-            kl_positions = product_set(K, hap.chosen_L).positions()
-        except OutOfCarrier:
-            kl_positions = None
+        kl_positions = product_set(K, hap.chosen_L).positions()
         for yp, y in enumerate(group.carrier):
             cell = comparison_certificate(scenario, yp, K.positions(), kl_positions)
-            boundary = cell is None
-            if boundary:
-                cell = dict.fromkeys(_VALUES) | dict.fromkeys(_FLAGS, False)
-            else:
-                assert list(cell) == [*_VALUES, *_FLAGS]
-                assert cell["ok"] == all(cell[flag] for flag in _FLAGS[:-1])
-            rows.append({"y": y, "K_radius": k_label, **cell, **constants,
-                         "boundary": boundary})
+            assert list(cell) == [*_VALUES, *_FLAGS]
+            assert cell["ok"] == all(cell[flag] for flag in _FLAGS[:-1])
+            rows.append({"y": y, "K_radius": k_label, **cell, **constants, "boundary": False})
     return rows
 
 
@@ -505,10 +379,8 @@ def _acceptance_comparison(scenario_id):
 
 
 _COMPARISONS = {
-    "box": _box_comparison,  # y.K escapes while y.K.L stays; duplicate points
-    "lattice": _lattice_comparison,
-    "windows-escape-at-the-ends": _windows_escape_at_the_ends,
-    "a-product-escapes": _a_product_escapes,
+    "lattice": _lattice_comparison,  # duplicate points
+    "l-without-identity": _l_without_identity_comparison,
     **{scenario_id: _acceptance_comparison(scenario_id)
        for scenario_id in ("compare-gabor-vs-dirac-z8", "compare-gabor-vs-gabor-z8",
                            "compare-dirac-vs-dirac-z8")},
