@@ -24,19 +24,20 @@ sandwich the chain runs through; the runner also records the upper bound 1/A
 of the dual of E_g beside it, for comparison only.
 
 Cells work on carrier positions: each K.L is read off the comparison's HAP
-question (ComparisonScenario.hap, a HapScenario, which builds them all), each
-cell translates K and K.L with GroupModel.multiply_masked, and the point
-sets' slot tables (PointSet.indices_at) give P's duals and Q's reference
-atoms, both in frame-index order, the order that fixes the SVDs' rounding.
-Like the HAP, the comparison needs a group, whose translates never escape:
-its HapScenario rejects a box carrier, so every cell is computed.
+question (ComparisonScenario.hap, a HapScenario built with the scenario,
+which builds them all), each cell translates K and K.L with
+GroupModel.multiply_masked, and the point sets' slot tables
+(PointSet.indices_at) give P's duals and Q's reference atoms, both in
+frame-index order, the order that fixes the SVDs' rounding.  Like the HAP,
+the comparison needs a group, whose translates never escape: its
+HapScenario rejects a box carrier, so every cell is computed.
 comparison_run returns one certificate per K with its cells as columns
 under their report names, as the runner writes them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -95,43 +96,25 @@ def cardinality_count(X: PointSet, S: CompactSet) -> int:
     return int(np.count_nonzero(S.indicator[X.positions()]))
 
 
-@dataclass
 class ComparisonScenario:
-    """Given frame, reference frame, tolerance, and the window/inflation families."""
+    """Given frame, reference frame, tolerance, and ``hap``, the HAP question
+    beneath them (frame = given, f = h, threshold epsilon * ||h||), which
+    holds U, the window and inflation families and their labels."""
 
-    given: FrameSystem
-    reference: FrameSystem
-    epsilon: float
-    U: CompactSet
-    K_family: list[CompactSet]
-    L_family: list[CompactSet]
-    k_labels: list | None = None
-    l_labels: list | None = None
-    h_norm_sq: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        if self.given.rep.group is not self.reference.rep.group:
+    def __init__(self, given: FrameSystem, reference: FrameSystem, epsilon: float,
+                 U: CompactSet, K_family: list[CompactSet], L_family: list[CompactSet],
+                 k_labels: list | None = None, l_labels: list | None = None) -> None:
+        if given.rep.group is not reference.rep.group:
             raise ValueError("both frames must live on the same group")
-        if not 0 < self.epsilon < 1:
-            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        self.h_norm_sq = float(np.linalg.norm(self.reference.window) ** 2)
-        self.k_labels = family_labels(self.k_labels, self.K_family, "k_labels")
-        self.l_labels = family_labels(self.l_labels, self.L_family, "l_labels")
-
-    @cached_property
-    def hap(self) -> HapScenario:
-        """The HAP question under the comparison, at threshold epsilon * ||h||;
-        building it builds every K.L, for the HAP scan and for the cells."""
-        return HapScenario(
-            frame=self.given,
-            f=self.reference.window,
-            epsilon=self.epsilon * float(np.linalg.norm(self.reference.window)),
-            U=self.U,
-            K_family=self.K_family,
-            L_family=self.L_family,
-            k_labels=self.k_labels,
-            l_labels=self.l_labels,
-        )
+        if not 0 < epsilon < 1:
+            raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+        reference.analysis  # NotAFrame is reported before any error in the HAP question
+        self.given, self.reference, self.epsilon = given, reference, epsilon
+        self.h_norm_sq = float(np.linalg.norm(reference.window) ** 2)
+        self.hap = HapScenario(frame=given, f=reference.window,
+                               epsilon=epsilon * float(np.linalg.norm(reference.window)),
+                               U=U, K_family=K_family, L_family=L_family,
+                               k_labels=k_labels, l_labels=l_labels)
 
     @cached_property
     def hap_choice(self) -> HapCertificate:
@@ -206,7 +189,7 @@ def comparison_run(scenario: ComparisonScenario) -> list[ComparisonCertificate]:
         cells = [comparison_certificate(scenario, yp, hap.k_positions[ik], hap.kl_positions[s])
                  for yp in range(scenario.given.rep.group.order)]
         columns = {name: [cell[name] for cell in cells] for name in cells[0]}
-        certificates.append(ComparisonCertificate(scenario.k_labels[ik], columns))
+        certificates.append(ComparisonCertificate(hap.k_labels[ik], columns))
     return certificates
 
 
@@ -252,7 +235,7 @@ class DensityReport:
 
 
 def density_report(
-    X: PointSet, K_family: list[CompactSet], y_sample=None, k_labels=None
+    X: PointSet, K_family: list[CompactSet], y_sample=None, k_labels=None, sampled=None
 ) -> DensityReport:
     """Counting ratios card{x_j in yK} / |K| per (y, K), as columns, with the
     per-K extremes as a derived view.
@@ -260,14 +243,15 @@ def density_report(
     The starting point for density statements: expanding windows whose count
     per unit Haar measure stabilizes reveal the density of the point set.
     ``y_sample`` defaults to the whole carrier; sampled base points outside
-    a truncated carrier give boundary cells.
+    a truncated carrier give boundary cells.  ``sampled``, when given, is
+    sample_positions' answer for ``y_sample``.
     """
     group = X.group
     if y_sample is None:
         y_sample = group.carrier
         y_positions, y_inside = group.all_positions, np.ones(group.order, dtype=bool)
     else:
-        y_positions, y_inside = _sample_positions(group, y_sample)
+        y_positions, y_inside = sample_positions(group, y_sample) if sampled is None else sampled
     k_labels = family_labels(k_labels, K_family, "k_labels")
     point_counts = X.counts()
     counts = np.zeros((len(K_family), len(y_positions)), dtype=point_counts.dtype)
@@ -284,7 +268,7 @@ def density_report(
     )
 
 
-def _sample_positions(group, y_sample) -> tuple[np.ndarray, np.ndarray]:
+def sample_positions(group, y_sample) -> tuple[np.ndarray, np.ndarray]:
     """Positions of the sampled base points and the mask of those in the carrier."""
     positions, inside = [], []
     for y in y_sample:

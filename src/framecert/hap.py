@@ -151,8 +151,8 @@ class HapScenario:
                              "escape its carrier")
         analysis = self.frame.analysis
         self.duals, self.lower_bound = analysis.canonical_dual, analysis.A
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0 < self.epsilon < np.inf:  # also refuses nan
+            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
         if not self.K_family:
             raise ValueError("K_family must be nonempty")
         if not self.L_family:

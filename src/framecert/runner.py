@@ -17,9 +17,11 @@ points are split into one range per worker and queued first, and its
 certificate is assembled here while the workers run the other scenarios.
 Each report is built and encoded once, in the process that assembled it,
 and its text crosses the pool with it.
-Individual scenario failures (a system that is not a frame, a malformed
-candidate family, an escaping carrier) are captured in the report's "error"
-field and never abort the batch; any other exception is a bug and aborts it.
+Each scenario is built from its spec (group, points, frames with their
+analyses, vectors, the HAP or comparison question), then answered.  The
+report's "error" field captures a bad value, an escaping carrier or a
+system that is not a frame while building, and no admissible L while
+answering; any other exception is a bug and propagates out of run().
 
 The HAP error table, the comparison cells and the density counts are _Table
 objects built from the certificates' columns, one block per (K, L) pair or
@@ -62,20 +64,13 @@ from framecert.amalgam import (
 from framecert.comparison import (
     ComparisonScenario,
     HapPreconditionUnmet,
-    NotPositive,
     comparison_run,
     density_report,
+    sample_positions,
 )
-from framecert.frames import (
-    LengthMismatch,
-    NotAFrame,
-    analysis_coefficients,
-    bessel_bound_check,
-    verify_dual,
-)
-from framecert.groups import NonSymmetricNeighborhood, OutOfCarrier, PointSet, separation_constant
-from framecert.hap import HapCertificate, HapScenario, NoAdmissibleL, certify, find_L, scan_errors
-from framecert.representations import DimensionMismatch, ZeroResult, ZeroWindow
+from framecert.frames import NotAFrame, analysis_coefficients, bessel_bound_check, verify_dual
+from framecert.groups import OutOfCarrier, PointSet, separation_constant
+from framecert.hap import HapScenario, NoAdmissibleL, certify, find_L, scan_errors
 from framecert.scenarios import (
     Scenario,
     build_frame,
@@ -151,13 +146,14 @@ class _Table(Sequence):
     column, one entry per base point, for each of its other entries, and
     the mask of its interior rows.  A column holds bools, or finite ints or
     floats with anything (None, 0) in boundary rows; a boundary row takes
-    false for a bool entry and None for any other.  Every value is
-    canonical.  text() encodes the table column by column: the y texts
-    once, the constants once per block, and each row from its block's
-    interior or boundary template, whose keys are y, boundary and the
-    block's entries, in the order _dumps sorts them.  The text is not kept:
-    sealing reads it once, and the sealed report holds it.  The rows are
-    the text parsed.  A table holds only data, so it pickles.
+    None for each (only density tables, which hold no bools, have boundary
+    rows).  Every value is canonical.  text() encodes the table column by
+    column: the y texts once, the constants once per block, and each row
+    from its block's interior or boundary template, whose keys are y,
+    boundary and the block's entries, in the order _dumps sorts them.  The
+    text is not kept: sealing reads it once, and the sealed report holds
+    it.  The rows are the text parsed.  A table holds only data, so it
+    pickles.
     """
 
     __slots__ = ("ys", "blocks", "_rows")
@@ -206,8 +202,7 @@ class _Table(Sequence):
                 boundary.append(f"{name}:true")
             else:
                 interior.append(f"{name}:%s")
-                boundary.append(f"{name}:%s" if key == "y" else
-                                f"{name}:false" if _is_flag(columns[key]) else f"{name}:null")
+                boundary.append(f"{name}:%s" if key == "y" else f"{name}:null")
         return "{" + ",".join(interior) + "}", "{" + ",".join(boundary) + "}"
 
     def text(self) -> str:
@@ -323,8 +318,12 @@ def _seal(report: dict) -> _Sealed:
     return sealed
 
 
-def _run_sampling_bound(spec: dict, seed: int) -> dict:
-    group = build_group(spec["group"])
+def _sampling_setup(spec: dict, seed: int) -> tuple:
+    return build_group(spec["group"]), spec, seed
+
+
+def _run_sampling_bound(built: tuple) -> dict:
+    group, spec, seed = built
     rng = np.random.default_rng(seed)
     max_radius = spec["max_radius"]
     rows = []
@@ -350,8 +349,14 @@ def _run_sampling_bound(spec: dict, seed: int) -> dict:
     }
 
 
-def _run_frame_analysis(spec: dict, seed: int) -> dict:
+def _analyzed_frame(spec: dict, seed: int) -> tuple:
     frame = build_frame(spec["frame"])
+    frame.analysis  # NotAFrame, or a LinAlgError, while building
+    return frame, seed
+
+
+def _run_frame_analysis(built: tuple) -> dict:
+    frame, seed = built
     analysis = frame.analysis
     c0 = separation_constant(frame.points, frame.rep.group.ball(1))
 
@@ -395,7 +400,7 @@ def _families(spec: dict, group) -> dict:
     }
 
 
-def _hap_scenario(spec: dict) -> HapScenario:
+def _hap_scenario(spec: dict, seed: int) -> HapScenario:
     frame = build_frame(spec["frame"])
     frame.analysis  # NotAFrame is reported before any error in f
     f = build_vector(spec["f"], frame.rep.dim)
@@ -409,7 +414,10 @@ def _carrier_column(group) -> list:
     return coords.tolist()
 
 
-def _hap_payload(cert: HapCertificate) -> dict:
+def _hap_payload(scenario: HapScenario, pieces=None) -> dict:
+    """The HAP report's payload from find_L's certificate, or from certify's
+    over ``pieces``, the scan_errors ranges that cover the carrier."""
+    cert = find_L(scenario) if pieces is None else certify(scenario, list(pieces))
     # The table straight from the certificate's columns, one block per (K, L)
     # pair; each error is formatted once.
     ys = _carrier_column(cert.group)
@@ -438,18 +446,21 @@ def _hap_payload(cert: HapCertificate) -> dict:
     }
 
 
-def _run_hap(spec: dict, seed: int) -> dict:
-    return _hap_payload(find_L(_hap_scenario(spec)))
+def _comparison_scenario(spec: dict, seed: int) -> ComparisonScenario:
+    frame = build_frame(spec["frame"])
+    frame.analysis  # NotAFrame is reported before any error in the reference
+    reference = build_reference(spec["reference"], frame.rep)
+    return ComparisonScenario(given=frame, reference=reference,
+                              **_families(spec, frame.rep.group))
 
 
 def _comparison_payload(scenario: ComparisonScenario) -> dict:
     # The table straight from the certificates' columns, one block per K, with
-    # the scenario's constants once per block.  B is read before the HAP
-    # choice, so a reference that is not a frame is reported first.
-    b_used = scenario.reference.analysis.B
+    # the scenario's constants once per block.
     hap = scenario.hap_choice
     shared = _canon({"L_radius": hap.chosen_l_label, "epsilon": scenario.epsilon,
-                     "B_used": b_used, "B_provenance": "upper bound of reference frame",
+                     "B_used": scenario.reference.analysis.B,
+                     "B_provenance": "upper bound of reference frame",
                      "B_alternative": 1.0 / scenario.given.analysis.A})
     ys = _carrier_column(scenario.given.rep.group)
     table = _Table(ys, [
@@ -467,20 +478,20 @@ def _comparison_payload(scenario: ComparisonScenario) -> dict:
     }
 
 
-def _run_comparison(spec: dict, seed: int) -> dict:
-    frame = build_frame(spec["frame"])
-    frame.analysis  # NotAFrame is reported before any error in the reference
-    reference = build_reference(spec["reference"], frame.rep)
-    return _comparison_payload(ComparisonScenario(
-        given=frame, reference=reference, **_families(spec, frame.rep.group)))
-
-
-def _run_density(spec: dict, seed: int) -> dict:
+def _density_setup(spec: dict, seed: int) -> tuple:
     group = build_group(spec["group"])
     X = build_points(spec["points"], group)
     K_family = [group.ball(r) for r in spec["k_radii"]]
     y_sample = spec.get("y_sample")
-    report = density_report(X, K_family, y_sample=y_sample, k_labels=list(spec["k_radii"]))
+    sampled = None if y_sample is None else sample_positions(group, y_sample)
+    return X, K_family, spec, sampled
+
+
+def _run_density(built: tuple) -> dict:
+    X, K_family, spec, sampled = built
+    y_sample = spec.get("y_sample")
+    report = density_report(X, K_family, y_sample=y_sample, k_labels=list(spec["k_radii"]),
+                            sampled=sampled)
     # The table straight from the report's columns, one block per K: the
     # measure is formatted once per K and the ratio once per distinct count.
     blocks = []
@@ -491,7 +502,7 @@ def _run_density(spec: dict, seed: int) -> dict:
         blocks.append(({"K_radius": _canon(k_label), "measure": _canon(vol)},
                        {"count": counts, "ratio": [ratios[count] for count in counts]},
                        inside))
-    ys = _carrier_column(group) if y_sample is None else _canon(y_sample)
+    ys = _carrier_column(X.group) if y_sample is None else _canon(y_sample)
     table = _Table(ys, blocks)
     return {
         "table": table,
@@ -500,38 +511,27 @@ def _run_density(spec: dict, seed: int) -> dict:
     }
 
 
-# What a well-formed scenario can still run into: a system that is not a
-# frame, no admissible L, an escaping carrier, a degenerate vector or a bad
-# value.  Any other exception is a bug and propagates out of run().
-_SCENARIO_ERRORS = (
-    NotAFrame,
-    LengthMismatch,
-    NoAdmissibleL,
-    HapPreconditionUnmet,
-    NotPositive,
-    OutOfCarrier,
-    NonSymmetricNeighborhood,
-    DimensionMismatch,
-    ZeroWindow,
-    ZeroResult,
-    ValueError,
-)
+# What a well-formed scenario can still run into while it is built (a
+# LinAlgError from a frame's analysis is a ValueError) and while it is answered.
+_BUILD_ERRORS = (ValueError, OutOfCarrier, NotAFrame)
+_ANSWER_ERRORS = (NoAdmissibleL, HapPreconditionUnmet)
 
+# kind -> (build(spec, seed), answer(built)), the report's payload
 _EVALUATORS = {
-    "sampling_bound": _run_sampling_bound,
-    "frame_analysis": _run_frame_analysis,
-    "hap": _run_hap,
-    "comparison": _run_comparison,
-    "density": _run_density,
+    "sampling_bound": (_sampling_setup, _run_sampling_bound),
+    "frame_analysis": (_analyzed_frame, _run_frame_analysis),
+    "hap": (_hap_scenario, _hap_payload),
+    "comparison": (_comparison_scenario, _comparison_payload),
+    "density": (_density_setup, _run_density),
 }
 
 
-def _outcome(compute, *args) -> tuple[object, dict | None]:
-    """``(compute(*args), None)``, or ``(None, error)`` when it raises a
-    scenario error; any other exception propagates."""
+def _outcome(errors: tuple, step, *args) -> tuple[object, dict | None]:
+    """``(step(*args), None)``, or ``(None, error)`` when it raises one of
+    ``errors``; any other exception propagates."""
     try:
-        return compute(*args), None
-    except _SCENARIO_ERRORS as exc:  # captured per-report, the batch continues
+        return step(*args), None
+    except errors as exc:  # captured per-report, the batch continues
         return None, {"type": type(exc).__name__, "message": str(exc)}
 
 
@@ -551,29 +551,32 @@ def _seed(scenario: Scenario, seed_override: int | None) -> int:
     return scenario.seed if seed_override is None else seed_override
 
 
+def _payload(kind: str, spec: dict, seed: int) -> tuple[dict | None, dict | None]:
+    """The scenario built, then answered: ``(payload, None)``, or ``(None,
+    error)`` from the step that failed.  What was built is dropped on
+    return, before the report is sealed."""
+    build, answer = _EVALUATORS[kind]
+    built, error = _outcome(_BUILD_ERRORS, build, spec, seed)
+    return (None, error) if error else _outcome(_ANSWER_ERRORS, answer, built)
+
+
 def _evaluate(scenario: Scenario, seed_override: int | None) -> dict:
     seed = _seed(scenario, seed_override)
-    return _report(scenario, seed, *_outcome(_EVALUATORS[scenario.kind], scenario.spec, seed))
+    return _report(scenario, seed, *_payload(scenario.kind, scenario.spec, seed))
 
 
-def _queue_hap(pool, spec: dict, slices: int):
-    """Build a HAP scenario here, which sets up its scan, and queue its base
-    points on ``pool`` in ``slices`` contiguous ranges; returns what
-    _finish_hap needs."""
-    scenario = _hap_scenario(spec)
+def _queue_hap(pool, scenario: HapScenario, slices: int):
+    """Queue the base points of a built HAP scenario, whose scan is set up,
+    on ``pool`` in ``slices`` contiguous ranges; returns the pieces, which
+    _hap_payload reads."""
     ranges = [r for r in np.array_split(np.arange(scenario.frame.rep.group.order), slices)
               if len(r)]
-    pieces = pool.map(
+    return pool.map(
         scan_errors,
         [scenario] * len(ranges),
         [int(r[0]) for r in ranges],
         [int(r[-1]) + 1 for r in ranges],
     )
-    return scenario, pieces
-
-
-def _finish_hap(scenario: HapScenario, pieces) -> dict:
-    return _hap_payload(certify(scenario, list(pieces)))
 
 
 def run(
@@ -593,9 +596,10 @@ def run(
     scenario alone can keep every worker busy.  Only Linux forks; on other
     platforms (macOS, where fork is unsafe once the system BLAS has run, and
     Windows, which has no fork), or when one worker would do, the scenarios
-    run serially in this process.  A scenario error in either HAP step
-    becomes that report's error; an exception that is a bug propagates out
-    of run() from a worker as it does from the serial loop."""
+    run serially in this process.  A build error (while this process builds
+    a HAP scenario) or an answer error (when its pieces are read) becomes
+    that report's error, as in the serial loop; any other exception
+    propagates out of run(), from a worker as from this process."""
     haps = [s for s in scenarios if s.kind == "hap"]
     others = [s for s in scenarios if s.kind != "hap"]
     tasks = len(others) + len(haps) * parallelism
@@ -607,14 +611,19 @@ def run(
 
         context = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-            queued_haps = [(s, *_outcome(_queue_hap, pool, s.spec, workers)) for s in haps]
+            queued_haps = []
+            for scenario in haps:
+                seed = _seed(scenario, seed_override)
+                built, error = _outcome(_BUILD_ERRORS, _hap_scenario, scenario.spec, seed)
+                pieces = None if error else _queue_hap(pool, built, workers)
+                queued_haps.append((scenario, seed, built, pieces, error))
             queued = pool.map(_evaluate, others, [seed_override] * len(others))
             reports = []
-            for scenario, job, error in queued_haps:
+            for scenario, seed, built, pieces, error in queued_haps:
                 payload = None
-                if job is not None:
-                    payload, error = _outcome(_finish_hap, *job)
-                reports.append(_report(scenario, _seed(scenario, seed_override), payload, error))
+                if error is None:
+                    payload, error = _outcome(_ANSWER_ERRORS, _hap_payload, built, pieces)
+                reports.append(_report(scenario, seed, payload, error))
             reports.extend(queued)
     else:
         reports = list(map(_evaluate, scenarios, [seed_override] * len(scenarios)))

@@ -95,7 +95,7 @@ def test_rows_from_columns_equal_the_views_across_the_pool(tmp_path, monkeypatch
     for scenario in scenarios:
         report = reports[scenario.id]
         if scenario.kind == "hap":
-            cert = find_L(runner._hap_scenario(scenario.spec))
+            cert = find_L(runner._hap_scenario(scenario.spec, scenario.seed))
             _assert_hap_payload_matches_the_views(report, cert)
             continue
         view = _density_view(scenario.spec)
@@ -250,21 +250,21 @@ def test_table_text_equals_the_encoded_rows():
     assert table.text().count('"error":-0.0') == 1 and table == expected
     assert table[5] is table[5]  # a row read twice is the same dict
 
-    # bool columns, false in a boundary row, and None in a value column's
-    # boundary row; and a block with no base points, as y_sample [] gives
+    # bool columns, which only comparison tables have, and those have no
+    # boundary rows; and a block with no base points, as y_sample [] gives
     flags = _Table([0, [1, -2]], [
-        ({"K_radius": 0}, {"ok": [True, False], "rank_P": [2, None]}, [True, False]),
+        ({"K_radius": 0}, {"ok": [True, False], "rank_P": [2, 1]}, [True, True]),
         ({"K_radius": 1}, {"ok": [False, True], "rank_P": [0, 3]}, [True, True]),
     ])
     expected = [
         {"y": 0, "K_radius": 0, "ok": True, "rank_P": 2, "boundary": False},
-        {"y": [1, -2], "K_radius": 0, "ok": False, "rank_P": None, "boundary": True},
+        {"y": [1, -2], "K_radius": 0, "ok": False, "rank_P": 1, "boundary": False},
         {"y": 0, "K_radius": 1, "ok": False, "rank_P": 0, "boundary": False},
         {"y": [1, -2], "K_radius": 1, "ok": True, "rank_P": 3, "boundary": False},
     ]
     assert flags.text() == runner._dumps(expected) and flags == expected
     assert _summary(flags, "ok") == _summary(expected, "ok") == {
-        "cell_count": 4, "pass_total": 2, "fail_total": 1, "boundary_total": 1}
+        "cell_count": 4, "pass_total": 2, "fail_total": 2, "boundary_total": 0}
     empty = _Table([], [({"K_radius": 0}, {"ok": [], "count": []}, [])])
     assert empty.text() == runner._dumps([]) == "[]" and len(empty) == 0 and empty == []
     assert _summary(empty, "ok") == _summary([], "ok")

@@ -289,7 +289,7 @@ def _l_without_identity_comparison():
     that misses the identity, so y.K need not lie in y.K.L."""
     scenario = _lattice_comparison()
     group = scenario.given.rep.group
-    return _comparison(scenario.given, scenario.reference, 0.5, scenario.K_family,
+    return _comparison(scenario.given, scenario.reference, 0.5, scenario.hap.K_family,
                        [translate_set((3, 3), group.ball(r)) for r in (0, 1, 2)])
 
 
@@ -314,7 +314,7 @@ def test_comparison_run_builds_each_chosen_product_once(monkeypatch):
     group = scenario.given.rep.group
     # the HAP scan's own set algebra, and the expected products, before counting
     expected = [product_set(K, scenario.hap_choice.chosen_L).positions()
-                for K in scenario.K_family]
+                for K in scenario.hap.K_family]
     calls = {"product_set": 0, "translate_set": 0, "local_subspace": 0}
     handed = []
 
@@ -342,8 +342,8 @@ def test_comparison_run_builds_each_chosen_product_once(monkeypatch):
 
     comparison_run(scenario)
     assert calls == {"product_set": 0, "translate_set": 0, "local_subspace": 0}
-    assert len(handed) == len(scenario.K_family) * group.order
-    for K, kl, start in zip(scenario.K_family, expected, range(0, len(handed), group.order)):
+    assert len(handed) == len(scenario.hap.K_family) * group.order
+    for K, kl, start in zip(scenario.hap.K_family, expected, range(0, len(handed), group.order)):
         cells = handed[start:start + group.order]
         assert [yp for yp, _, _ in cells] == list(range(group.order))
         assert all(np.array_equal(k, K.positions()) for _, k, _ in cells)
@@ -366,10 +366,13 @@ def test_comparison_cells_match_the_set_oracles(make):
     group = given.rep.group
     chosen_L = scenario.hap_choice.chosen_L
     certs = comparison_run(scenario)
-    assert [cert.k_label for cert in certs] == scenario.k_labels
+    assert [cert.k_label for cert in certs] == scenario.hap.k_labels
+    # the families and labels live on the HAP question only
+    assert not any(hasattr(scenario, name)
+                   for name in ("U", "K_family", "L_family", "k_labels", "l_labels"))
     cells = _cells(certs, group)
-    windows = [K for K in scenario.K_family for _ in group.carrier]
-    assert [cell["y"] for cell in cells] == list(group.carrier) * len(scenario.K_family)
+    windows = [K for K in scenario.hap.K_family for _ in group.carrier]
+    assert [cell["y"] for cell in cells] == list(group.carrier) * len(scenario.hap.K_family)
     outside = 0  # cells whose y.K does not lie in y.K.L
     for cell, K in zip(cells, windows):
         y = cell["y"]
@@ -398,9 +401,8 @@ def test_a_box_comparison_is_rejected():
 
     rep = _RollRep(2)
     frame = coherent_frame(rep, dirac_vector(5), full_point_set(rep.group))
-    scenario = _scenario(frame, frame, epsilon=0.5, k_radii=(1,), l_radii=(0, 1))
     with pytest.raises(ValueError, match=r"GroupModel\(box, \(2,\)\)"):
-        comparison_run(scenario)
+        _scenario(frame, frame, epsilon=0.5, k_radii=(1,), l_radii=(0, 1))
 
 
 # -- rejections ------------------------------------------------------------------

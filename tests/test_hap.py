@@ -191,6 +191,11 @@ def test_scenario_validation():
     group = frame.rep.group
     with pytest.raises(ValueError):
         ball_scenario(frame, dirac_vector(8), epsilon=-1.0)
+    # nan used to end in NoAdmissibleL ("worst error < nan") and inf to
+    # certify the smallest L whatever its error
+    for epsilon in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite and positive"):
+            ball_scenario(frame, dirac_vector(8), epsilon=epsilon)
     with pytest.raises(ValueError):
         HapScenario(
             frame=frame, f=dirac_vector(8), epsilon=0.1, U=group.ball(1),

@@ -355,7 +355,7 @@ def _reference_rows(scenario) -> list[dict]:
                  "B_provenance": "upper bound of reference frame",
                  "B_alternative": 1.0 / scenario.given.analysis.A}
     rows = []
-    for K, k_label in zip(scenario.K_family, scenario.k_labels):
+    for K, k_label in zip(scenario.hap.K_family, scenario.hap.k_labels):
         kl_positions = product_set(K, hap.chosen_L).positions()
         for yp, y in enumerate(group.carrier):
             cell = comparison_certificate(scenario, yp, K.positions(), kl_positions)
@@ -393,6 +393,6 @@ def test_comparison_rows_equal_the_cell_by_cell_reference(make):
     payload = runner._comparison_payload(scenario)
     rows = _reference_rows(scenario)
     table = payload["certificates"]
-    assert len(table.blocks) == len(scenario.K_family)
+    assert len(table.blocks) == len(scenario.hap.K_family)
     assert table.text() == canonical_json(rows)
     assert payload["summary"] == runner._summary(rows, "ok")

@@ -178,11 +178,12 @@ def test_importing_the_cli_loads_no_pool_machinery():
 
 
 def test_programming_errors_cross_the_pool(tmp_path, monkeypatch):
-    def buggy(spec, seed):
+    def buggy(built):
         raise TypeError("a bug, not a scenario failure")
 
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setitem(runner._EVALUATORS, "frame_analysis", buggy)
+    build, _ = runner._EVALUATORS["frame_analysis"]
+    monkeypatch.setitem(runner._EVALUATORS, "frame_analysis", (build, buggy))
     scenarios = load_scenarios(_scenario_file(tmp_path, ["a", "b"]))
     with pytest.raises(TypeError, match="a bug"):
         run(scenarios, parallelism=2)
@@ -312,6 +313,42 @@ def test_an_oversized_carrier_fails_its_report_and_the_batch_runs_on(monkeypatch
         "message": "a carrier of 8589934592 elements exceeds the limit of 1048576"}
     assert not oversized["ok"]
     assert [(r["error"], r["ok"]) for r in by_id.values()] == [(None, True)] * 2
+
+
+def _shape_bug(generators):
+    return np.zeros(3) + np.zeros(4)  # numpy raises ValueError: cannot broadcast
+
+
+_COMPARISON_SPEC = {
+    "id": "compare", "kind": "comparison",
+    "frame": {"rep": {"kind": "gabor", "n": 4}, "window": "gauss", "points": "full"},
+    "reference": {"window": "dirac0", "points": {"lattice": {"steps": [1, 4]}}},
+    "epsilon": 0.5, "u_radius": 1, "k_radii": [0, 1], "l_radii": [0, 1, 2],
+}
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+@pytest.mark.parametrize("module, spec", [
+    ("hap", _hap_spec("hap")),  # the HAP scan
+    ("comparison", _COMPARISON_SPEC),  # the cells only: the comparison's scan runs
+], ids=["hap-scan", "comparison-cells"])
+def test_a_numpy_error_while_answering_escapes_run(tmp_path, monkeypatch, module, spec,
+                                                     parallelism):
+    # Only building a scenario files a ValueError as its report's error, as
+    # for edge-density-wrong-rank (test_reports.py::test_edge_hashes_match_the_pins)
+    # and the oversized carrier above; a shape bug in the computation is a bug.
+    import importlib
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # the pool path at parallelism 2
+    monkeypatch.setattr(importlib.import_module(f"framecert.{module}"), "span_projector",
+                        _shape_bug)
+    good = {"id": "good", "kind": "frame_analysis",
+            "frame": {"rep": {"kind": "translation", "n": 4}, "window": "dirac0",
+                      "points": "full"}}
+    path = tmp_path / "scenarios.json"
+    path.write_text(json.dumps([spec, good]))
+    with pytest.raises(ValueError, match="broadcast"):
+        run(load_scenarios(path), parallelism=parallelism)
 
 
 # -- one encoding per report ---------------------------------------------------

@@ -216,10 +216,11 @@ def test_runner_captures_errors_without_aborting(tmp_path):
 def test_runner_lets_programming_errors_propagate(tmp_path, monkeypatch):
     import framecert.runner as runner
 
-    def buggy(spec, seed):
+    def buggy(built):
         raise TypeError("a bug, not a scenario failure")
 
-    monkeypatch.setitem(runner._EVALUATORS, "frame_analysis", buggy)
+    build, _ = runner._EVALUATORS["frame_analysis"]
+    monkeypatch.setitem(runner._EVALUATORS, "frame_analysis", (build, buggy))
     with pytest.raises(TypeError, match="a bug"):
         run(load_scenarios(write(tmp_path, MINIMAL)))
 
