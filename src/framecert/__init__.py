@@ -67,8 +67,10 @@ from framecert.frames import (
 )
 from framecert.hap import (
     HapCertificate,
+    HapChoice,
     HapScenario,
     NoAdmissibleL,
+    choose_L,
     find_L,
     hap_error,
     local_subspace,

@@ -23,14 +23,19 @@ B is the upper frame bound of the reference frame, the bound of the trace
 sandwich the chain runs through; the runner also records the upper bound 1/A
 of the dual of E_g beside it, for comparison only.
 
-Cells work on carrier positions: each K.L is read off the comparison's HAP
-question (ComparisonScenario.hap, a HapScenario built with the scenario,
-which builds them all), each cell translates K and K.L with
-GroupModel.multiply_masked, and the point sets' slot tables
-(PointSet.indices_at) give P's duals and Q's reference atoms, both in
-frame-index order, the order that fixes the SVDs' rounding.  Like the HAP,
-the comparison needs a group, whose translates never escape: its
-HapScenario rejects a box carrier, so every cell is computed.
+L is ComparisonScenario.hap_choice, a HapChoice from the comparison's HAP
+question (ComparisonScenario.hap, built with the scenario, which builds
+every K.L): the first candidate to meet epsilon * ||h||, scanned
+smallest-first over its own table rows.  Cells work on carrier positions,
+a block of base points at a time: one GroupModel.multiply_masked translates
+K and K.L by every y of the block, and the point sets' slot tables give P's
+duals and Q's reference atoms in frame-index order, the order that fixes
+the SVDs' rounding.  Each cell keeps its own two SVDs; T = (QP)Q, its
+spectrum, the sums and the flags run stacked over the block (the sums with
+a cell's reference atoms over the cells of equal card_Y), each cell's
+operands laid out as alone, so every value is bit for bit the one-cell
+value of comparison_certificate.  Like the HAP, the comparison needs a
+group: its HapScenario rejects a box carrier, so every cell is computed.
 comparison_run returns one certificate per K with its cells as columns
 under their report names, as the runner writes them.
 """
@@ -44,8 +49,9 @@ from typing import Sequence
 import numpy as np
 
 from framecert.frames import FrameSystem, SpanProjector, span_projector
-from framecert.groups import CompactSet, OutOfCarrier, PointSet, measure, window_reduce
-from framecert.hap import HapCertificate, HapScenario, NoAdmissibleL, family_labels, find_L
+from framecert.groups import (CompactSet, OutOfCarrier, PointSet, block_ranges, measure,
+                              window_reduce)
+from framecert.hap import HapChoice, HapScenario, NoAdmissibleL, choose_L, family_labels
 
 _REL_SLACK = 1e-9
 
@@ -58,8 +64,9 @@ class HapPreconditionUnmet(Exception):
     """No candidate L met the epsilon * ||h|| approximation threshold."""
 
 
-def _leq(a: float, b: float) -> bool:
-    return a <= b + _REL_SLACK * max(abs(a), abs(b)) + 1e-12
+def _leq(a, b):
+    """a <= b up to a relative slack, elementwise on arrays."""
+    return a <= b + _REL_SLACK * np.maximum(np.abs(a), np.abs(b)) + 1e-12
 
 
 @dataclass(frozen=True)
@@ -70,19 +77,21 @@ class TraceBoundsCheck:
 
 
 def trace_bounds_check(T, frame_vectors, A_f: float, B_f: float) -> TraceBoundsCheck:
-    """Certify (1/B) sum_k <T v_k, v_k>  <=  tr T  <=  (1/A) sum_k <T v_k, v_k>.
+    """Certify (1/B) sum_k <T v_k, v_k>  <=  tr T  <=  (1/A) sum_k <T v_k, v_k>
+    for T, or field by field for each T of a stack (..., d, d).
 
-    The trace is computed spectrally.  Raises NotPositive when T has an
-    eigenvalue below -1e-10.
+    The trace is computed spectrally.  Raises NotPositive, with the first
+    such T's lowest eigenvalue, when a T has an eigenvalue below -1e-10.
     """
     T = np.asarray(T, dtype=complex)
     evals = np.linalg.eigvalsh(T)
-    if float(evals[0]) < -1e-10:
-        raise NotPositive(f"minimum eigenvalue {float(evals[0]):.3e} is below -1e-10")
+    negative = evals[..., 0][evals[..., 0] < -1e-10]
+    if negative.size:
+        raise NotPositive(f"minimum eigenvalue {float(negative[0]):.3e} is below -1e-10")
     vectors = np.asarray(frame_vectors, dtype=complex)
-    quad_sum = float(np.sum(np.conj(vectors) * (T @ vectors)).real)
-    trace = float(evals.sum())
-    ok = _leq(quad_sum / B_f, trace) and _leq(trace, quad_sum / A_f)
+    quad_sum = np.sum(np.conj(vectors) * np.matmul(T, vectors), axis=(-2, -1)).real
+    trace = evals.sum(axis=-1)
+    ok = _leq(quad_sum / B_f, trace) & _leq(trace, quad_sum / A_f)
     return TraceBoundsCheck(sum=quad_sum, trace=trace, ok=ok)
 
 
@@ -117,10 +126,10 @@ class ComparisonScenario:
                                k_labels=k_labels, l_labels=l_labels)
 
     @cached_property
-    def hap_choice(self) -> HapCertificate:
-        """The HAP certificate; its L serves every certificate of the batch."""
+    def hap_choice(self) -> HapChoice:
+        """The L that serves every certificate of the batch, and its worst error."""
         try:
-            return find_L(self.hap)
+            return choose_L(self.hap)
         except NoAdmissibleL as exc:
             raise HapPreconditionUnmet(str(exc)) from exc
 
@@ -136,59 +145,79 @@ class ComparisonCertificate:
     columns: dict[str, list]
 
 
-def comparison_certificate(scenario: ComparisonScenario, yp: int, k_positions: np.ndarray,
-                           kl_positions: np.ndarray) -> dict:
-    """The full counting chain for the (y, K) cell at carrier position ``yp``,
-    from the positions of K and of K.L for the chosen L: the cell's values
-    under their report names."""
-    group = scenario.given.rep.group
-    yk = group.multiply_masked(yp, k_positions)[0]
-    ykl = group.multiply_masked(yp, kl_positions)[0]
+def _sorted_slots(points: PointSet, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of ``positions``, its points' indices ascending after -1 pads, and their number."""
+    slots = np.sort(points.slots[positions].reshape(len(positions), -1), axis=1)
+    return slots, np.count_nonzero(slots >= 0, axis=1)
 
+
+def _cell_columns(scenario: ComparisonScenario, first: int, last: int,
+                  k_positions: np.ndarray, kl_positions: np.ndarray) -> dict[str, np.ndarray]:
+    """The counting chain of the (y, K) cells for y at carrier positions
+    first..last-1, from the positions of K and of K.L for the chosen L: one
+    array per report name, one entry per cell, each the one-cell value."""
+    given, reference = scenario.given, scenario.reference
+    group, duals, atoms = given.rep.group, given.analysis.canonical_dual, reference.synthesis
+    B, h_sq, epsilon = reference.analysis.B, scenario.h_norm_sq, scenario.epsilon
+    ys = np.arange(first, last)[:, None]
     # The duals of the points in y.K.L and the reference atoms of the points
-    # in y.K, each in frame-index order.
-    duals = scenario.given.analysis.canonical_dual
-    P = span_projector(duals[:, np.sort(scenario.given.points.indices_at(ykl))])
-    ref_atoms = scenario.reference.synthesis[:, np.sort(scenario.reference.points.indices_at(yk))]
-    Q = span_projector(ref_atoms)
-    T = qpq_operator(P, Q)
+    # in y.K, each in frame-index order, the order that fixes the SVDs' rounding.
+    x_slots, card_x = _sorted_slots(given.points, group.multiply_masked(ys, kl_positions)[0])
+    y_slots, card_y = _sorted_slots(reference.points, group.multiply_masked(ys, k_positions)[0])
+    P = [span_projector(duals[:, row[row >= 0]]) for row in x_slots]
+    Q_stack = np.stack([span_projector(atoms[:, row[row >= 0]]).matrix for row in y_slots])
+    P_stack, rank_p = np.stack([p.matrix for p in P]), np.array([p.rank for p in P])
+    T = np.matmul(np.matmul(Q_stack, P_stack), Q_stack)  # QPQ, as (QP)Q
+    check = trace_bounds_check(T, atoms, reference.analysis.A, B)
 
-    reference = scenario.reference.analysis
-    trace_check = trace_bounds_check(T, scenario.reference.synthesis, reference.A, reference.B)
-    card_x = P.generators.shape[1]
-    card_y = ref_atoms.shape[1]
-    h_sq = scenario.h_norm_sq
-    lhs = h_sq * (1.0 - scenario.epsilon) * card_y / reference.B
+    restricted_sum, projected_sum = np.empty(len(P)), np.empty(len(P))
+    for ny in set(card_y.tolist()):
+        cells = np.flatnonzero(card_y == ny)
+        # (cells, dim, ny), each slice laid out as atoms[:, indices] is
+        ref_atoms = atoms.T[y_slots[cells, y_slots.shape[1] - ny:]].transpose(0, 2, 1)
+        for sums, operator in ((restricted_sum, T), (projected_sum, P_stack)):
+            sums[cells] = np.sum(np.conj(ref_atoms) * np.matmul(operator[cells], ref_atoms),
+                                 axis=(1, 2)).real
 
-    restricted_sum = float(np.sum(np.conj(ref_atoms) * (T @ ref_atoms)).real)
-    projected_sum = float(np.sum(np.conj(ref_atoms) * (P.matrix @ ref_atoms)).real)
-    identity_error = abs(restricted_sum - projected_sum)
-    star_signed = (projected_sum - card_y * h_sq) / reference.B
-    star_bound = scenario.epsilon * h_sq * card_y / reference.B
-
+    lhs = h_sq * (1.0 - epsilon) * card_y / B
+    identity_error = np.abs(restricted_sum - projected_sum)
+    star_signed = (projected_sum - card_y * h_sq) / B
+    star_bound = epsilon * h_sq * card_y / B
     flags = {
-        "chain_ok": trace_check.trace <= P.rank + _REL_SLACK and P.rank <= card_x,
+        "chain_ok": (check.trace <= rank_p + _REL_SLACK) & (rank_p <= card_x),
         "final_ok": lhs <= card_x + _REL_SLACK,
-        "restricted_sum_ok": restricted_sum >= (1.0 - scenario.epsilon) * h_sq * card_y - 1e-9,
+        "restricted_sum_ok": restricted_sum >= (1.0 - epsilon) * h_sq * card_y - 1e-9,
         "identity_ok": identity_error <= 1e-10,
-        "star_ok": abs(star_signed) <= star_bound + 1e-9,
-        "trace_lemma_ok": trace_check.ok,
-        "trace_lower_ok": _leq(projected_sum / reference.B, trace_check.trace),
+        "star_ok": np.abs(star_signed) <= star_bound + 1e-9,
+        "trace_lemma_ok": check.ok,
+        "trace_lower_ok": _leq(projected_sum / B, check.trace),
     }
-    return {"trace_T": trace_check.trace, "rank_P": P.rank, "card_X": card_x, "card_Y": card_y,
+    return {"trace_T": check.trace, "rank_P": rank_p, "card_X": card_x, "card_Y": card_y,
             "lhs": lhs, "restricted_sum": restricted_sum, "identity_error": identity_error,
             "star_signed": star_signed, "star_bound": star_bound,
-            **flags, "ok": all(flags.values())}
+            **flags, "ok": np.logical_and.reduce(list(flags.values()))}
+
+
+def comparison_certificate(scenario: ComparisonScenario, yp: int, k_positions: np.ndarray,
+                           kl_positions: np.ndarray) -> dict:
+    """The values of the (y, K) cell at carrier position ``yp`` under their
+    report names, as comparison_run computes them: a block of one cell."""
+    columns = _cell_columns(scenario, yp, yp + 1, k_positions, kl_positions)
+    return {name: column.tolist()[0] for name, column in columns.items()}
 
 
 def comparison_run(scenario: ComparisonScenario) -> list[ComparisonCertificate]:
-    """One certificate per window K, in family order, over the carrier."""
+    """One certificate per window K, in family order, over the carrier, a
+    block of base points at a time."""
     chosen, hap = scenario.hap_choice.chosen_index, scenario.hap
+    dim, size = scenario.reference.synthesis.shape
     certificates = []
     for ik, s in [(ik, s) for ik, il, s in hap.pairs if il == chosen]:
-        cells = [comparison_certificate(scenario, yp, hap.k_positions[ik], hap.kl_positions[s])
-                 for yp in range(scenario.given.rep.group.order)]
-        columns = {name: [cell[name] for cell in cells] for name in cells[0]}
+        k, kl = hap.k_positions[ik], hap.kl_positions[s]
+        per_y = len(kl) * scenario.given.points.slots.shape[1] + dim * (4 * dim + 2 * size)
+        blocks = [_cell_columns(scenario, first, last, k, kl)
+                  for first, last in block_ranges(0, scenario.given.rep.group.order, per_y)]
+        columns = {name: np.concatenate([b[name] for b in blocks]).tolist() for name in blocks[0]}
         certificates.append(ComparisonCertificate(hap.k_labels[ik], columns))
     return certificates
 

@@ -17,11 +17,11 @@ all coordinates as one ``(|G|, rank)`` int array.  The group law (``canon``,
 ``compose``, ``inverse``, ``metric``, ``index``) takes either one element or
 a coordinate array of shape ``(..., rank)``; the cyclic wrap and the box
 escape rule live only in ``GroupModel._reduce``.  Hot paths (balls,
-translates, product sets, window scans) work on position arrays and shift
-the whole carrier by one set member at a time, so no |G| x |G| table is ever
-built and temporaries stay O(|G|).  ``multiply_masked`` translates position
-arrays axis by axis on 1-D arrays, through per-axis tables of O(extent)
-entries read off ``_reduce``.  Elements as Python values -- plain ints
+translates, product sets, window scans) work on position arrays, a block
+of set members at a time, so no |G| x |G| table is ever built and
+temporaries stay within BLOCK_ELEMENTS.  ``multiply_masked`` translates
+position arrays axis by axis on 1-D arrays, through per-axis tables of
+O(extent) entries read off ``_reduce``.  Elements as Python values -- plain ints
 for rank-1 groups, tuples of ints otherwise -- appear only at the I/O
 boundary: parsing scenarios and writing report rows.
 
@@ -46,6 +46,17 @@ Element = int | tuple[int, ...]
 # The most elements a carrier may have: enumerating one costs about 150 B per
 # element, and the largest carrier in use or planned has 20,736 (Gabor Z_144).
 MAX_CARRIER_ORDER = 2**20
+
+# Elements of one block's temporaries in the batched scans (set members in
+# window_reduce and product_set, base points in the HAP and comparison scans).
+BLOCK_ELEMENTS = 2**14
+
+
+def block_ranges(start: int, stop: int, per_item: int) -> list[tuple[int, int]]:
+    """Ranges covering start..stop-1 in order, of at least one item each and
+    at most BLOCK_ELEMENTS elements at ``per_item`` elements per item."""
+    step = max(1, BLOCK_ELEMENTS // max(per_item, 1))
+    return [(first, min(first + step, stop)) for first in range(start, stop, step)]
 
 
 class OutOfCarrier(Exception):
@@ -441,18 +452,15 @@ def measure(K: CompactSet) -> float:
 
 
 def product_set(K: CompactSet, L: CompactSet) -> CompactSet:
-    """Pointwise product set KL = {k.l}; OutOfCarrier propagates on boxes.
-
-    The larger set is shifted by one member of the smaller at a time (the
-    groups are abelian), so temporaries stay O(|G|).
-    """
+    """Pointwise product set KL = {k.l}, a block of K at a time; on boxes,
+    OutOfCarrier names the first escaping (k, l) in position order."""
     if K.group is not L.group:
         raise ValueError("product of sets from different groups")
     group = K.group
-    small, large = (K, L) if len(K) <= len(L) else (L, K)
+    k_positions, l_positions = K.positions(), L.positions()
     mask = np.zeros(group.order, dtype=bool)
-    for p in small.positions().tolist():
-        mask[group.multiply(large.positions(), p)] = True
+    for first, stop in block_ranges(0, len(K), len(L)):
+        mask[group.multiply(k_positions[first:stop, None], l_positions[None, :])] = True
     return CompactSet.of_mask(group, mask)
 
 
@@ -483,20 +491,22 @@ def require_symmetric_ball(U: CompactSet) -> None:
 def window_reduce(values: np.ndarray, S: CompactSet, ufunc, at=None):
     """``ufunc``-reduce ``values`` over every window xS, for x at positions ``at``.
 
-    ``at`` defaults to the whole carrier.  The carrier is shifted by one
-    member of S at a time, so temporaries stay O(|G|).  Returns the
-    reductions (starting from zero) and the mask of the x whose window stays
-    in the carrier; members that escape a truncated carrier are left out of
-    the reduction.
+    ``at`` defaults to the whole carrier.  One gather and one ``ufunc.reduce``
+    per block of S's members; the callers' reductions (np.maximum of |f|,
+    np.add of integer counts) are exact, so blocks do not change them.
+    Returns the reductions (starting from zero) and the mask of the x whose
+    window stays in the carrier; members that escape a truncated carrier are
+    left out of the reduction.
     """
     group = S.group
     at = group.all_positions if at is None else at
+    members = S.positions()
     acc = np.zeros(len(at), dtype=values.dtype)
     whole = np.ones(len(at), dtype=bool)
-    for s in S.positions().tolist():
-        shifted, inside = group.multiply_masked(at, s)
-        ufunc(acc, values[shifted], out=acc, where=inside)
-        whole &= inside
+    for first, stop in block_ranges(0, len(members), len(at)):
+        shifted, inside = group.multiply_masked(at[None, :], members[first:stop, None])
+        ufunc(acc, ufunc.reduce(values[shifted], axis=0, where=inside, initial=0), out=acc)
+        whole &= inside.all(axis=0)
     return acc, whole
 
 

@@ -18,18 +18,20 @@ is at most 1/A.  The candidate list for L is scanned smallest-first, so the
 first success is also the minimal admissible candidate by monotonicity of
 the error in L.
 
-The projector a cell needs depends only on the set yKL, not on which K and L
-produced it, so the scan runs y outermost and builds one projector per
-distinct K.L set at each y; every (K, L) pair with that product reuses it.
-Its generators are the duals of the points at K.L's sorted positions
-translated by y, in that order (PointSet.indices_at): the column order fixes
-the SVD's rounding, and with it every table float and the determinism
-hashes.  Per y, one composition of y with the whole carrier gives every yK
-and yKL, and each window's transported test vectors are gathered once.
-Each (K, L) pair keeps its own residual product: BLAS rounds a column
+The projector a cell needs depends only on the set yKL, so the scan builds
+one projector per base point y and distinct K.L set, shared by the (K, L)
+pairs with that product.  Its generators are the duals of the points at
+K.L's sorted positions translated by y, in that order (PointSet.indices_at):
+the column order fixes the SVD's rounding, and with it every table float
+and the determinism hashes.  The scan takes a block of base points at a
+time, with each distinct set's projectors stacked over the block, and each
+(K, L) pair takes one stacked product, residual and norm per block, each
+y's slice laid out as a one-y product's operands.  BLAS rounds a column
 differently in products of different widths (by up to ~1e-15 for complex
 d x d @ d x n, d 4-32), so batching the windows of several K would move the
-hashes.
+hashes, while stacking over y does not.  find_L scans every candidate for
+the report's table; choose_L, for a comparison, scans each candidate's rows
+only and stops at the first success.
 
 The question needs a group: every translate yK and yKL, and every tail
 window, must stay in the carrier, as it does on a product of cyclic groups.
@@ -58,6 +60,7 @@ from framecert.groups import (
     CompactSet,
     GroupModel,
     PointSet,
+    block_ranges,
     measure,
     product_set,
     separation_constant,
@@ -246,35 +249,36 @@ class HapCertificate:
         ]
 
 
-def scan_errors(scenario: HapScenario, start: int, stop: int) -> np.ndarray:
+def scan_errors(scenario: HapScenario, start: int, stop: int, rows=None) -> np.ndarray:
     """Cell errors of the base points at carrier positions start..stop-1,
-    with one row per (K, L) pair of the table and one column per base point.
-    Each y is independent of the others, so any split of the carrier into
-    ranges gives the same columns.
+    with one row per (K, L) pair of the table, or per table row listed in
+    ``rows``, and one column per base point.  Each y is independent of the
+    others, so any split of the carrier into ranges or blocks gives the same
+    columns.
     """
-    group, points = scenario.frame.rep.group, scenario.frame.points
-    errors = np.zeros((len(scenario.pairs), stop - start))
-    for column, yp in enumerate(range(start, stop)):
-        # y.x for every carrier position x: each y.K and y.K.L is read off it.
-        translated = group.multiply_masked(yp, group.all_positions)[0]
-        targets = [scenario.transported[:, translated[k]] for k in scenario.k_positions]
-        # Scoped to this y: keeping every y's projectors would hold
-        # |G| x (distinct sets) dim x dim matrices at once.
-        projectors: dict[int, np.ndarray] = {}
-        for row, (ik, _, s) in enumerate(scenario.pairs):
-            if s not in projectors:
-                kl = scenario.kl_positions[s]
-                # Columns follow K.L's sorted positions translated one by
-                # one; the column order fixes the SVD's rounding, hence the
-                # hashes.
-                projectors[s] = span_projector(
-                    scenario.duals[:, points.indices_at(translated[kl])]).matrix
-            # One product per (K, L) pair: a column's rounding depends on the
-            # width of the product it is computed in, so batching the targets
-            # of several K into one product would move the hashes.
-            residual = targets[ik] - projectors[s] @ targets[ik]
-            # np.linalg.norm(residual, axis=0), written out
-            errors[row, column] = np.sqrt((residual.conj() * residual).real.sum(axis=0)).max()
+    group, points, duals = scenario.frame.rep.group, scenario.frame.points, scenario.duals
+    pairs = scenario.pairs if rows is None else [scenario.pairs[row] for row in rows]
+    rows_of_set: dict[int, list[int]] = {}  # the rows of each K.L set, in row order
+    for row, (_, _, s) in enumerate(pairs):
+        rows_of_set.setdefault(s, []).append(row)
+    orbit = scenario.transported.T  # row x is pi(x) f
+    dim, widths = duals.shape[0], sum(len(k) for k in scenario.k_positions)
+    errors = np.empty((len(pairs), stop - start))
+    for first, last in block_ranges(start, stop, group.order + dim * (dim + widths)):
+        # y.x for every y of the block and carrier position x
+        translated = group.multiply_masked(np.arange(first, last)[:, None],
+                                           group.all_positions[None, :])[0]
+        # each y's (dim, |K|) targets laid out as one y's gather: BLAS rounds by layout
+        targets = [orbit[translated[:, k]].transpose(0, 2, 1) for k in scenario.k_positions]
+        for s, set_rows in rows_of_set.items():
+            projectors = np.stack([span_projector(duals[:, points.indices_at(ykl)]).matrix
+                                   for ykl in translated[:, scenario.kl_positions[s]]])
+            for row in set_rows:
+                target = targets[pairs[row][0]]
+                residual = target - np.matmul(projectors, target)
+                # np.linalg.norm(residual, axis=0) per y, written out
+                norms = np.sqrt((residual.conj() * residual).real.sum(axis=1))
+                errors[row, first - start:last - start] = norms.max(axis=1)
     return errors
 
 
@@ -298,11 +302,7 @@ def certify(scenario: HapScenario, pieces: list[np.ndarray]) -> HapCertificate:
                 domination_ok=bool(np.all(row_errors <= bound + 1e-9)),
             )
         )
-    chosen_index = next((il for il, c in enumerate(candidates) if c.passed), None)
-    if chosen_index is None:
-        raise NoAdmissibleL(
-            f"no candidate among {scenario.l_labels} reached worst error < {scenario.epsilon}"
-        )
+    chosen_index, _ = _first_success(scenario, [c.worst_error for c in candidates])
     return HapCertificate(
         chosen_index=chosen_index,
         chosen_L=scenario.L_family[chosen_index],
@@ -317,6 +317,38 @@ def certify(scenario: HapScenario, pieces: list[np.ndarray]) -> HapCertificate:
                      for ik, il, _ in scenario.pairs],
         errors=errors,
     )
+
+
+def _first_success(scenario: HapScenario, worst_errors) -> tuple[int, float]:
+    """The index and worst error of the first candidate below epsilon, read
+    off ``worst_errors`` (one per candidate, in family order) no further."""
+    for il, worst in enumerate(worst_errors):
+        if worst < scenario.epsilon:
+            return il, worst
+    raise NoAdmissibleL(
+        f"no candidate among {scenario.l_labels} reached worst error < {scenario.epsilon}")
+
+
+@dataclass(frozen=True)
+class HapChoice:
+    """The chosen L of a question and its worst error, without the table."""
+
+    chosen_index: int  # of the chosen L in the candidate family
+    chosen_L: CompactSet
+    chosen_l_label: object
+    worst_error: float
+    epsilon: float
+
+
+def choose_L(scenario: HapScenario) -> HapChoice:
+    """find_L's chosen L and worst error, from the rows of one candidate at a
+    time, smallest first, scanning none past the first success."""
+    order = scenario.frame.rep.group.order
+    worst_errors = (float(scan_errors(scenario, 0, order, [
+        row for row, (_, l_index, _) in enumerate(scenario.pairs) if l_index == il]).max())
+        for il in range(len(scenario.L_family)))
+    il, worst = _first_success(scenario, worst_errors)
+    return HapChoice(il, scenario.L_family[il], scenario.l_labels[il], worst, scenario.epsilon)
 
 
 def find_L(scenario: HapScenario) -> HapCertificate:

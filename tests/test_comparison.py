@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,6 @@ from framecert.comparison import (
     HapPreconditionUnmet,
     NotPositive,
     cardinality_count,
-    comparison_certificate,
     comparison_run,
     density_report,
     qpq_operator,
@@ -23,7 +23,7 @@ from framecert.groups import (
     product_set,
     translate_set,
 )
-from framecert.hap import local_subspace
+from framecert.hap import NoAdmissibleL, find_L, local_subspace
 from framecert.representations import (
     GaborRep,
     TranslationRep,
@@ -33,6 +33,9 @@ from framecert.representations import (
 import framecert.runner as runner
 from framecert.runner import run
 from framecert.scenarios import build_frame, build_points, build_reference, load_scenarios
+from test_hap import fixed_blocks as _fixed_blocks
+
+SUITE = Path(__file__).resolve().parent.parent / "scenarios" / "acceptance.json"
 
 
 def _scenario(given, reference, epsilon, k_radii=(0, 1, 2), l_radii=(0, 1, 2, 3, 4), **kw):
@@ -181,8 +184,11 @@ def test_comparison_hap_precondition_unmet():
     given = coherent_frame(rep, periodized_gaussian(8), full_point_set(group))
     reference = coherent_frame(rep, dirac_vector(8), point_set(group, [(k, 0) for k in range(8)]))
     scenario = _scenario(given, reference, epsilon=0.01, l_radii=(0,))
-    with pytest.raises(HapPreconditionUnmet):
+    with pytest.raises(NoAdmissibleL) as unmet:
+        find_L(scenario.hap)
+    with pytest.raises(HapPreconditionUnmet) as caught:
         _ = scenario.hap_choice
+    assert str(caught.value) == str(unmet.value)  # find_L's exact message
 
 
 def test_comparison_rows_record_the_reference_b_and_the_dual_b():
@@ -304,8 +310,8 @@ def _gabor_z8_comparison():
 def test_comparison_run_builds_each_chosen_product_once(monkeypatch):
     """Each chosen K.L is built once, by the HAP scenario: comparison_run
     calls no product_set, translate_set or local_subspace in any framecert
-    namespace, and hands each cell the positions of K and of
-    product_set(K, chosen L)."""
+    namespace, and hands each block of base points the positions of K and
+    of product_set(K, chosen L), the blocks covering the carrier in order."""
     import framecert.comparison
     import framecert.groups
     import framecert.hap
@@ -324,16 +330,19 @@ def test_comparison_run_builds_each_chosen_product_once(monkeypatch):
             return original(*args, **kwargs)
         return counted
 
-    def recording_certificate(scenario, yp, k_positions, kl_positions):
-        handed.append((yp, k_positions, kl_positions))
-        return comparison_certificate(scenario, yp, k_positions, kl_positions)
+    cell_columns = framecert.comparison._cell_columns
+
+    def recording_columns(scenario, first, last, k_positions, kl_positions):
+        handed.append((first, last, k_positions, kl_positions))
+        return cell_columns(scenario, first, last, k_positions, kl_positions)
 
     for module in (framecert.groups, framecert.hap, framecert.comparison):
         for name, original in (("product_set", product_set), ("translate_set", translate_set),
                                ("local_subspace", local_subspace)):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counter(name, original))
-    monkeypatch.setattr(framecert.comparison, "comparison_certificate", recording_certificate)
+    monkeypatch.setattr(framecert.comparison, "_cell_columns", recording_columns)
+    monkeypatch.setattr(framecert.comparison, "block_ranges", _fixed_blocks(5))
     # the counters are live: the reference oracle goes through all three
     framecert.hap.hap_error(scenario.given, scenario.given.analysis.canonical_dual,
                             scenario.reference.window, (0, 0), group.ball(0), group.ball(0))
@@ -342,12 +351,66 @@ def test_comparison_run_builds_each_chosen_product_once(monkeypatch):
 
     comparison_run(scenario)
     assert calls == {"product_set": 0, "translate_set": 0, "local_subspace": 0}
-    assert len(handed) == len(scenario.hap.K_family) * group.order
-    for K, kl, start in zip(scenario.hap.K_family, expected, range(0, len(handed), group.order)):
-        cells = handed[start:start + group.order]
-        assert [yp for yp, _, _ in cells] == list(range(group.order))
-        assert all(np.array_equal(k, K.positions()) for _, k, _ in cells)
-        assert all(np.array_equal(kl_positions, kl) for _, _, kl_positions in cells)
+    blocks = -(-group.order // 5)
+    assert len(handed) == len(scenario.hap.K_family) * blocks
+    for K, kl, start in zip(scenario.hap.K_family, expected, range(0, len(handed), blocks)):
+        cells = handed[start:start + blocks]
+        assert [(first, last) for first, last, _, _ in cells] == _fixed_blocks(5)(
+            0, group.order, None)
+        assert all(np.array_equal(k, K.positions()) for _, _, k, _ in cells)
+        assert all(np.array_equal(kl_positions, kl) for _, _, _, kl_positions in cells)
+
+
+_BLOCK_COMPARISONS = {
+    "gabor-z8": _gabor_z8_comparison,  # full given frame, card_Y constant per K
+    "lattice": _lattice_comparison,  # duplicate points, ragged card_Y
+    "l-without-identity": _l_without_identity_comparison,
+}
+
+
+@pytest.mark.parametrize("make", _BLOCK_COMPARISONS.values(), ids=_BLOCK_COMPARISONS.keys())
+@pytest.mark.parametrize("size", [1, 3, None])  # None: the whole carrier in one block
+def test_comparison_run_has_the_same_bits_at_every_block_size(monkeypatch, make, size):
+    import framecert.comparison
+
+    scenario = make()
+    order = scenario.given.rep.group.order
+    expected = comparison_run(scenario)
+    monkeypatch.setattr(framecert.comparison, "block_ranges", _fixed_blocks(size or order))
+    blocked = comparison_run(scenario)
+    # repr writes each float's shortest round-trip text, so equal text is equal bits
+    assert [(c.k_label, repr(c.columns)) for c in blocked] == \
+        [(c.k_label, repr(c.columns)) for c in expected]
+    if make is _lattice_comparison:
+        assert all(len(set(c.columns["card_Y"])) > 1 for c in blocked)
+
+
+_SCENARIO_FILES = [SUITE, Path(__file__).resolve().parent / "edge_scenarios.json"]
+
+
+@pytest.mark.parametrize("path", _SCENARIO_FILES, ids=[p.stem for p in _SCENARIO_FILES])
+def test_the_comparison_chooses_find_L_s_candidate(path):
+    """hap_choice stops at the first candidate below the threshold; it is
+    find_L's chosen L with its worst error, or find_L's failure."""
+    compared = 0
+    for spec in (s.spec for s in load_scenarios(path) if s.kind == "comparison"):
+        try:
+            scenario = runner._comparison_scenario(spec, 0)
+        except runner._BUILD_ERRORS:
+            continue  # an error report, with no HAP question
+        try:
+            cert = find_L(scenario.hap)
+        except NoAdmissibleL as unmet:
+            with pytest.raises(HapPreconditionUnmet, match=f"^{re.escape(str(unmet))}$"):
+                _ = scenario.hap_choice
+            continue
+        choice = scenario.hap_choice
+        assert (choice.chosen_index, choice.chosen_l_label, choice.epsilon) == (
+            cert.chosen_index, cert.chosen_l_label, cert.epsilon)
+        assert choice.chosen_L == cert.chosen_L
+        assert repr(choice.worst_error) == repr(cert.worst_error)
+        compared += 1
+    assert compared >= 3
 
 
 _ORACLE_COMPARISONS = {
@@ -430,8 +493,6 @@ def test_invalid_comparison_scenarios_raise_value_error(reference, changes):
 
 
 # -- counting identities on the shipped comparisons ------------------------------
-
-SUITE = Path(__file__).resolve().parent.parent / "scenarios" / "acceptance.json"
 
 
 def test_comparison_counts_obey_the_counting_identities():

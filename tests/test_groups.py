@@ -21,6 +21,7 @@ from framecert.groups import (
     product_set,
     separation_constant,
     translate_set,
+    window_reduce,
 )
 from framecert.representations import GaborRep
 
@@ -79,6 +80,40 @@ def test_product_set_examples(z8):
     assert product_set(compact_set(z4, [0, 2]), compact_set(z4, [0, 2])).members == frozenset(
         {0, 2}
     )
+
+
+def _member_by_member(values, S, ufunc):
+    """window_reduce's reductions one member of S at a time: the reference
+    for its blocks."""
+    group = S.group
+    acc = np.zeros(group.order, dtype=values.dtype)
+    whole = np.ones(group.order, dtype=bool)
+    for s in S.positions().tolist():
+        shifted, inside = group.multiply_masked(group.all_positions, s)
+        ufunc(acc, values[shifted], out=acc, where=inside)
+        whole &= inside
+    return acc, whole
+
+
+@pytest.mark.parametrize("size", [1, 3, None])  # None: every member in one block
+def test_window_reduce_and_product_set_give_the_same_result_in_any_blocks(monkeypatch, size):
+    import framecert.groups
+
+    monkeypatch.setattr(framecert.groups, "block_ranges", lambda start, stop, per_item: [
+        (first, min(first + (size or stop), stop)) for first in range(start, stop, size or stop)])
+    rng = np.random.default_rng(11)
+    for group in (GroupModel.cyclic([6, 5]), GroupModel.box([3, 2])):
+        S = group.ball(1)
+        for values, ufunc in [(np.abs(rng.standard_normal(group.order)), np.maximum),
+                              (rng.integers(0, 3, group.order), np.add)]:
+            acc, whole = _member_by_member(values, S, ufunc)
+            blocked, blocked_whole = window_reduce(values, S, ufunc)
+            assert blocked.dtype == acc.dtype and blocked.tobytes() == acc.tobytes()
+            assert np.array_equal(blocked_whole, whole)
+    z6x5 = GroupModel.cyclic([6, 5])
+    K, L = z6x5.ball(1), compact_set(z6x5, [(0, 0), (2, 1), (5, 4)])
+    products = {z6x5.compose(k, l) for k in K.sorted_members() for l in L.sorted_members()}
+    assert product_set(K, L).members == product_set(L, K).members == products
 
 
 def test_product_monotonicity(z8):
@@ -436,7 +471,9 @@ def test_the_most_negative_int64_is_not_in_a_box():
 
 def test_escape_messages_name_the_first_escaping_pair():
     box = GroupModel.box([2, 2])
-    with pytest.raises(OutOfCarrier, match=r"product of \(2, 0\) and \(1, 0\) escapes"):
+    # k.l, factors in that order: k = (1, 0) is K's last member, and
+    # l = (2, 0) comes after (0, 1) in position order
+    with pytest.raises(OutOfCarrier, match=r"product of \(1, 0\) and \(2, 0\) escapes"):
         product_set(compact_set(box, [(0, 0), (1, 0)]), compact_set(box, [(2, 0), (0, 1)]))
     with pytest.raises(OutOfCarrier, match=r"product of \(0, 2\) and \(0, 1\) escapes"):
         translate_set((0, 2), compact_set(box, [(0, -1), (0, 0), (0, 1)]))

@@ -12,6 +12,7 @@ from framecert.groups import (
     compact_set,
     full_point_set,
     measure,
+    point_set,
     product_set,
     separation_constant,
 )
@@ -20,6 +21,7 @@ from framecert.hap import (
     HapScenario,
     NoAdmissibleL,
     certify,
+    choose_L,
     find_L,
     hap_error,
     local_subspace,
@@ -33,6 +35,7 @@ from framecert.representations import (
     dirac_vector,
     periodized_gaussian,
 )
+from framecert.scenarios import build_points
 
 
 def dirac_onb(n=8):
@@ -352,6 +355,83 @@ def test_a_tail_bound_below_a_cell_error_fails_domination():
     assert first.theoretical_bound == pytest.approx(0.0014, abs=1e-4)
     assert all(c.domination_ok for c in cert.candidates[1:])
     assert cert.chosen_l_label == 1
+
+
+def fixed_blocks(size):
+    """block_ranges with ``size`` items per block, whatever the budget."""
+    return lambda start, stop, per_item: [(first, min(first + size, stop))
+                                          for first in range(start, stop, size)]
+
+
+def _lattice_scenario():
+    rep = GaborRep(6)
+    frame = coherent_frame(rep, periodized_gaussian(6),
+                           build_points({"lattice": {"steps": [1, 2]}}, rep.group))
+    return ball_scenario(frame, _random_vector(6, 5), epsilon=2.0, k_radii=(0, 1),
+                         l_radii=(0, 1, 2, 3))
+
+
+def _duplicates_scenario():
+    rep = GaborRep(6)
+    group = rep.group
+    # every carrier point once, and (0, 0) and (1, 2) twice
+    frame = coherent_frame(rep, periodized_gaussian(6),
+                           point_set(group, list(group.carrier) + [(0, 0), (1, 2)]))
+    return ball_scenario(frame, _random_vector(6, 7), epsilon=2.0, k_radii=(0, 1),
+                         l_radii=(0, 1, 2, 3))
+
+
+BLOCK_SCENARIOS = {"gabor-z8": _gabor_scenario, "lattice": _lattice_scenario,
+                   "duplicates": _duplicates_scenario}
+
+
+@pytest.mark.parametrize("make", BLOCK_SCENARIOS.values(), ids=BLOCK_SCENARIOS.keys())
+@pytest.mark.parametrize("size", [1, 3, None])  # None: the whole carrier in one block
+def test_scan_errors_has_the_same_bits_at_every_block_size(monkeypatch, make, size):
+    scenario = make()
+    order = scenario.frame.rep.group.order
+    expected = scan_errors(scenario, 0, order)
+    monkeypatch.setattr(framecert.hap, "block_ranges", fixed_blocks(size or order))
+    assert scan_errors(scenario, 0, order).view(np.uint64).tolist() == \
+        expected.view(np.uint64).tolist()
+    # a range that starts inside the carrier, and a selection of rows
+    rows = [4, 0, 2]
+    assert scan_errors(scenario, 5, order, rows).view(np.uint64).tolist() == \
+        expected[rows, 5:].view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("make", BLOCK_SCENARIOS.values(), ids=BLOCK_SCENARIOS.keys())
+@pytest.mark.parametrize("epsilon", [100.0, 2.0, 0.5, 1e-16])
+def test_choose_L_is_find_L_s_choice(make, epsilon):
+    scenario = make()
+    scenario.epsilon = epsilon
+    try:
+        cert = find_L(scenario)
+    except NoAdmissibleL as exc:
+        with pytest.raises(NoAdmissibleL) as caught:
+            choose_L(scenario)
+        assert str(caught.value) == str(exc)
+        return
+    choice = choose_L(scenario)
+    assert (choice.chosen_index, choice.chosen_l_label, choice.epsilon) == (
+        cert.chosen_index, cert.chosen_l_label, cert.epsilon)
+    assert choice.chosen_L == cert.chosen_L
+    assert repr(choice.worst_error) == repr(cert.worst_error)
+
+
+def test_choose_L_scans_no_candidate_past_its_choice(monkeypatch):
+    scenario = _gabor_scenario()
+    scenario.epsilon = 0.5
+    scanned = []
+
+    def recording(scenario, start, stop, rows=None):
+        scanned.append(sorted({scenario.pairs[row][1] for row in rows}))
+        return scan_errors(scenario, start, stop, rows)
+
+    monkeypatch.setattr(framecert.hap, "scan_errors", recording)
+    choice = choose_L(scenario)
+    assert scanned == [[il] for il in range(choice.chosen_index + 1)]
+    assert choice.chosen_index < len(scenario.L_family) - 1
 
 
 # -- rejections ------------------------------------------------------------------
