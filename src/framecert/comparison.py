@@ -24,20 +24,20 @@ sandwich the chain runs through; the runner also records the upper bound 1/A
 of the dual of E_g beside it, for comparison only.
 
 L is ComparisonScenario.hap_choice, a HapChoice from the comparison's HAP
-question (ComparisonScenario.hap, built with the scenario, which builds
-every K.L): the first candidate to meet epsilon * ||h||, scanned
-smallest-first over its own table rows.  Cells work on carrier positions,
-a block of base points at a time: one GroupModel.multiply_masked translates
-K and K.L by every y of the block, and the point sets' slot tables give P's
-duals and Q's reference atoms in frame-index order, the order that fixes
-the SVDs' rounding.  Each cell keeps its own two SVDs; T = (QP)Q, its
-spectrum, the sums and the flags run stacked over the block (the sums with
-a cell's reference atoms over the cells of equal card_Y), each cell's
-operands laid out as alone, so every value is bit for bit the one-cell
-value of comparison_certificate.  Like the HAP, the comparison needs a
-group: its HapScenario rejects a box carrier, so every cell is computed.
-comparison_run returns one certificate per K with its cells as columns
-under their report names, as the runner writes them.
+question (ComparisonScenario.hap, built with the scenario: every K.L, and U
+checked for symmetry only, as no tail bound is computed): the first
+candidate to meet epsilon * ||h||, scanned smallest-first over its own table
+rows.  Cells work on carrier positions, a block of base points at a time:
+one GroupModel.multiply_masked translates K and K.L by every y of the block,
+and the point sets' slot tables give P's duals and Q's reference atoms in
+frame-index order, the order that fixes the SVDs' rounding.  Each cell keeps
+its own two SVDs; T = (QP)Q, its spectrum, the sums and the flags run
+stacked over the block (the sums with a cell's reference atoms over the
+cells of equal card_Y), each cell's operands laid out as alone, so every
+value is bit for bit the one-cell value of comparison_certificate.  Like the
+HAP, the comparison needs a group: its HapScenario rejects a box carrier, so
+every cell is computed.  comparison_run returns one certificate per K with
+its cells as columns under their report names, as the runner writes them.
 """
 
 from __future__ import annotations

@@ -75,6 +75,8 @@ def frame_operator(frame: FrameSystem) -> np.ndarray:
 def _bounds_of(S: np.ndarray) -> tuple[float, float]:
     evals = np.linalg.eigvalsh(S)
     lower, upper = float(evals[0]), float(evals[-1])
+    if not np.isfinite([lower, upper]).all():  # an overflowing frame operator
+        raise ValueError(f"frame bounds {lower:.3e} and {upper:.3e} are not both finite")
     if lower <= RANK_TOLERANCE * upper:
         raise NotAFrame(
             f"lower frame bound {lower:.3e} vanishes relative to upper bound {upper:.3e}"

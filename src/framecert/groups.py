@@ -353,11 +353,7 @@ class CompactSet:
         return hash((id(self.group), self._positions.tobytes()))
 
     def __contains__(self, x) -> bool:
-        try:
-            position = self.group.index(x)
-        except (OutOfCarrier, ValueError, TypeError):
-            return False
-        return np.ndim(position) == 0 and bool(self.indicator[position])
+        return self.group.contains(x) and bool(self.indicator[self.group.index(x)])
 
     def __len__(self) -> int:
         return len(self._positions)

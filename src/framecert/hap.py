@@ -38,14 +38,14 @@ window, must stay in the carrier, as it does on a product of cyclic groups.
 A box truncation's products escape at its edges, so HapScenario rejects a
 frame on one, and no cell is ever left out of the scan.
 
-Building a HapScenario sets up everything that does not depend on y, so
+Building a HapScenario sets up the scan, none of which depends on y, so
 find_L is two steps: scan_errors over any range of base points, and
-certify over the pieces.  find_L runs one range over the whole carrier;
-the runner splits the carrier over worker processes and gets the same
-certificate.  The certificate keeps the table as the error array the scan
-produced, one row per (K, L) pair and one column per base point;
-HapCertificate.table lists the same cells as HapCell objects, built on
-access for library callers.
+certify over the pieces, which alone computes C0, V_g f's local maximum
+function and the tail bounds; a comparison, through choose_L, computes
+none of them.  find_L runs one range over the whole carrier; the runner
+splits the carrier over worker processes and gets the same certificate:
+choose_L's HapChoice plus the bounds and the (K, L) x y error array, which
+HapCertificate.table lists as HapCell objects, built on access.
 """
 
 from __future__ import annotations
@@ -63,6 +63,7 @@ from framecert.groups import (
     block_ranges,
     measure,
     product_set,
+    require_symmetric_ball,
     separation_constant,
     translate_set,
 )
@@ -122,12 +123,13 @@ def _tail_bound(sharp: GroupFunction, U: CompactSet, L: CompactSet, C0: int,
 @dataclass
 class HapScenario:
     """One approximation question: frame, test vector, tolerance, families;
-    the duals and the lower bound A are ``frame.analysis``'s.
+    the duals are ``frame.analysis``'s.
 
     Built, it is also the question's cell scan, set up once: what
-    scan_errors needs for any range of base points, and the tail bounds that
-    certify reads.  None of it depends on the base point y.  The frame must
-    act over a group: a box carrier raises ValueError before any set-up.
+    scan_errors needs for any range of base points, none of which depends
+    on y; C0 and the tail bounds are certify's.  A box carrier raises
+    ValueError before any set-up, and a U that is not a symmetric ball
+    raises NonSymmetricNeighborhood.
     """
 
     frame: FrameSystem
@@ -139,10 +141,7 @@ class HapScenario:
     k_labels: list | None = None
     l_labels: list | None = None
     duals: np.ndarray = field(init=False)
-    lower_bound: float = field(init=False)
-    transported: np.ndarray = field(init=False)  # pi(x) f for every carrier position x, as columns
-    separation: int = field(init=False)
-    bounds: list[float] = field(init=False)
+    orbit: np.ndarray = field(init=False)  # row x is pi(x) f, for every carrier position x
     k_positions: list[np.ndarray] = field(init=False)
     kl_positions: list[np.ndarray] = field(init=False)  # the distinct K.L sets
     pairs: list[tuple[int, int, int]] = field(init=False)  # (K, L, K.L set) per table row
@@ -152,8 +151,7 @@ class HapScenario:
         if group.kind == "box":
             raise ValueError(f"the HAP needs a group, and the products of {group!r} "
                              "escape its carrier")
-        analysis = self.frame.analysis
-        self.duals, self.lower_bound = analysis.canonical_dual, analysis.A
+        self.duals = self.frame.analysis.canonical_dual
         if not 0 < self.epsilon < np.inf:  # also refuses nan
             raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
         if not self.K_family:
@@ -167,13 +165,9 @@ class HapScenario:
         self.l_labels = family_labels(self.l_labels, self.L_family, "l_labels")
         self.f = np.asarray(self.f, dtype=complex)
 
-        frame = self.frame
-        self.transported = carrier_orbit(frame.rep, self.f).T
-        frame.points.slots  # built here, so the scenario pickles it to workers with the points
-        self.separation = separation_constant(frame.points, self.U)
-        sharp = local_max(voice_transform(frame.rep, frame.window, self.f), self.U)
-        self.bounds = [_tail_bound(sharp, self.U, L, self.separation, self.lower_bound)
-                       for L in self.L_family]
+        self.orbit = carrier_orbit(self.frame.rep, self.f)
+        self.frame.points.slots  # built here, so workers get it pickled with the points
+        require_symmetric_ball(self.U)
 
         # Every (K, L) pair in table order, with the index of its K.L set among
         # the distinct ones.
@@ -216,22 +210,28 @@ class HapCandidate:
     domination_ok: bool
 
 
-@dataclass(eq=False)
-class HapCertificate:
-    """Outcome of the candidate scan: chosen set, worst error, and the full
-    table as columns.
+@dataclass(frozen=True, eq=False)
+class HapChoice:
+    """The chosen L of a question and its worst error, without the table."""
+
+    chosen_index: int  # of the chosen L in the candidate family
+    chosen_L: CompactSet
+    chosen_l_label: object
+    worst_error: float
+    epsilon: float
+
+
+@dataclass(frozen=True, eq=False)
+class HapCertificate(HapChoice):
+    """Outcome of the candidate scan: the choice, the chosen L's tail bound,
+    C0, every candidate, and the full table as columns.
 
     Row r of ``errors`` is the table's r-th (K, L) pair, whose labels are
     ``pair_labels[r]``; column p is the base point at carrier position p of
     ``group``.
     """
 
-    chosen_index: int  # of the chosen L in the candidate family
-    chosen_L: CompactSet
-    chosen_l_label: object
-    worst_error: float
     theoretical_bound: float
-    epsilon: float
     separation: int
     candidates: list[HapCandidate]
     group: GroupModel
@@ -261,7 +261,6 @@ def scan_errors(scenario: HapScenario, start: int, stop: int, rows=None) -> np.n
     rows_of_set: dict[int, list[int]] = {}  # the rows of each K.L set, in row order
     for row, (_, _, s) in enumerate(pairs):
         rows_of_set.setdefault(s, []).append(row)
-    orbit = scenario.transported.T  # row x is pi(x) f
     dim, widths = duals.shape[0], sum(len(k) for k in scenario.k_positions)
     errors = np.empty((len(pairs), stop - start))
     for first, last in block_ranges(start, stop, group.order + dim * (dim + widths)):
@@ -269,7 +268,8 @@ def scan_errors(scenario: HapScenario, start: int, stop: int, rows=None) -> np.n
         translated = group.multiply_masked(np.arange(first, last)[:, None],
                                            group.all_positions[None, :])[0]
         # each y's (dim, |K|) targets laid out as one y's gather: BLAS rounds by layout
-        targets = [orbit[translated[:, k]].transpose(0, 2, 1) for k in scenario.k_positions]
+        targets = [scenario.orbit[translated[:, k]].transpose(0, 2, 1)
+                   for k in scenario.k_positions]
         for s, set_rows in rows_of_set.items():
             projectors = np.stack([span_projector(duals[:, points.indices_at(ykl)]).matrix
                                    for ykl in translated[:, scenario.kl_positions[s]]])
@@ -286,11 +286,15 @@ def certify(scenario: HapScenario, pieces: list[np.ndarray]) -> HapCertificate:
     """The certificate from scan_errors' pieces, which must cover every base
     point once, in carrier order.  The pieces are joined into the
     certificate's error columns as they are; each candidate is read off the
-    rows of its L."""
+    rows of its L and given its tail bound."""
     errors = np.concatenate(pieces, axis=1)
+    frame, U = scenario.frame, scenario.U
+    separation = separation_constant(frame.points, U)
+    sharp = local_max(voice_transform(frame.rep, frame.window, scenario.f), U)
     l_of_row = np.array([il for _, il, _ in scenario.pairs])
     candidates = []
-    for il, bound in enumerate(scenario.bounds):
+    for il, L in enumerate(scenario.L_family):
+        bound = _tail_bound(sharp, U, L, separation, frame.analysis.A)
         row_errors = errors[l_of_row == il]
         worst = float(row_errors.max())
         candidates.append(
@@ -302,42 +306,28 @@ def certify(scenario: HapScenario, pieces: list[np.ndarray]) -> HapCertificate:
                 domination_ok=bool(np.all(row_errors <= bound + 1e-9)),
             )
         )
-    chosen_index, _ = _first_success(scenario, [c.worst_error for c in candidates])
+    choice = _first_success(scenario, [c.worst_error for c in candidates])
     return HapCertificate(
-        chosen_index=chosen_index,
-        chosen_L=scenario.L_family[chosen_index],
-        chosen_l_label=scenario.l_labels[chosen_index],
-        worst_error=candidates[chosen_index].worst_error,
-        theoretical_bound=scenario.bounds[chosen_index],
-        epsilon=scenario.epsilon,
-        separation=scenario.separation,
+        **vars(choice),
+        theoretical_bound=candidates[choice.chosen_index].theoretical_bound,
+        separation=separation,
         candidates=candidates,
-        group=scenario.frame.rep.group,
+        group=frame.rep.group,
         pair_labels=[(scenario.k_labels[ik], scenario.l_labels[il])
                      for ik, il, _ in scenario.pairs],
         errors=errors,
     )
 
 
-def _first_success(scenario: HapScenario, worst_errors) -> tuple[int, float]:
-    """The index and worst error of the first candidate below epsilon, read
-    off ``worst_errors`` (one per candidate, in family order) no further."""
+def _first_success(scenario: HapScenario, worst_errors) -> HapChoice:
+    """The first candidate below epsilon, read off ``worst_errors`` (one per
+    candidate, in family order) no further."""
     for il, worst in enumerate(worst_errors):
         if worst < scenario.epsilon:
-            return il, worst
+            return HapChoice(il, scenario.L_family[il], scenario.l_labels[il], worst,
+                             scenario.epsilon)
     raise NoAdmissibleL(
         f"no candidate among {scenario.l_labels} reached worst error < {scenario.epsilon}")
-
-
-@dataclass(frozen=True)
-class HapChoice:
-    """The chosen L of a question and its worst error, without the table."""
-
-    chosen_index: int  # of the chosen L in the candidate family
-    chosen_L: CompactSet
-    chosen_l_label: object
-    worst_error: float
-    epsilon: float
 
 
 def choose_L(scenario: HapScenario) -> HapChoice:
@@ -347,8 +337,7 @@ def choose_L(scenario: HapScenario) -> HapChoice:
     worst_errors = (float(scan_errors(scenario, 0, order, [
         row for row, (_, l_index, _) in enumerate(scenario.pairs) if l_index == il]).max())
         for il in range(len(scenario.L_family)))
-    il, worst = _first_success(scenario, worst_errors)
-    return HapChoice(il, scenario.L_family[il], scenario.l_labels[il], worst, scenario.epsilon)
+    return _first_success(scenario, worst_errors)
 
 
 def find_L(scenario: HapScenario) -> HapCertificate:

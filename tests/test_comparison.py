@@ -30,6 +30,7 @@ from framecert.representations import (
     dirac_vector,
     periodized_gaussian,
 )
+import framecert.hap
 import framecert.runner as runner
 from framecert.runner import run
 from framecert.scenarios import build_frame, build_points, build_reference, load_scenarios
@@ -411,6 +412,24 @@ def test_the_comparison_chooses_find_L_s_candidate(path):
         assert repr(choice.worst_error) == repr(cert.worst_error)
         compared += 1
     assert compared >= 3
+
+
+@pytest.mark.parametrize("path", _SCENARIO_FILES, ids=[p.stem for p in _SCENARIO_FILES])
+def test_a_comparison_computes_no_tail_bound(monkeypatch, path):
+    """A comparison reads only the HAP question's choice: building and
+    answering it never touches V_g f, its local maximum or C0."""
+    def refused(*args):
+        raise AssertionError("a comparison computed a tail-bound ingredient")
+
+    comparisons = [s.spec for s in load_scenarios(path) if s.kind == "comparison"]
+    expected = [runner._comparison_payload(runner._comparison_scenario(spec, 0))
+                for spec in comparisons]
+    for name in ("voice_transform", "local_max", "separation_constant"):
+        monkeypatch.setattr(framecert.hap, name, refused)
+    answered = [runner._comparison_payload(runner._comparison_scenario(spec, 0))
+                for spec in comparisons]
+    assert len(answered) >= 3
+    assert runner.canonical_json(answered) == runner.canonical_json(expected)
 
 
 _ORACLE_COMPARISONS = {

@@ -8,6 +8,7 @@ import pytest
 import framecert.hap
 from framecert.frames import analyze_frame, coherent_frame, span_projector
 from framecert.groups import (
+    NonSymmetricNeighborhood,
     OutOfCarrier,
     compact_set,
     full_point_set,
@@ -18,6 +19,7 @@ from framecert.groups import (
 )
 from framecert.hap import (
     HapCell,
+    HapChoice,
     HapScenario,
     NoAdmissibleL,
     certify,
@@ -413,6 +415,7 @@ def test_choose_L_is_find_L_s_choice(make, epsilon):
         assert str(caught.value) == str(exc)
         return
     choice = choose_L(scenario)
+    assert isinstance(cert, HapChoice)  # a certificate is a choice plus its table
     assert (choice.chosen_index, choice.chosen_l_label, choice.epsilon) == (
         cert.chosen_index, cert.chosen_l_label, cert.epsilon)
     assert choice.chosen_L == cert.chosen_L
@@ -450,3 +453,10 @@ def test_invalid_hap_scenarios_raise_value_error(changes):
               "K_family": _BALLS[:1], "L_family": _BALLS[:2], **changes}
     with pytest.raises(ValueError):
         HapScenario(**kwargs)
+
+
+def test_a_hap_scenario_with_a_non_symmetric_u_is_not_built():
+    group = _ONB.rep.group
+    with pytest.raises(NonSymmetricNeighborhood):
+        HapScenario(frame=_ONB, f=dirac_vector(4), epsilon=0.5,
+                    U=compact_set(group, [0, 1]), K_family=_BALLS[:1], L_family=_BALLS[:2])

@@ -315,6 +315,42 @@ def test_an_oversized_carrier_fails_its_report_and_the_batch_runs_on(monkeypatch
     assert [(r["error"], r["ok"]) for r in by_id.values()] == [(None, True)] * 2
 
 
+# A window whose entries are finite but whose frame operator overflows.
+_OVERFLOWING = {"rep": {"kind": "translation", "n": 2}, "window": [[1e200, 0], [0, 0]],
+                "points": "full"}
+
+
+# numpy warns of the overflow it meets in the frame operator; the test is
+# of what the runner makes of the non-finite bounds that follow.
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_an_overflowing_frame_fails_its_report_and_the_batch_runs_on(tmp_path, monkeypatch,
+                                                                   parallelism):
+    specs = [
+        {"id": "overflow-frame", "kind": "frame_analysis", "frame": _OVERFLOWING},
+        _hap_spec("overflow-hap", frame=_OVERFLOWING, u_radius=0, k_radii=[0],
+                  l_radii=[0, 1]),
+        {**_COMPARISON_SPEC, "id": "overflow-reference",
+         "frame": {"rep": {"kind": "translation", "n": 2}, "window": "dirac0",
+                   "points": "full"},
+         "reference": {"window": _OVERFLOWING["window"], "points": "full"}},
+        {"id": "density", "kind": "density", "group": {"kind": "cyclic", "moduli": [8]},
+         "points": [0, 2, 4, 6], "k_radii": [1, 2]},
+    ]
+    path = tmp_path / "scenarios.json"
+    path.write_text(json.dumps(specs))
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # the pool path at parallelism 2
+    reports = {r["scenario_id"]: r for r in run(load_scenarios(path), parallelism=parallelism)}
+    assert len(reports) == 4
+    density = reports.pop("density")
+    assert density["error"] is None and density["ok"]
+    for report in reports.values():
+        assert report["error"] == {"type": "ValueError",
+                                   "message": "frame bounds nan and nan are not both finite"}
+        assert not report["ok"]
+
+
 def _shape_bug(generators):
     return np.zeros(3) + np.zeros(4)  # numpy raises ValueError: cannot broadcast
 
